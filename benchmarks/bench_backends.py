@@ -1,8 +1,8 @@
-"""Benchmark the numba and numpy backends of the hot kernels.
+"""Benchmark the numba and numpy backends of RFF featurization.
 
-Times RFF featurization, the matrix-free Gram matvec, and a full CG ridge
-solve on a synthetic problem, then prints a comparison table. The numba
-functions are compiled (and disk-cached) on a warmup call before timing.
+Times featurization on a synthetic problem and prints a comparison table.
+The numba function is compiled (and disk-cached) on a warmup call before
+timing.
 
 Usage:
     python benchmarks/bench_backends.py [--n 20000] [--d 8] [--S 100] [--repeats 5]
@@ -11,9 +11,7 @@ Usage:
 import argparse
 import time
 
-import numpy as np
-
-from gpnam import _kernels, data, rff, solvers
+from gpnam import _kernels, data, rff
 
 
 def time_call(fn, repeats):
@@ -32,39 +30,23 @@ def bench(n, d, S, repeats):
     X = ds.X
     rows = []
 
-    impls = [("numpy", _kernels._featurize_numpy, _kernels._gram_apply_numpy)]
+    impls = [("numpy", _kernels._featurize_numpy)]
     if _kernels._HAVE_NUMBA:
-        impls.append(("numba", _kernels._featurize_numba, _kernels._gram_apply_numba))
+        impls.append(("numba", _kernels._featurize_numba))
     else:
         print("numba unavailable; timing numpy only")
 
-    for name, featurize, gram_apply in impls:
+    for name, featurize in impls:
         featurize(X[:64], basis.z, basis.c, widths)  # warmup / jit compile
-        phi = featurize(X, basis.z, basis.c, widths)
-        p = np.random.default_rng(1).standard_normal(phi.shape[1])
-        gram_apply(phi, p)
-
-        t_feat = time_call(lambda: featurize(X, basis.z, basis.c, widths), repeats)
-        t_gram = time_call(lambda: gram_apply(phi, p), repeats)
-
-        def cg_solve():
-            mask = np.ones(phi.shape[1])
-            mask[0] = 0.0
-            v = phi.T @ ds.y
-            solvers.conjugate_gradients(lambda q: gram_apply(phi, q) + mask * q,
-                                        v, tol=1e-8, max_iter=2 * phi.shape[1])
-
-        t_cg = time_call(cg_solve, max(1, repeats // 2))
-        rows.append((name, t_feat, t_gram, t_cg))
+        rows.append((name, time_call(lambda: featurize(X, basis.z, basis.c, widths),
+                                     repeats)))
 
     print(f"\nn={n} d={d} S={S} (D*={S * d + 1}), best of {repeats}")
-    print(f"{'backend':<8} {'featurize':>12} {'gram matvec':>12} {'cg solve':>12}")
-    for name, t_feat, t_gram, t_cg in rows:
-        print(f"{name:<8} {t_feat:>11.4f}s {t_gram:>11.4f}s {t_cg:>11.4f}s")
+    print(f"{'backend':<8} {'featurize':>12}")
+    for name, t_feat in rows:
+        print(f"{name:<8} {t_feat:>11.4f}s")
     if len(rows) == 2:
-        base, fast = rows[0], rows[1]
-        print(f"{'speedup':<8} {base[1] / fast[1]:>11.2f}x "
-              f"{base[2] / fast[2]:>11.2f}x {base[3] / fast[3]:>11.2f}x")
+        print(f"{'speedup':<8} {rows[0][1] / rows[1][1]:>11.2f}x")
 
 
 def main():

@@ -1,13 +1,13 @@
 """Hot numeric kernels: RFF featurization and the Gram-operator matvec.
 
-Two interchangeable backends exist for each kernel: a numba ``@njit`` version
-and a pure-numpy version. Selection happens once at import time from the
+Featurization has two interchangeable backends: a numba ``@njit`` version and
+a pure-numpy version. Selection happens once at import time from the
 ``GPNAM_BACKEND`` environment variable ("numba" or "numpy"); when unset, numba
-is used if it imports. ``benchmarks/bench_backends.py`` times both.
+is used if it imports. ``benchmarks/bench_backends.py`` times both. Both are
+deterministic: each output element is written exactly once.
 
-Both backends are deterministic: featurization writes each output element
-exactly once, and the numba Gram matvec reduces parallel partial sums over
-fixed-size row chunks in a fixed order.
+The Gram matvec is plain numpy (two BLAS GEMVs); the ridge solver forms the
+Gram matrix once instead of applying it per iteration.
 """
 
 import math
@@ -15,11 +15,6 @@ import os
 import warnings
 
 import numpy as np
-
-# Rows per partial sum in the parallel Gram matvec. Fixed so the reduction
-# order (and therefore the bit pattern of the result) does not depend on the
-# number of threads.
-_CHUNK = 2048
 
 
 def _featurize_numpy(X, z, c, widths):
@@ -33,10 +28,6 @@ def _featurize_numpy(X, z, c, widths):
         block *= scale
         phi[:, 1 + j * S:1 + (j + 1) * S] = block
     return phi
-
-
-def _gram_apply_numpy(phi, p):
-    return phi.T @ (phi @ p)
 
 
 _HAVE_NUMBA = False
@@ -57,30 +48,6 @@ try:
                 for s in range(S):
                     phi[i, base + s] = scale * math.cos(z[s] * xv + c[s])
         return phi
-
-    @numba.njit(cache=True, parallel=True)
-    def _gram_apply_numba(phi, p):  # pragma: no cover - exercised via dispatch
-        n, D = phi.shape
-        t = np.empty(n)
-        for i in numba.prange(n):
-            acc = 0.0
-            for j in range(D):
-                acc += phi[i, j] * p[j]
-            t[i] = acc
-        nchunks = (n + _CHUNK - 1) // _CHUNK
-        partial = np.zeros((nchunks, D))
-        for k in numba.prange(nchunks):
-            lo = k * _CHUNK
-            hi = min(lo + _CHUNK, n)
-            for i in range(lo, hi):
-                ti = t[i]
-                for j in range(D):
-                    partial[k, j] += phi[i, j] * ti
-        out = np.zeros(D)
-        for k in range(nchunks):
-            for j in range(D):
-                out[j] += partial[k, j]
-        return out
 
     _HAVE_NUMBA = True
 except ImportError:  # pragma: no cover
@@ -103,7 +70,6 @@ def _resolve_backend():
 BACKEND = _resolve_backend()
 
 _FEATURIZE = _featurize_numba if BACKEND == "numba" else _featurize_numpy
-_GRAM_APPLY = _gram_apply_numba if BACKEND == "numba" else _gram_apply_numpy
 
 
 def featurize(X, z, c, widths):
@@ -127,6 +93,6 @@ def featurize(X, z, c, widths):
 
 def gram_apply(phi, p):
     """Apply the (unregularized) Gram operator: phi.T @ (phi @ p)."""
-    phi = np.ascontiguousarray(phi, dtype=np.float64)
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    return _GRAM_APPLY(phi, p)
+    phi = np.asarray(phi, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    return phi.T @ (phi @ p)

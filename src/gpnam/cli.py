@@ -196,18 +196,6 @@ def _fit_config(cfg):
                              seed=int(cfg["seed"]))
 
 
-def _fit_once(basis, widths, train, val, task, cfg, pairs):
-    feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
-    fit_cfg = _fit_config(cfg)
-    if task == data_mod.TASK_REGRESSION:
-        w, report = solvers.solve_ridge_cg(feats, train.y, fit_cfg)
-    else:
-        val_feats = solvers.stack_features(basis, widths, val.X, pairs=pairs)
-        w, report = solvers.fit_logistic_sgd(feats, train.y, fit_cfg,
-                                             val_features=val_feats, val_y=val.y)
-    return w, report, feats
-
-
 def _assemble_model(basis, w, feats, widths, ds, train, factor, pairs):
     d, S = train.d, basis.S
     w0 = float(w[0])
@@ -243,6 +231,25 @@ def _val_metrics(mdl, ds, val, data_path, model_path):
     return rows
 
 
+def _fit_at_scale(basis, ds, train, val, task, cfg, pairs, factor):
+    """Fit, assemble and validate at one bandwidth scale.
+
+    Returns (model, SolverReport, validation rows). The design matrices stay
+    local, so a bandwidth search holds only one at a time.
+    """
+    widths = data_mod.kernel_widths(ds, factor)
+    feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
+    fit_cfg = _fit_config(cfg)
+    if task == data_mod.TASK_REGRESSION:
+        w, report = solvers.solve_ridge_cg(feats, train.y, fit_cfg)
+    else:
+        val_feats = solvers.stack_features(basis, widths, val.X, pairs=pairs)
+        w, report = solvers.fit_logistic_sgd(feats, train.y, fit_cfg,
+                                             val_features=val_feats, val_y=val.y)
+    mdl = _assemble_model(basis, w, feats, widths, ds, train, factor, pairs)
+    return mdl, report, _val_metrics(mdl, ds, val, cfg["data"], cfg["model"])
+
+
 def cmd_train(cfg) -> int:
     _require(cfg, "data", "target", "task", "model")
     task = cfg["task"]
@@ -259,22 +266,20 @@ def cmd_train(cfg) -> int:
     bw = str(cfg["bandwidth_scale"]).strip().lower()
     searched = None
     if bw == "auto":
+        # every scale is fitted once; the winner's fit is kept, not refitted
         searched = []
         best = None
         for factor in BANDWIDTH_GRID:
-            widths = data_mod.kernel_widths(ds, factor)
-            w_try, rep_try, feats_try = _fit_once(basis, widths, train, val, task, cfg, pairs)
-            mdl_try = _assemble_model(basis, w_try, feats_try, widths, ds, train,
-                                      factor, pairs)
-            rows = _val_metrics(mdl_try, ds, val, cfg["data"], cfg["model"])
+            mdl_try, rep_try, rows = _fit_at_scale(basis, ds, train, val, task, cfg,
+                                                   pairs, factor)
             score = rows[0]["value"]
             searched.append({"bandwidth_scale": factor, rows[0]["metric"]: score})
             better = (best is None or
                       (score < best[0] if task == data_mod.TASK_REGRESSION
                        else score > best[0]))
             if better:
-                best = (score, factor)
-        factor = best[1]
+                best = (score, factor, mdl_try, rep_try, rows)
+        _, factor, mdl, report, val_rows = best
     else:
         try:
             factor = float(bw)
@@ -282,10 +287,7 @@ def cmd_train(cfg) -> int:
             raise UsageError(f"--bandwidth-scale must be a number or 'auto', got {bw!r}") from None
         if factor <= 0:
             raise UsageError("--bandwidth-scale must be positive")
-
-    widths = data_mod.kernel_widths(ds, factor)
-    w, report, feats = _fit_once(basis, widths, train, val, task, cfg, pairs)
-    mdl = _assemble_model(basis, w, feats, widths, ds, train, factor, pairs)
+        mdl, report, val_rows = _fit_at_scale(basis, ds, train, val, task, cfg, pairs, factor)
     model_mod.save(mdl, cfg["model"])
 
     ok = report.converged or report.stopped_early
@@ -297,7 +299,7 @@ def cmd_train(cfg) -> int:
         "bandwidth_search": searched,
         "split_sizes": {"train": int(train.n), "val": int(val.n), "test": int(test.n)},
         "solver": report.to_dict(),
-        "validation": _val_metrics(mdl, ds, val, cfg["data"], cfg["model"]),
+        "validation": val_rows,
         "config": _echo_config(cfg),
     }
     _emit_json(doc, cfg.get("out"))

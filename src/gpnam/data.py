@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyDataError, MissingColumnError, TargetClassError
+from .errors import DataError, EmptyDataError, MissingColumnError, TargetClassError
 
 TASK_REGRESSION = "regression"
 TASK_CLASSIFICATION = "binary_classification"
@@ -91,6 +91,9 @@ def _read_rows(path):
         except StopIteration:
             raise EmptyDataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise DataError(f"{path}: column name(s) {repeated} repeated in header")
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:
         raise EmptyDataError(f"{path}: no data rows")

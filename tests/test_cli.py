@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gpnam import cli, data, model, rff
+from gpnam import cli, data, model, rff, solvers
 from gpnam.solvers import sigmoid
 
 
@@ -121,6 +121,38 @@ class TestTrain:
         assert len(doc["bandwidth_search"]) == len(cli.BANDWIDTH_GRID)
         assert model.load(mpath).bandwidth_scale == doc["chosen_bandwidth_scale"]
 
+    def test_auto_bandwidth_keeps_winning_fit(self, tmp_path, synth_csv, capsys,
+                                              monkeypatch):
+        calls = []
+        solve = solvers.solve_ridge_cg
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_ridge_cg", counting_solve)
+        auto, fixed = tmp_path / "auto.json", tmp_path / "fixed.json"
+        code, out, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                           "--task", "reg", "--model", str(auto), "--S", "32",
+                           "--bandwidth-scale", "auto")
+        assert code == 0
+        assert len(calls) == len(cli.BANDWIDTH_GRID)
+        chosen = json.loads(out)["chosen_bandwidth_scale"]
+        code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                         "--task", "reg", "--model", str(fixed), "--S", "32",
+                         "--bandwidth-scale", repr(chosen))
+        assert code == 0
+        assert auto.read_bytes() == fixed.read_bytes()
+
+    def test_duplicate_header_is_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "dup.csv"
+        csv.write_text("x,x,y\n" + "".join(f"{i},{-i},{i % 7}\n" for i in range(60)))
+        code, _, err = run(capsys, "train", "--data", str(csv), "--target", "y",
+                           "--task", "reg", "--model", str(tmp_path / "m.json"),
+                           "--S", "8")
+        assert code == 2
+        assert "repeated" in err
+
     def test_zero_basis_size_is_usage_error(self, tmp_path, synth_csv, capsys):
         code, _, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
                            "--task", "reg", "--model", str(tmp_path / "m.json"),
@@ -205,6 +237,19 @@ class TestEvaluate:
         assert names == {"mse", "rmse"}
         for row in doc["metrics"]:
             assert set(row) == {"metric", "value", "n", "dataset", "model"}
+
+    def test_duplicate_header_is_data_error(self, tmp_path, synth_csv, capsys):
+        mpath = tmp_path / "m.json"
+        run(capsys, "train", "--data", synth_csv, "--target", "y", "--task", "reg",
+            "--model", str(mpath), "--S", "16")
+        rows = [line.split(",") for line in open(synth_csv).read().splitlines()[1:]]
+        dup = tmp_path / "dup.csv"
+        # the first x2 column holds x1's values; the model must not read it as x2
+        dup.write_text("x1,x2,x2,y\n" + "".join(f"{a},{a},{b},{y}\n" for a, b, y in rows))
+        code, _, err = run(capsys, "evaluate", "--data", str(dup), "--target", "y",
+                           "--model", str(mpath))
+        assert code == 2
+        assert "repeated" in err
 
 
 class TestShapes:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpnam import data
-from gpnam.errors import EmptyDataError, MissingColumnError, TargetClassError
+from gpnam.errors import DataError, EmptyDataError, MissingColumnError, TargetClassError
 
 
 def write_csv(path, text):
@@ -24,6 +24,11 @@ class TestLoadCsv:
         assert ds.y.tolist() == [0.0, 1.0, 0.0]
         assert ds.feature_names == ["a", "b"]
         assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "dup.csv", "x,x,y\n1,2,0\n3,4,1\n")
+        with pytest.raises(DataError, match="repeated"):
+            data.load_csv(p, "y", data.TASK_CLASSIFICATION)
 
     def test_missing_target_column(self, small_clf_csv):
         with pytest.raises(MissingColumnError):
@@ -88,6 +93,11 @@ class TestLoadFeatures:
         assert X.tolist() == [[1.0, 10.0], [2.0, 20.0]]
         assert y is None
         assert rid.tolist() == [0, 1]
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "dup.csv", "a,b,a\n1,2,3\n")
+        with pytest.raises(DataError, match="repeated"):
+            data.load_features(p, ["a", "b"], [{"kind": "numeric"}] * 2)
 
     def test_missing_column_raises(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "a,y\n1,2\n")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpnam import _kernels, rff, solvers
 from gpnam.errors import NumericBreakdownError
@@ -165,6 +167,29 @@ class TestSolveRidgeCg:
             p = rng.normal(size=9)
             got = _kernels.gram_apply(phi, p) + lam * mask * p
             assert np.max(np.abs(got - explicit @ p)) < 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(S=st.integers(1, 40), mode=st.sampled_from(rff.MODES),
+           seed=st.integers(0, 2**16), lam=st.floats(0.1, 10.0),
+           regularize_bias=st.booleans())
+    def test_rff_design_matches_direct_solve(self, S, mode, seed, lam, regularize_bias):
+        rng = np.random.default_rng(seed)
+        n, d = 60, 3
+        X = rng.normal(size=(n, d))
+        y = np.sin(X).sum(axis=1) + 0.1 * rng.normal(size=n)
+        basis = rff.build_basis(S, mode, seed)
+        feats = solvers.stack_features(basis, rng.uniform(0.3, 2.0, d), X)
+        cfg = solvers.FitConfig(lam=lam, regularize_bias=regularize_bias)
+        w, report = solvers.solve_ridge_cg(feats, y, cfg)
+        phi = feats.phi
+        reg = lam * np.eye(phi.shape[1])
+        if not regularize_bias:
+            reg[0, 0] = 0.0
+        A, v = reg + phi.T @ phi, phi.T @ y
+        want = np.linalg.solve(A, v)
+        assert report.converged
+        assert np.linalg.norm(w - want) <= 1e-6 * max(1.0, np.linalg.norm(want))
+        assert np.linalg.norm(A @ w - v) <= 10 * cfg.cg_tol * np.linalg.norm(v)
 
     def test_rejects_non_finite_targets(self):
         feats = make_features(np.ones((2, 2)))
@@ -328,11 +353,3 @@ class TestBackendAgreement:
         a = _kernels._featurize_numpy(X, basis.z, basis.c, widths)
         b = _kernels._featurize_numba(X, basis.z, basis.c, widths)
         assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_gram_apply(self):
-        rng = np.random.default_rng(43)
-        phi = rng.normal(size=(500, 40))
-        p = rng.normal(size=40)
-        a = _kernels._gram_apply_numpy(phi, p)
-        b = _kernels._gram_apply_numba(np.ascontiguousarray(phi), p)
-        assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(a)))
