@@ -212,7 +212,10 @@ def load_features(path, feature_names, encodings, target_column=None, task=None,
         else:
             code_maps.append(None)
 
-    X_rows, y_cells, row_ids = [], [], []
+    # _parse_float returns None for every missing marker (each one either
+    # fails float() or is non-finite), so numeric cells skip _is_missing.
+    columns = list(zip(idx, code_maps))
+    flat, y_cells, row_ids = [], [], []
     for rid, row in enumerate(rows):
         if len(row) != len(header):
             continue
@@ -220,31 +223,24 @@ def load_features(path, feature_names, encodings, target_column=None, task=None,
             continue
         if t_idx is not None and task == TASK_REGRESSION and _parse_float(row[t_idx]) is None:
             continue
-        vals = np.empty(len(idx))
-        ok = True
-        for j, (i, codes) in enumerate(zip(idx, code_maps)):
+        vals = []
+        for i, codes in columns:
             cell = row[i]
-            if _is_missing(cell):
-                ok = False
-                break
             if codes is None:
                 v = _parse_float(cell)
-                if v is None:
-                    ok = False
-                    break
-                vals[j] = v
+            elif _is_missing(cell):
+                break
             else:
-                key = cell.strip()
-                if key not in codes:
-                    ok = False
-                    break
-                vals[j] = codes[key]
-        if ok:
-            X_rows.append(vals)
+                v = codes.get(cell.strip())
+            if v is None:
+                break
+            vals.append(v)
+        else:
+            flat.extend(vals)
             row_ids.append(rid)
             if t_idx is not None:
                 y_cells.append(row[t_idx])
-    if not X_rows:
+    if not row_ids:
         raise EmptyDataError(f"{path}: every row was dropped during ingestion")
     y = None
     if t_idx is not None:
@@ -258,8 +254,9 @@ def load_features(path, feature_names, encodings, target_column=None, task=None,
             y = np.array([mapping[c.strip()] for c in y_cells])
         else:
             y, _ = _encode_target(y_cells, task)
-    report = {"rows_read": len(rows), "rows_dropped": len(rows) - len(X_rows)}
-    return np.vstack(X_rows), y, np.array(row_ids, dtype=np.int64), report
+    report = {"rows_read": len(rows), "rows_dropped": len(rows) - len(row_ids)}
+    X = np.array(flat, dtype=np.float64).reshape(len(row_ids), len(idx))
+    return X, y, np.array(row_ids, dtype=np.int64), report
 
 
 def standardize(ds: Dataset) -> Dataset:

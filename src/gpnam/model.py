@@ -24,6 +24,9 @@ from .solvers import sigmoid, stack_features
 
 SCHEMA_VERSION = 1
 
+# Rows featurized at once by predict: about 29 MB of design matrix at D = 901.
+PREDICT_CHUNK = 4096
+
 TASK_REGRESSION = "regression"
 TASK_CLASSIFICATION = "binary_classification"
 
@@ -125,7 +128,10 @@ def predict_raw(model: GPNAMModel, x) -> float:
 def predict(model: GPNAMModel, X) -> np.ndarray:
     """Batched prediction on an n x d raw-unit matrix.
 
-    Regression returns g(x); classification returns sigmoid(g(x)).
+    Rows are featurized PREDICT_CHUNK at a time and each chunk's design
+    matrix is dropped after its dot product with the weights, so memory is
+    O(PREDICT_CHUNK * D) whatever n is. Regression returns g(x);
+    classification returns sigmoid(g(x)).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
@@ -134,8 +140,12 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
         raise ValueError("input contains non-finite entries")
     xs = _standardize_rows(model, X)
     pairs = [(i, j) for (i, j, _) in model.interactions]
-    feats = stack_features(model.basis, model.b, xs, pairs=pairs)
-    g = feats.phi @ weights_vector(model)
+    w = weights_vector(model)
+    g = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], PREDICT_CHUNK):
+        stop = start + PREDICT_CHUNK
+        # unnamed, so each chunk's matrix is freed before the next is built
+        g[start:stop] = stack_features(model.basis, model.b, xs[start:stop], pairs=pairs).phi @ w
     return sigmoid(g) if model.task == TASK_CLASSIFICATION else g
 
 

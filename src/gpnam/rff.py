@@ -214,17 +214,28 @@ def pair_feature_map(basis, x_i, x_j, b):
     """Two-dimensional RFF map sqrt(2/S) * cos((z1*x_i + z2*x_j)/b + c).
 
     Requires a basis built with ``with_pairs=True``; approximates the 2-D RBF
-    kernel between (x_i, x_j) points.
+    kernel between (x_i, x_j) points. Scalars x_i, x_j give shape (S,);
+    arrays of shape (n,) give an (n, S) block whose row r is bit-identical
+    to the scalar map at (x_i[r], x_j[r]).
     """
     if basis.pair_z is None:
         raise ConfigurationError("basis has no pairwise frequencies; "
                                  "build it with with_pairs=True")
     if b <= 0:
         raise ValueError("kernel width b must be positive")
-    if not (np.isfinite(x_i) and np.isfinite(x_j)):
+    x_i = np.asarray(x_i, dtype=np.float64)
+    x_j = np.asarray(x_j, dtype=np.float64)
+    if x_i.shape != x_j.shape or x_i.ndim > 1:
+        raise ValueError("x_i and x_j must be scalars or vectors of equal length")
+    if not (np.all(np.isfinite(x_i)) and np.all(np.isfinite(x_j))):
         raise ValueError("inputs must be finite")
-    arg = (basis.pair_z[:, 0] * x_i + basis.pair_z[:, 1] * x_j) / b + basis.c
-    return math.sqrt(2.0 / basis.S) * np.cos(arg)
+    arg = np.multiply.outer(x_i, basis.pair_z[:, 0])
+    arg += np.multiply.outer(x_j, basis.pair_z[:, 1])
+    arg /= b
+    arg += basis.c
+    np.cos(arg, out=arg)
+    arg *= math.sqrt(2.0 / basis.S)
+    return arg
 
 
 def mc_verify_integral_identity(b, x, x_prime, n_samples, seed=0):

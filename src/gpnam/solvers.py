@@ -126,22 +126,21 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
         raise ValueError("one kernel width per feature is required")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite entries")
-    phi = _kernels.featurize(X, basis.z, basis.c, widths)
+    n, d = X.shape
     pairs = tuple((int(i), int(j)) for i, j in pairs) if pairs else ()
+    for (i, j) in pairs:
+        if not (0 <= i < d and 0 <= j < d) or i == j:
+            raise ValueError(f"invalid interaction pair ({i}, {j})")
+    feats = StackedFeatures(phi=np.empty((n, 1 + basis.S * (d + len(pairs)))),
+                            S=basis.S, d=d, pairs=pairs)
+    _kernels.featurize(X, basis.z, basis.c, widths, out=feats.phi[:, :1 + basis.S * d])
     if pairs:
         from .rff import pair_feature_map  # local import to avoid a cycle
 
-        blocks = []
-        for (i, j) in pairs:
-            if not (0 <= i < X.shape[1] and 0 <= j < X.shape[1]) or i == j:
-                raise ValueError(f"invalid interaction pair ({i}, {j})")
+        for k, (i, j) in enumerate(pairs):
             b_ij = math.sqrt(widths[i] * widths[j])
-            block = np.empty((X.shape[0], basis.S))
-            for r in range(X.shape[0]):
-                block[r] = pair_feature_map(basis, X[r, i], X[r, j], b_ij)
-            blocks.append(block)
-        phi = np.hstack([phi] + blocks)
-    return StackedFeatures(phi=phi, S=basis.S, d=X.shape[1], pairs=pairs)
+            feats.phi[:, feats.pair_block(k)] = pair_feature_map(basis, X[:, i], X[:, j], b_ij)
+    return feats
 
 
 def conjugate_gradients(apply_A, v, tol=1e-8, max_iter=None):

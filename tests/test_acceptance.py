@@ -40,7 +40,8 @@ def report(num, ok, desc):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels(tmp_path_factory):
-    """Trigger numba compilation (disk-cached) before any timed section."""
+    """Run one small fit in-process and through the CLI before any timed
+    section, so one-off import and first-call costs stay out of the timings."""
     basis = rff.build_basis(4, "grid", 0)
     solvers.stack_features(basis, [1.0], np.zeros((2, 1)))
     tmp = tmp_path_factory.mktemp("warm")

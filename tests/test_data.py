@@ -1,5 +1,7 @@
 """CSV ingestion, standardization, widths, splits, synthetic data."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,35 @@ def write_csv(path, text):
 @pytest.fixture
 def small_clf_csv(tmp_path):
     return write_csv(tmp_path / "small.csv", "a,b,y\n1,2,0\n3,4,1\n5,6,0\n")
+
+
+def reference_load_features(path, feature_names, encodings):
+    """The drop rules of load_features written out cell by cell: a row is
+    kept only if it has the header's length and every feature cell is neither
+    a missing marker nor unparseable (numeric) or unseen (ordinal)."""
+    header, rows = data._read_rows(path)
+    idx = [header.index(nm) for nm in feature_names]
+    X_rows, row_ids = [], []
+    for rid, row in enumerate(rows):
+        if len(row) != len(header):
+            continue
+        vals = []
+        for i, enc in zip(idx, encodings):
+            cell = row[i]
+            if data._is_missing(cell):
+                break
+            if enc["kind"] == "numeric":
+                v = data._parse_float(cell)
+            else:
+                v = {c: float(k) for k, c in enumerate(enc["categories"])}.get(cell.strip())
+            if v is None:
+                break
+            vals.append(v)
+        else:
+            X_rows.append(vals)
+            row_ids.append(rid)
+    report = {"rows_read": len(rows), "rows_dropped": len(rows) - len(row_ids)}
+    return np.array(X_rows), np.array(row_ids, dtype=np.int64), report
 
 
 class TestLoadCsv:
@@ -111,6 +142,34 @@ class TestLoadFeatures:
         assert X[:, 0].tolist() == [0.0, 1.0]
         assert rid.tolist() == [0, 2]
         assert report["rows_dropped"] == 1
+
+    def test_drop_rules_match_cell_by_cell_reference(self, tmp_path):
+        variants = sorted({v for m in data.MISSING_MARKERS
+                           for v in (m, m.upper(), m.title(), f" {m} ", f"\t{m.upper()} ")})
+        rows = [["1.5", "2", "low"], [" 3.25 ", "1e3", " high "]]
+        rows += [[v, "1", "low"] for v in variants]
+        rows += [["0.5", v, "high"] for v in variants]
+        rows += [["+infinity", "1", "low"], ["1_000", "-2", "high"],
+                 ["2", "-infinity", "low"],
+                 ["1", "2"], ["1", "2", "low", "extra"], ["7"], ["4", "5", "medium"],
+                 ["4", "5", "NA"], ["4", "5", " ? "], ["4", "5", ""], ["-0.0", "5e-324", "high"]]
+        path = tmp_path / "parity.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b", "s"])
+            writer.writerows(rows)
+        names = ["s", "a", "b"]
+        enc = [{"kind": "ordinal", "categories": ["low", "high"]},
+               {"kind": "numeric"}, {"kind": "numeric"}]
+        X, y, rid, report = data.load_features(str(path), names, enc)
+        want_X, want_rid, want_report = reference_load_features(str(path), names, enc)
+        assert y is None
+        assert X.dtype == want_X.dtype and X.shape == want_X.shape
+        assert np.array_equal(X, want_X)
+        assert np.array_equal(rid, want_rid)
+        assert report == want_report
+        # the two plain rows, 1_000 (a valid float literal) and the subnormal row
+        assert rid.tolist() == [0, 1, len(variants) * 2 + 3, len(rows) - 1]
 
     def test_with_target(self, tmp_path):
         p = write_csv(tmp_path / "f.csv", "a,y\n1,0\n2,1\n")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,49 @@ class TestPredict:
         p = model.predict(m, X)
         order = np.argsort(g)
         assert np.all(np.diff(p[order]) >= 0.0)
+
+
+def random_pair_model(task, with_pair, d=3, S=16, seed=11):
+    """Model over a real basis with random weights and, optionally, one
+    interaction pair."""
+    rng = np.random.default_rng(seed)
+    basis = rff.build_basis(S, "monte_carlo", seed, with_pairs=with_pair)
+    interactions = [(0, d - 1, rng.standard_normal(S))] if with_pair else []
+    return model.GPNAMModel(
+        basis=basis, feature_names=[f"x{i + 1}" for i in range(d)], task=task,
+        w0=rng.standard_normal(), W=rng.standard_normal((d, S)),
+        b=rng.uniform(0.5, 2.0, d),
+        standardization=(rng.normal(size=d), rng.uniform(0.5, 2.0, d)),
+        centering_offsets=np.zeros(d), interactions=interactions)
+
+
+class TestChunkedPredict:
+    CHUNK = model.PREDICT_CHUNK
+    SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+    @pytest.mark.parametrize("task", [model.TASK_REGRESSION, model.TASK_CLASSIFICATION])
+    @pytest.mark.parametrize("with_pair", [False, True])
+    def test_matches_predict_raw_at_chunk_boundaries(self, task, with_pair):
+        m = random_pair_model(task, with_pair)
+        X = np.random.default_rng(12).normal(size=(max(self.SIZES), m.d))
+        g = np.array([model.predict_raw(m, x) for x in X])
+        want = solvers.sigmoid(g) if task == model.TASK_CLASSIFICATION else g
+        for n in self.SIZES:
+            got = model.predict(m, X[:n])
+            assert got.shape == (n,)
+            assert np.all(np.abs(got - want[:n]) <= 1e-12 * np.maximum(np.abs(want[:n]), 1.0))
+
+    def test_memory_does_not_grow_with_rows(self):
+        m = random_pair_model(model.TASK_REGRESSION, True, d=8, S=100)
+        X = np.random.default_rng(13).normal(size=(50_000, 8))
+        tracemalloc.start()
+        try:
+            model.predict(m, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full 50,000 x 901 design matrix alone would be 360 MB
+        assert peak < 64 * 2**20
 
 
 class TestAdditivity:

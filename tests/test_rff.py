@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpnam import rff
+from gpnam import rff, solvers
 from gpnam.errors import ConfigurationError
 
 SQRT2 = math.sqrt(2.0)
@@ -225,6 +227,40 @@ class TestPairFeatureMap:
         basis = rff.build_basis(16, "grid", 0)
         with pytest.raises(ConfigurationError):
             rff.pair_feature_map(basis, 0.0, 0.0, 1.0)
+
+    def test_array_inputs_give_one_row_per_point(self):
+        basis = rff.build_basis(8, "grid", 1, with_pairs=True)
+        block = rff.pair_feature_map(basis, np.array([0.3, -1.0, 2.0]),
+                                     np.array([1.5, 0.0, -0.4]), 0.9)
+        assert block.shape == (3, 8)
+        assert rff.pair_feature_map(basis, 0.3, 1.5, 0.9).shape == (8,)
+        with pytest.raises(ValueError):
+            rff.pair_feature_map(basis, np.zeros(3), np.zeros(4), 0.9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(S=st.integers(1, 40), mode=st.sampled_from(rff.MODES),
+           seed=st.integers(0, 2**16), n=st.integers(1, 50),
+           widths=st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3),
+           bad_row=st.integers(0, 49),
+           bad_value=st.sampled_from([math.nan, math.inf, -math.inf]),
+           bad_in_j=st.booleans())
+    def test_stacked_block_bit_equals_scalar_loop(self, S, mode, seed, n, widths,
+                                                   bad_row, bad_value, bad_in_j):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(scale=3.0, size=(n, 3))
+        basis = rff.build_basis(S, mode, seed, with_pairs=True)
+        pairs = [(0, 1), (2, 0)]
+        feats = solvers.stack_features(basis, widths, X, pairs=pairs)
+        for k, (i, j) in enumerate(pairs):
+            b_ij = math.sqrt(widths[i] * widths[j])
+            loop = np.array([rff.pair_feature_map(basis, X[r, i], X[r, j], b_ij)
+                             for r in range(n)])
+            assert np.array_equal(feats.phi[:, feats.pair_block(k)], loop)
+
+        x_i, x_j = X[:, 0].copy(), X[:, 1].copy()
+        (x_j if bad_in_j else x_i)[bad_row % n] = bad_value
+        with pytest.raises(ValueError):
+            rff.pair_feature_map(basis, x_i, x_j, 1.0)
 
 
 class TestIntegralIdentity:

@@ -341,15 +341,3 @@ class TestInteractionCapture:
         # x1*x2 has no additive representation; the 2-D map reaches the noise floor
         assert rmses["additive"] >= 1.0
         assert rmses["pairwise"] <= 0.25
-
-
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba not installed")
-class TestBackendAgreement:
-    def test_featurize(self):
-        rng = np.random.default_rng(41)
-        X = rng.normal(size=(30, 3))
-        basis = rff.build_basis(32, "grid", 0)
-        widths = np.array([0.5, 1.0, 2.0])
-        a = _kernels._featurize_numpy(X, basis.z, basis.c, widths)
-        b = _kernels._featurize_numba(X, basis.z, basis.c, widths)
-        assert np.max(np.abs(a - b)) < 1e-12
