@@ -32,6 +32,11 @@ EXIT_NOT_CONVERGED = 3
 EXIT_NUMERIC = 4
 
 BANDWIDTH_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+# Per task: the metrics reported by train and evaluate, and whether a higher
+# score is better. The first metric is the bandwidth-selection score.
+_TASK_METRICS = {data_mod.TASK_REGRESSION: (("rmse", "mse"), False),
+                 data_mod.TASK_CLASSIFICATION: (("auc", "error_rate"), True)}
 KERNEL_CHECK_SIZES = (50, 100, 500, 2000)
 
 _TASK_ALIASES = {"reg": data_mod.TASK_REGRESSION, "regression": data_mod.TASK_REGRESSION,
@@ -77,36 +82,58 @@ def build_parser() -> _Parser:
             ("shapes", "export shape-function (and density) CSV files"),
             ("kernel-check", "run kernel-approximation diagnostics"),
             ("synth", "generate a synthetic additive dataset CSV")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--data", help="input CSV path")
-        p.add_argument("--target", help="target column name")
-        p.add_argument("--task", choices=sorted(_TASK_ALIASES), help="reg or clf")
-        p.add_argument("--S", type=int, help="basis size (default 100)")
-        p.add_argument("--mode", choices=sorted(_MODE_ALIASES), help="mc or grid")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--bandwidth-scale", dest="bandwidth_scale",
-                       help="kernel width factor, or 'auto' for a validation grid search")
-        p.add_argument("--lambda", dest="lam", type=float, help="L2 strength (default 1)")
-        p.add_argument("--split", help="train,val,test fractions (default 0.8,0.1,0.1)")
-        p.add_argument("--model", help="model file path")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--grid-points", dest="grid_points", type=int,
-                       help="shape grid resolution (default 256)")
-        p.add_argument("--density-bins", dest="density_bins", type=int,
-                       help="histogram bins for shape densities (default 32)")
-        p.add_argument("--interactions", help="pairwise terms as i:j,k:l feature indices")
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--verbose", action="store_true", default=None)
-        p.add_argument("--sgd-lr", dest="sgd_lr", type=float)
-        p.add_argument("--sgd-batch", dest="sgd_batch", type=int)
-        p.add_argument("--sgd-epochs", dest="sgd_epochs", type=int)
-        p.add_argument("--sgd-lr-decay", dest="sgd_lr_decay", type=float)
-        p.add_argument("--cg-tol", dest="cg_tol", type=float)
-        p.add_argument("--n", type=int, help="synth: number of rows")
-        p.add_argument("--d", type=int, help="synth: number of features")
-        p.add_argument("--noise-sd", dest="noise_sd", type=float,
-                       help="synth: noise standard deviation")
+        _add_flags(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _add_flags(p):
+    p.add_argument("--data", help="input CSV path")
+    p.add_argument("--target", help="target column name")
+    p.add_argument("--task", choices=sorted(_TASK_ALIASES), help="reg or clf")
+    p.add_argument("--S", type=int, help="basis size (default 100)")
+    p.add_argument("--mode", choices=sorted(_MODE_ALIASES), help="mc or grid")
+    p.add_argument("--seed", type=int, help="random seed (default 0)")
+    p.add_argument("--bandwidth-scale", dest="bandwidth_scale",
+                   help="kernel width factor, or 'auto' for a validation grid search")
+    p.add_argument("--lambda", dest="lam", type=float, help="L2 strength (default 1)")
+    p.add_argument("--split", help="train,val,test fractions (default 0.8,0.1,0.1)")
+    p.add_argument("--model", help="model file path")
+    p.add_argument("--out", help="output file path")
+    p.add_argument("--grid-points", dest="grid_points", type=int,
+                   help="shape grid resolution (default 256)")
+    p.add_argument("--density-bins", dest="density_bins", type=int,
+                   help="histogram bins for shape densities (default 32)")
+    p.add_argument("--interactions", help="pairwise terms as i:j,k:l feature indices")
+    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--verbose", action="store_true", default=None)
+    p.add_argument("--sgd-lr", dest="sgd_lr", type=float)
+    p.add_argument("--sgd-batch", dest="sgd_batch", type=int)
+    p.add_argument("--sgd-epochs", dest="sgd_epochs", type=int)
+    p.add_argument("--sgd-lr-decay", dest="sgd_lr_decay", type=float)
+    p.add_argument("--cg-tol", dest="cg_tol", type=float)
+    p.add_argument("--n", type=int, help="synth: number of rows")
+    p.add_argument("--d", type=int, help="synth: number of features")
+    p.add_argument("--noise-sd", dest="noise_sd", type=float,
+                   help="synth: noise standard deviation")
+    return p
+
+
+def _check_file_value(key, value, flag):
+    """Reject a config-file value its flag could not have produced: the flag's
+    ``type`` (str when unset) must map it to itself, and it must be one of the
+    flag's ``choices``. ``verbose`` takes only JSON true or false."""
+    if flag.dest == "verbose":
+        ok, want = isinstance(value, bool), "true or false"
+    else:
+        convert = flag.type or str
+        want = f"one of {flag.choices}" if flag.choices else f"a {convert.__name__}"
+        try:
+            ok = not isinstance(value, bool) and convert(value) == value
+        except (TypeError, ValueError):
+            ok = False
+        ok = ok and (flag.choices is None or value in flag.choices)
+    if not ok:
+        raise UsageError(f"config key {key!r} must be {want}, got {value!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -120,21 +147,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(_DEFAULTS))
         if unknown:
             raise UsageError(f"unknown config key(s) {unknown}")
+        flags = {a.dest: a for a in _add_flags(argparse.ArgumentParser())._actions}
+        for key, value in file_cfg.items():
+            _check_file_value(key, value, flags[key])
         cfg.update(file_cfg)
     for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     if cfg["task"] is not None:
-        if cfg["task"] not in _TASK_ALIASES:
-            raise UsageError(f"task must be one of {sorted(_TASK_ALIASES)}")
         cfg["task"] = _TASK_ALIASES[cfg["task"]]
-    if str(cfg["mode"]) not in _MODE_ALIASES:
-        raise UsageError(f"mode must be one of {sorted(_MODE_ALIASES)}")
-    cfg["mode"] = _MODE_ALIASES[str(cfg["mode"])]
+    cfg["mode"] = _MODE_ALIASES[cfg["mode"]]
     if cfg["S"] < 1:
         raise UsageError("--S must be >= 1")
     if cfg["grid_points"] < 2:
@@ -215,20 +243,12 @@ def _assemble_model(basis, w, feats, widths, ds, train, factor, pairs):
         feature_ranges=ranges, bandwidth_scale=factor)
 
 
-def _val_metrics(mdl, ds, val, data_path, model_path):
-    X_val = data_mod.destandardize(val.X, ds.standardization)
-    preds = model_mod.predict(mdl, X_val)
-    rows = []
-    if ds.task == data_mod.TASK_REGRESSION:
-        pairs = (("rmse", metrics_mod.rmse(preds, val.y)),
-                 ("mse", metrics_mod.mse(preds, val.y)))
-    else:
-        pairs = (("auc", metrics_mod.auc(preds, val.y)),
-                 ("error_rate", metrics_mod.error_rate(preds, val.y)))
-    for name, value in pairs:
-        rows.append({"metric": name, "value": value, "n": int(val.n),
-                     "dataset": str(data_path), "model": str(model_path)})
-    return rows
+def _metric_rows(task, preds, y, data_path, model_path):
+    """One ``{metric, value, n, dataset, model}`` row per metric of the task."""
+    # looked up by name at call time, so a wrapper installed on metrics_mod sees the call
+    return [{"metric": name, "value": getattr(metrics_mod, name)(preds, y), "n": int(y.shape[0]),
+             "dataset": str(data_path), "model": str(model_path)}
+            for name in _TASK_METRICS[task][0]]
 
 
 def _fit_at_scale(basis, ds, train, val, task, cfg, pairs, factor):
@@ -247,7 +267,8 @@ def _fit_at_scale(basis, ds, train, val, task, cfg, pairs, factor):
         w, report = solvers.fit_logistic_sgd(feats, train.y, fit_cfg,
                                              val_features=val_feats, val_y=val.y)
     mdl = _assemble_model(basis, w, feats, widths, ds, train, factor, pairs)
-    return mdl, report, _val_metrics(mdl, ds, val, cfg["data"], cfg["model"])
+    preds = model_mod.predict(mdl, data_mod.destandardize(val.X, ds.standardization))
+    return mdl, report, _metric_rows(task, preds, val.y, cfg["data"], cfg["model"])
 
 
 def cmd_train(cfg) -> int:
@@ -269,15 +290,13 @@ def cmd_train(cfg) -> int:
         # every scale is fitted once; the winner's fit is kept, not refitted
         searched = []
         best = None
+        higher_is_better = _TASK_METRICS[task][1]
         for factor in BANDWIDTH_GRID:
             mdl_try, rep_try, rows = _fit_at_scale(basis, ds, train, val, task, cfg,
                                                    pairs, factor)
             score = rows[0]["value"]
             searched.append({"bandwidth_scale": factor, rows[0]["metric"]: score})
-            better = (best is None or
-                      (score < best[0] if task == data_mod.TASK_REGRESSION
-                       else score > best[0]))
-            if better:
+            if best is None or (score > best[0] if higher_is_better else score < best[0]):
                 best = (score, factor, mdl_try, rep_try, rows)
         _, factor, mdl, report, val_rows = best
     else:
@@ -341,16 +360,7 @@ def cmd_evaluate(cfg) -> int:
                                              target_column=cfg["target"], task=mdl.task)
     if cfg["verbose"]:
         print(json.dumps(report), file=sys.stderr)
-    preds = model_mod.predict(mdl, X)
-    rows = []
-    if mdl.task == data_mod.TASK_REGRESSION:
-        pairs = (("mse", metrics_mod.mse(preds, y)), ("rmse", metrics_mod.rmse(preds, y)))
-    else:
-        pairs = (("auc", metrics_mod.auc(preds, y)),
-                 ("error_rate", metrics_mod.error_rate(preds, y)))
-    for name, value in pairs:
-        rows.append({"metric": name, "value": value, "n": int(y.shape[0]),
-                     "dataset": str(cfg["data"]), "model": str(cfg["model"])})
+    rows = _metric_rows(mdl.task, model_mod.predict(mdl, X), y, cfg["data"], cfg["model"])
     _emit_json({"command": "evaluate", "metrics": rows, "config": _echo_config(cfg)},
                cfg.get("out"))
     return EXIT_OK

@@ -1,9 +1,13 @@
 """Tabular data ingestion, standardization, kernel widths, splits.
 
 CSV files are RFC-4180-style with a mandatory header row, UTF-8, ``.`` decimal
-separator. Columns whose non-missing cells all parse as floats are numeric;
-any other column is ordinal-encoded by first appearance. Rows with a missing
-or unparseable cell are dropped and counted, never imputed.
+separator. Rows with a missing or unparseable cell are dropped and counted,
+never imputed. Training (``load_csv``) and prediction (``load_features``)
+ingest share one column encoder, ``_encode_column``: a column whose cells all
+parse as floats is numeric, any other is ordinal-encoded by first appearance,
+and under a stored encoding a missing or unparseable cell or an unseen
+category encodes to NaN. No real cell gives NaN (non-finite numbers count as
+missing), so NaN is the drop sentinel. Each loader keeps only its row filter.
 
 Splits and synthetic data use ``numpy.random.default_rng`` (PCG64), so every
 operation here is bit-reproducible from its seed.
@@ -100,39 +104,58 @@ def _read_rows(path):
     return header, rows
 
 
-def _encode_columns(columns):
-    """Encode feature columns (lists of non-missing string cells) to floats."""
-    X = np.empty((len(columns[0]) if columns else 0, len(columns)))
-    encodings = []
-    for j, col in enumerate(columns):
-        parsed = [_parse_float(cell) for cell in col]
-        if all(v is not None for v in parsed):
-            X[:, j] = parsed
-            encodings.append({"kind": "numeric"})
-        else:
-            categories: list[str] = []
-            codes = {}
-            vals = np.empty(len(col))
-            for i, cell in enumerate(col):
-                key = cell.strip()
-                if key not in codes:
-                    codes[key] = len(categories)
-                    categories.append(key)
-                vals[i] = codes[key]
-            X[:, j] = vals
-            encodings.append({"kind": "ordinal", "categories": categories})
-    return X, encodings
+def _encode_column(cells, enc=None):
+    """Encode one column of string cells; returns (float64 array, encoding).
+
+    ``enc`` None infers the encoding from cells already cleared of missing
+    markers. Under a given ``enc`` a cell that does not encode becomes NaN.
+    """
+    if enc is None or enc["kind"] == "numeric":
+        vals = [_parse_float(cell) for cell in cells]
+        if enc is not None or None not in vals:
+            # numpy stores None as NaN in a float64 array
+            return np.array(vals, dtype=np.float64), enc or {"kind": "numeric"}
+    if enc is None:
+        codes = {}
+        vals = [codes.setdefault(cell.strip(), float(len(codes))) for cell in cells]
+        return np.array(vals, dtype=np.float64), {"kind": "ordinal", "categories": list(codes)}
+    # a category that is itself a missing marker never matches a cell, as at training
+    codes = {cat: float(k) for k, cat in enumerate(enc["categories"]) if not _is_missing(cat)}
+    return np.array([codes.get(cell.strip()) for cell in cells], dtype=np.float64), enc
 
 
-def _encode_target(cells, task):
+def _feature_matrix(rows, idx, encodings):
+    """Encode the columns ``idx`` of ``rows``; returns (X, encodings)."""
+    X = np.empty((len(rows), len(idx)))
+    out = []
+    for j, (i, enc) in enumerate(zip(idx, encodings)):
+        X[:, j], enc = _encode_column([row[i] for row in rows], enc)
+        out.append(enc)
+    return X, out
+
+
+def _target_present(cell, task):
+    # _parse_float is None for every missing marker, so it also covers those
+    return _parse_float(cell) is not None if task == TASK_REGRESSION else not _is_missing(cell)
+
+
+def _encode_target(cells, task, classes=None):
+    """Encode target cells; returns (y, classes). Classification maps the two
+    classes to {0, 1}: ``classes`` when given, else the sorted distinct values."""
     if task == TASK_REGRESSION:
         return np.array([_parse_float(c) for c in cells], dtype=np.float64), None
-    distinct = sorted(set(c.strip() for c in cells), key=_class_sort_key)
-    if len(distinct) != 2:
-        raise TargetClassError(
-            f"classification target must have exactly 2 distinct values, found {len(distinct)}")
-    mapping = {distinct[0]: 0.0, distinct[1]: 1.0}
-    return np.array([mapping[c.strip()] for c in cells]), distinct
+    labels = [c.strip() for c in cells]
+    if classes is None:
+        classes = sorted(set(labels), key=_class_sort_key)
+        if len(classes) != 2:
+            raise TargetClassError(
+                f"classification target must have exactly 2 distinct values, found {len(classes)}")
+    else:
+        unseen = sorted(set(labels) - set(classes))
+        if unseen:
+            raise TargetClassError(f"target value(s) {unseen} unseen at training time")
+    mapping = {cls: float(k) for k, cls in enumerate(classes)}
+    return np.array([mapping[c] for c in labels]), list(classes)
 
 
 def _class_sort_key(value: str):
@@ -158,20 +181,12 @@ def load_csv(path, target_column, task) -> Dataset:
     f_idx = [i for i, h in enumerate(header) if h != target_column]
 
     rows_read = len(rows)
-    kept = []
-    for row in rows:
-        if len(row) != len(header):
-            continue
-        if any(_is_missing(cell) for cell in row):
-            continue
-        if task == TASK_REGRESSION and _parse_float(row[t_idx]) is None:
-            continue
-        kept.append(row)
+    kept = [row for row in rows if len(row) == len(header)
+            and not any(_is_missing(cell) for cell in row) and _target_present(row[t_idx], task)]
     if not kept:
         raise EmptyDataError(f"{path}: every row was dropped during ingestion")
 
-    columns = [[row[i] for row in kept] for i in f_idx]
-    X, encodings = _encode_columns(columns)
+    X, encodings = _feature_matrix(kept, f_idx, [None] * len(f_idx))
     y, target_classes = _encode_target([row[t_idx] for row in kept], task)
 
     report = {
@@ -205,58 +220,21 @@ def load_features(path, feature_names, encodings, target_column=None, task=None,
         if target_column not in header:
             raise MissingColumnError(f"target column {target_column!r} not in header {header}")
         t_idx = header.index(target_column)
-    code_maps = []
-    for enc in encodings:
-        if enc["kind"] == "ordinal":
-            code_maps.append({cat: float(k) for k, cat in enumerate(enc["categories"])})
-        else:
-            code_maps.append(None)
 
-    # _parse_float returns None for every missing marker (each one either
-    # fails float() or is non-finite), so numeric cells skip _is_missing.
-    columns = list(zip(idx, code_maps))
-    flat, y_cells, row_ids = [], [], []
-    for rid, row in enumerate(rows):
-        if len(row) != len(header):
-            continue
-        if t_idx is not None and _is_missing(row[t_idx]):
-            continue
-        if t_idx is not None and task == TASK_REGRESSION and _parse_float(row[t_idx]) is None:
-            continue
-        vals = []
-        for i, codes in columns:
-            cell = row[i]
-            if codes is None:
-                v = _parse_float(cell)
-            elif _is_missing(cell):
-                break
-            else:
-                v = codes.get(cell.strip())
-            if v is None:
-                break
-            vals.append(v)
-        else:
-            flat.extend(vals)
-            row_ids.append(rid)
-            if t_idx is not None:
-                y_cells.append(row[t_idx])
-    if not row_ids:
+    row_ids = [rid for rid, row in enumerate(rows) if len(row) == len(header)
+               and (t_idx is None or _target_present(row[t_idx], task))]
+    X, _ = _feature_matrix([rows[rid] for rid in row_ids], idx, encodings)
+    keep = np.flatnonzero(~np.isnan(X).any(axis=1))
+    if keep.size == 0:
         raise EmptyDataError(f"{path}: every row was dropped during ingestion")
+    X = X[keep]
+    row_ids = np.array(row_ids, dtype=np.int64)[keep]
     y = None
     if t_idx is not None:
-        if task == TASK_REGRESSION:
-            y = np.array([_parse_float(c) for c in y_cells], dtype=np.float64)
-        elif target_classes is not None:
-            mapping = {cls: float(k) for k, cls in enumerate(target_classes)}
-            unseen = sorted(set(c.strip() for c in y_cells) - set(mapping))
-            if unseen:
-                raise TargetClassError(f"target value(s) {unseen} unseen at training time")
-            y = np.array([mapping[c.strip()] for c in y_cells])
-        else:
-            y, _ = _encode_target(y_cells, task)
+        y, _ = _encode_target([rows[rid][t_idx] for rid in row_ids.tolist()], task,
+                              target_classes)
     report = {"rows_read": len(rows), "rows_dropped": len(rows) - len(row_ids)}
-    X = np.array(flat, dtype=np.float64).reshape(len(row_ids), len(idx))
-    return X, y, np.array(row_ids, dtype=np.int64), report
+    return X, y, row_ids, report
 
 
 def standardize(ds: Dataset) -> Dataset:

@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UndefinedMetricError
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    metric: str
-    value: float
-    n: int
 
 
 def auc(scores, labels) -> float:

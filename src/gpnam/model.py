@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .data import TASK_CLASSIFICATION, TASK_REGRESSION
 from .errors import MalformedModelError, ModelInvariantError, SchemaVersionError
 from .rff import MODES, FeatureBasis, build_basis, feature_map, pair_feature_map
 from .solvers import sigmoid, stack_features
@@ -26,9 +27,6 @@ SCHEMA_VERSION = 1
 
 # Rows featurized at once by predict: about 29 MB of design matrix at D = 901.
 PREDICT_CHUNK = 4096
-
-TASK_REGRESSION = "regression"
-TASK_CLASSIFICATION = "binary_classification"
 
 
 @dataclass
@@ -58,16 +56,27 @@ class GPNAMModel:
     def __post_init__(self):
         d = len(self.feature_names)
         self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.centering_offsets = np.asarray(self.centering_offsets, dtype=np.float64)
         if self.W.shape != (d, self.basis.S):
             raise ModelInvariantError(f"W must be {d} x {self.basis.S}, got {self.W.shape}")
-        if self.b.shape != (d,):
-            raise ModelInvariantError("need one kernel width per feature")
-        if np.any(self.b <= 0) or not np.all(np.isfinite(self.b)):
-            raise ModelInvariantError("kernel widths must be positive and finite")
-        if self.centering_offsets.shape != (d,):
-            raise ModelInvariantError("need one centering offset per feature")
+        self.b = _feature_vector(self.b, d, "kernel widths")
+        if np.any(self.b <= 0):
+            raise ModelInvariantError("kernel widths must be positive")
+        self.centering_offsets = _feature_vector(self.centering_offsets, d, "centering offsets")
+        means, scales = (_feature_vector(v, d, "standardization") for v in self.standardization)
+        if np.any(scales == 0):
+            raise ModelInvariantError("standardization scales must be nonzero")
+        self.standardization = (means, scales)
+        if self.feature_ranges is not None:
+            mins, maxs = (_feature_vector(v, d, "feature ranges") for v in self.feature_ranges)
+            if np.any(mins > maxs):
+                raise ModelInvariantError("feature range mins must not exceed maxs")
+            self.feature_ranges = (mins, maxs)
+        if self.encodings is not None and not (
+                isinstance(self.encodings, list) and len(self.encodings) == d
+                and all(map(_valid_encoding, self.encodings))):
+            raise ModelInvariantError(
+                "encodings must list one {kind: numeric} or "
+                "{kind: ordinal, categories: [str, ...]} per feature")
         if self.task not in (TASK_REGRESSION, TASK_CLASSIFICATION):
             raise ModelInvariantError(f"unknown task {self.task!r}")
         for (i, j, wij) in self.interactions:
@@ -83,6 +92,24 @@ class GPNAMModel:
     @property
     def S(self) -> int:
         return self.basis.S
+
+
+def _feature_vector(values, d, name):
+    """``values`` as a finite float64 array with one entry per feature."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (d,) or not np.all(np.isfinite(v)):
+        raise ModelInvariantError(f"{name} must be finite, one per feature (d={d})")
+    return v
+
+
+def _valid_encoding(enc) -> bool:
+    if not isinstance(enc, dict):
+        return False
+    if enc.get("kind") == "numeric":
+        return True
+    categories = enc.get("categories")
+    return (enc.get("kind") == "ordinal" and isinstance(categories, list)
+            and all(isinstance(c, str) for c in categories))
 
 
 @dataclass(frozen=True)
@@ -257,40 +284,29 @@ def load(path) -> GPNAMModel:
         raw_inter = doc.get("interactions") or []
         interactions = [(int(e["i"]), int(e["j"]), np.asarray(e["w"], dtype=np.float64))
                         for e in raw_inter]
+        seed = int(doc["seed"])
+        ranges = None
+        if doc.get("feature_ranges"):
+            ranges = (np.asarray(doc["feature_ranges"]["mins"], dtype=np.float64),
+                      np.asarray(doc["feature_ranges"]["maxs"], dtype=np.float64))
+        bw = doc.get("bandwidth_scale")
+        bw = None if bw is None else float(bw)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedModelError(f"{path}: malformed field ({exc})") from None
     if S < 1:
         raise ModelInvariantError(f"{path}: S must be >= 1")
     if len(feature_names) != d:
         raise ModelInvariantError(f"{path}: d={d} but {len(feature_names)} feature names")
-    if means.shape != (d,) or scales.shape != (d,):
-        raise ModelInvariantError(f"{path}: standardization arrays must have length d")
-    if np.any(scales == 0) or not np.all(np.isfinite(scales)):
-        raise ModelInvariantError(f"{path}: standardization scales must be finite and nonzero")
-    if W.shape != (d, S):
-        raise ModelInvariantError(f"{path}: W must be d x S")
 
-    basis = build_basis(S, doc["mode"], int(doc["seed"]), with_pairs=bool(interactions))
-    ranges = None
-    if doc.get("feature_ranges"):
-        ranges = (np.asarray(doc["feature_ranges"]["mins"], dtype=np.float64),
-                  np.asarray(doc["feature_ranges"]["maxs"], dtype=np.float64))
-    bw = doc.get("bandwidth_scale")
-    return GPNAMModel(basis=basis, feature_names=feature_names, task=doc["task"],
-                      w0=w0, W=W, b=b, standardization=(means, scales),
-                      centering_offsets=offsets, interactions=interactions,
-                      encodings=doc.get("encodings"), feature_ranges=ranges,
-                      bandwidth_scale=None if bw is None else float(bw))
-
-
-def default_shape_grid(model: GPNAMModel, i, points=256) -> np.ndarray:
-    """Evenly spaced grid over feature i's observed training range."""
-    if model.feature_ranges is None:
-        raise ValueError("model stores no feature ranges; supply a grid or data")
-    if points < 2:
-        raise ValueError("need at least 2 grid points")
-    mins, maxs = model.feature_ranges
-    return np.linspace(mins[i], maxs[i], int(points))
+    basis = build_basis(S, doc["mode"], seed, with_pairs=bool(interactions))
+    try:
+        return GPNAMModel(basis=basis, feature_names=feature_names, task=doc["task"],
+                          w0=w0, W=W, b=b, standardization=(means, scales),
+                          centering_offsets=offsets, interactions=interactions,
+                          encodings=doc.get("encodings"), feature_ranges=ranges,
+                          bandwidth_scale=bw)
+    except ModelInvariantError as exc:
+        raise ModelInvariantError(f"{path}: {exc}") from None
 
 
 def write_shape_csv(tables, path) -> None:

@@ -1,0 +1,66 @@
+"""The names the benchmark harness in ``perfbench/`` relies on.
+
+The traced benchmark run wraps ``gpnam`` functions by name from outside the
+package, so renaming or deleting one, or calling a metric through a function
+object captured at import time, would only break ``--trace 1``. These tests
+read ``perfbench/`` without editing it.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import gpnam
+from gpnam import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_exists():
+    spans = load_spans()
+    for module_name, fn_name, *_ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), fn_name))
+    assert isinstance(gpnam.BACKEND, str)
+    assert callable(gpnam.model.predict_raw)
+
+
+def test_traced_train_and_evaluate_see_every_layer(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2, 2, (300, 2))
+    lines = ["a,b,y"] + [f"{a:.6f},{b:.6f},{np.sin(a) + b:.6f}" for a, b in X]
+    train = tmp_path / "train.csv"
+    train.write_text("\n".join(lines) + "\n")
+    holdout = tmp_path / "holdout.csv"
+    holdout.write_text("\n".join(lines[:121]) + "\n")
+    mpath = tmp_path / "m.json"
+
+    spans = load_spans()
+    saved = {m: dict(vars(sys.modules[m])) for m in list(sys.modules)
+             if m == "gpnam" or m.startswith("gpnam.")}
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert cli.main(["train", "--data", str(train), "--target", "y", "--task", "reg",
+                         "--S", "8", "--model", str(mpath)]) == 0
+        assert cli.main(["evaluate", "--data", str(holdout), "--target", "y",
+                         "--model", str(mpath)]) == 0
+    finally:
+        for name, namespace in saved.items():
+            vars(sys.modules[name]).update(namespace)
+    capsys.readouterr()
+    stats = dict(tracer.stats)
+    assert stats["metrics.rmse"]["calls"] == 2  # train validation, then evaluate
+    assert stats["data.load_csv"]["calls"] == 1
+    assert stats["data.load_features"]["calls"] == 1
+    assert tracer.counts["data.load_features.rows"] == 120
+    assert tracer.counts["data.load_csv.rows"] == 300

@@ -252,6 +252,66 @@ class TestEvaluate:
         assert "repeated" in err
 
 
+class TestMetricTable:
+    @pytest.mark.parametrize("task, target, names", [
+        ("reg", "y", ["rmse", "mse"]), ("clf", "y", ["auc", "error_rate"])])
+    def test_train_and_evaluate_report_the_same_metrics(self, tmp_path, synth_csv,
+                                                        clf_csv, capsys, task, target, names):
+        path = synth_csv if task == "reg" else clf_csv
+        mpath = tmp_path / "m.json"
+        code, out, _ = run(capsys, "train", "--data", path, "--target", target,
+                           "--task", task, "--model", str(mpath), "--S", "8",
+                           "--sgd-epochs", "3")
+        assert code in (0, 3)
+        validation = json.loads(out)["validation"]
+        code, out, _ = run(capsys, "evaluate", "--data", path, "--target", target,
+                           "--model", str(mpath))
+        assert code == 0
+        metrics = json.loads(out)["metrics"]
+        assert [r["metric"] for r in validation] == [r["metric"] for r in metrics] == names
+        for row in validation + metrics:
+            assert set(row) == {"metric", "value", "n", "dataset", "model"}
+
+
+class TestMalformedModelFile:
+    """Model files that parse but break an invariant exit 2 on every command."""
+
+    def _break(self, tmp_path, synth_csv, capsys, edit):
+        mpath = tmp_path / "m.json"
+        code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                         "--task", "reg", "--model", str(mpath), "--S", "8")
+        assert code == 0
+        doc = json.loads(mpath.read_text())
+        edit(doc)
+        mpath.write_text(json.dumps(doc))
+        return str(mpath)
+
+    @pytest.mark.parametrize("command", ["shapes", "predict"])
+    def test_feature_ranges_one_short(self, tmp_path, synth_csv, capsys, command):
+        mpath = self._break(tmp_path, synth_csv, capsys,
+                            lambda doc: doc["feature_ranges"]["mins"].pop())
+        extra = ["--verbose", "--data", synth_csv] if command == "predict" else []
+        code, _, err = run(capsys, command, "--model", mpath,
+                           "--out", str(tmp_path / "o.csv"), *extra)
+        assert code == 2
+        assert "feature ranges" in err
+
+    def test_encodings_one_short(self, tmp_path, synth_csv, capsys):
+        mpath = self._break(tmp_path, synth_csv, capsys, lambda doc: doc["encodings"].pop())
+        code, _, err = run(capsys, "predict", "--data", synth_csv, "--model", mpath,
+                           "--out", str(tmp_path / "p.csv"))
+        assert code == 2
+        assert "encodings" in err
+
+    def test_encoding_without_kind(self, tmp_path, synth_csv, capsys):
+        mpath = self._break(tmp_path, synth_csv, capsys,
+                            lambda doc: doc["encodings"][0].pop("kind"))
+        code, _, err = run(capsys, "predict", "--data", synth_csv, "--model", mpath,
+                           "--out", str(tmp_path / "p.csv"))
+        assert code == 2
+        assert "encodings" in err
+
+
 class TestShapes:
     def test_zero_weight_model(self, tmp_path, synth_csv, capsys):
         basis = rff.build_basis(8, "grid", 0)
@@ -352,6 +412,37 @@ class TestConfigFile:
                          "--task", "reg", "--model", str(tmp_path / "m.json"),
                          "--config", str(cfg))
         assert code == 1
+
+
+    @pytest.mark.parametrize("value", [{"S": "16"}, {"S": 16.5}, {"lam": "1"},
+                                       {"mode": "quasi"}, {"data": 5}, {"verbose": "false"},
+                                       {"verbose": 1}])
+    def test_value_of_wrong_type_rejected(self, tmp_path, synth_csv, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(value))
+        code, _, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                           "--task", "reg", "--model", str(tmp_path / "m.json"),
+                           "--config", str(cfg))
+        assert code == 1
+        assert f"config key {next(iter(value))!r}" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_values_of_flag_types_accepted(self, tmp_path, synth_csv, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"S": 8, "lam": 2, "cg_tol": 1e-9, "mode": "mc",
+                                   "bandwidth_scale": "0.5", "verbose": False}))
+        code, out, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                             "--task", "reg", "--model", str(tmp_path / "m.json"),
+                             "--config", str(cfg))
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["config"]["lam"] == 2
+
+    @pytest.mark.parametrize("text", ["5", '"S"', '[["S", 8]]'])
+    def test_non_object_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["kernel-check", "--config", str(cfg)]) == 1
 
 
 class TestUsage:

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gpnam import data
 from gpnam.errors import DataError, EmptyDataError, MissingColumnError, TargetClassError
@@ -143,6 +145,15 @@ class TestLoadFeatures:
         assert rid.tolist() == [0, 2]
         assert report["rows_dropped"] == 1
 
+    def test_category_spelled_as_missing_marker_still_drops(self, tmp_path):
+        # a hand-written model file may list a marker as a category; the cell
+        # is missing all the same, as it would have been at training time
+        p = write_csv(tmp_path / "f.csv", "s\nNA\nlow\n ? \n")
+        enc = [{"kind": "ordinal", "categories": ["NA", "low", "?"]}]
+        X, _, rid, report = data.load_features(p, ["s"], enc)
+        assert X[:, 0].tolist() == [1.0]
+        assert rid.tolist() == [1]
+
     def test_drop_rules_match_cell_by_cell_reference(self, tmp_path):
         variants = sorted({v for m in data.MISSING_MARKERS
                            for v in (m, m.upper(), m.title(), f" {m} ", f"\t{m.upper()} ")})
@@ -177,6 +188,66 @@ class TestLoadFeatures:
                                         target_column="y",
                                         task=data.TASK_CLASSIFICATION)
         assert y.tolist() == [0.0, 1.0]
+
+
+MARKER_CELLS = st.builds(lambda m, case, pad: pad + case(m) + pad,
+                         st.sampled_from(sorted(data.MISSING_MARKERS)),
+                         st.sampled_from([str.lower, str.upper, str.title]),
+                         st.sampled_from(["", " ", "\t", "  "]))
+NUMERIC_CELLS = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+                          st.sampled_from(["-0.0", "1e3", " 2.5 ", "1_000", "5e-324"]))
+CATEGORY_CELLS = st.sampled_from(["low", " high ", "mid", "7"])
+BAD_CELLS = st.one_of(MARKER_CELLS, st.sampled_from(["abc", "1.2.3", "--1"]))
+
+
+@st.composite
+def training_csvs(draw):
+    """Small training CSVs: numeric and categorical columns, missing markers
+    in mixed case with padding, unparseable cells and ragged rows."""
+    task = draw(st.sampled_from(data.TASKS))
+    kinds = draw(st.lists(st.sampled_from(["num", "cat"]), min_size=1, max_size=3))
+    target = (NUMERIC_CELLS if task == data.TASK_REGRESSION
+              else st.sampled_from(["no", " yes", "yes "]))
+    rows = []
+    for _ in range(draw(st.integers(2, 12))):
+        row = [draw(NUMERIC_CELLS if k == "num" else CATEGORY_CELLS) for k in kinds]
+        row.append(draw(target))
+        damage = draw(st.sampled_from(["none"] * 4 + ["cell", "short", "long"]))
+        if damage == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_CELLS)
+        elif damage == "short":
+            row.pop()
+        elif damage == "long":
+            row.append(draw(NUMERIC_CELLS))
+        rows.append(row)
+    return task, [f"f{j}" for j in range(len(kinds))] + ["t"], rows
+
+
+class TestTrainingFileReadForPrediction:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=training_csvs())
+    def test_load_features_gives_the_training_data(self, tmp_path_factory, case):
+        task, header, rows = case
+        path = tmp_path_factory.mktemp("rt") / "train.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        try:
+            ds = data.load_csv(str(path), "t", task)
+        except (EmptyDataError, TargetClassError):
+            assume(False)
+        X, y, rid, report = data.load_features(str(path), ds.feature_names, ds.encodings,
+                                               "t", task, ds.target_classes)
+        assert np.array_equal(X, ds.X) and X.dtype == ds.X.dtype
+        assert np.array_equal(y, ds.y)
+        # the rows load_csv keeps, indexed as the reader returns them
+        _, read = data._read_rows(str(path))
+        kept = [i for i, row in enumerate(read) if len(row) == len(header)
+                and not any(data._is_missing(cell) for cell in row)
+                and (task == data.TASK_CLASSIFICATION or data._parse_float(row[-1]) is not None)]
+        assert rid.tolist() == kept
+        assert report == {k: ds.ingest_report[k] for k in ("rows_read", "rows_dropped")}
 
 
 class TestStandardize:

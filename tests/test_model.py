@@ -339,6 +339,20 @@ class TestPersistence:
         with pytest.raises(SchemaVersionError):
             model.load(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("feature_ranges", {"mins": [0.0, 0.0]}),
+        ("feature_ranges", {"mins": ["a", 0.0], "maxs": [1.0, 1.0]}),
+        ("seed", "zero"),
+        ("bandwidth_scale", [1.0]),
+    ])
+    def test_malformed_optional_field(self, tmp_path, field, value):
+        m, path = self.trained(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedModelError):
+            model.load(path)
+
     def test_invariant_violation(self, tmp_path):
         m, path = self.trained(tmp_path)
         doc = json.loads(path.read_text())
@@ -346,6 +360,49 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelInvariantError):
             model.load(path)
+
+
+class TestInvariants:
+    """Every model invariant is checked when a GPNAMModel is built, so a
+    model file that breaks one fails in ``load`` and never reaches predict."""
+
+    def build(self, **overrides):
+        kwargs = dict(basis=rff.build_basis(4, "grid", 0), feature_names=["a", "b"],
+                      task="regression", w0=0.0, W=np.zeros((2, 4)), b=np.ones(2),
+                      standardization=(np.zeros(2), np.ones(2)),
+                      centering_offsets=np.zeros(2),
+                      feature_ranges=(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
+                      encodings=[{"kind": "numeric"},
+                                 {"kind": "ordinal", "categories": ["lo", "hi"]}])
+        kwargs.update(overrides)
+        return model.GPNAMModel(**kwargs)
+
+    def test_valid_model_builds(self):
+        m = self.build()
+        assert m.feature_ranges[0].dtype == np.float64
+
+    @pytest.mark.parametrize("overrides", [
+        {"W": np.zeros((2, 3))},
+        {"b": np.array([1.0, 0.0])},
+        {"b": np.ones(3)},
+        {"centering_offsets": np.array([0.0, np.nan])},
+        {"standardization": (np.zeros(1), np.ones(2))},
+        {"standardization": (np.zeros(2), np.array([1.0, 0.0]))},
+        {"standardization": (np.zeros(2), np.array([1.0, np.inf]))},
+        {"feature_ranges": (np.array([-1.0]), np.array([1.0]))},
+        {"feature_ranges": (np.array([-1.0, 0.0]), np.array([1.0, np.inf]))},
+        {"feature_ranges": (np.array([-1.0, 2.0]), np.array([1.0, 1.0]))},
+        {"encodings": [{"kind": "numeric"}]},
+        {"encodings": [{"kind": "numeric"}, {}]},
+        {"encodings": [{"kind": "numeric"}, {"kind": "binned"}]},
+        {"encodings": [{"kind": "numeric"}, {"kind": "ordinal"}]},
+        {"encodings": [{"kind": "numeric"}, {"kind": "ordinal", "categories": [1, 2]}]},
+        {"encodings": {"kind": "numeric"}},
+        {"task": "multiclass"},
+    ])
+    def test_violation_raises(self, overrides):
+        with pytest.raises(ModelInvariantError):
+            self.build(**overrides)
 
 
 class TestShapeCsv:
