@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -57,18 +58,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# config keys that go to solvers.FitConfig; their defaults are its field defaults
+_FIT_KEYS = ("lam", "cg_tol", "sgd_lr", "sgd_batch", "sgd_epochs", "sgd_lr_decay", "seed")
 _DEFAULTS = {
     "data": None, "target": None, "task": None,
-    "S": 100, "mode": "grid", "seed": 0,
-    "bandwidth_scale": "1.0", "lam": 1.0,
+    "S": 100, "mode": "grid",
+    "bandwidth_scale": "1.0",
     "split": "0.8,0.1,0.1",
     "model": None, "out": None,
     "grid_points": 256, "density_bins": 32,
     "interactions": None,
-    "sgd_lr": 0.1, "sgd_batch": 256, "sgd_epochs": 100, "sgd_lr_decay": 0.99,
-    "cg_tol": 1e-8,
     "n": 1000, "d": 3, "noise_sd": 0.1,
     "verbose": False,
+    **{key: getattr(solvers.FitConfig(), key) for key in _FIT_KEYS},
 }
 
 
@@ -87,34 +89,39 @@ def build_parser() -> _Parser:
 
 
 def _add_flags(p):
-    p.add_argument("--data", help="input CSV path")
-    p.add_argument("--target", help="target column name")
-    p.add_argument("--task", choices=sorted(_TASK_ALIASES), help="reg or clf")
-    p.add_argument("--S", type=int, help="basis size (default 100)")
-    p.add_argument("--mode", choices=sorted(_MODE_ALIASES), help="mc or grid")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--bandwidth-scale", dest="bandwidth_scale",
-                   help="kernel width factor, or 'auto' for a validation grid search")
-    p.add_argument("--lambda", dest="lam", type=float, help="L2 strength (default 1)")
-    p.add_argument("--split", help="train,val,test fractions (default 0.8,0.1,0.1)")
-    p.add_argument("--model", help="model file path")
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--grid-points", dest="grid_points", type=int,
-                   help="shape grid resolution (default 256)")
-    p.add_argument("--density-bins", dest="density_bins", type=int,
-                   help="histogram bins for shape densities (default 32)")
-    p.add_argument("--interactions", help="pairwise terms as i:j,k:l feature indices")
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--verbose", action="store_true", default=None)
-    p.add_argument("--sgd-lr", dest="sgd_lr", type=float)
-    p.add_argument("--sgd-batch", dest="sgd_batch", type=int)
-    p.add_argument("--sgd-epochs", dest="sgd_epochs", type=int)
-    p.add_argument("--sgd-lr-decay", dest="sgd_lr_decay", type=float)
-    p.add_argument("--cg-tol", dest="cg_tol", type=float)
-    p.add_argument("--n", type=int, help="synth: number of rows")
-    p.add_argument("--d", type=int, help="synth: number of features")
-    p.add_argument("--noise-sd", dest="noise_sd", type=float,
-                   help="synth: noise standard deviation")
+    # every flag defaults to None so a config-file value can fill it; the help
+    # text shows the default from _DEFAULTS
+    def flag(name, help_text, dest=None, **kwargs):
+        dest = dest or name.lstrip("-").replace("-", "_")
+        default = _DEFAULTS.get(dest)
+        if default is not None and not isinstance(default, bool):
+            help_text += f" (default {default})"
+        p.add_argument(name, dest=dest, help=help_text, **kwargs)
+
+    flag("--data", "input CSV path")
+    flag("--target", "target column name")
+    flag("--task", "reg or clf", choices=sorted(_TASK_ALIASES))
+    flag("--S", "basis size", type=int)
+    flag("--mode", "mc or grid", choices=sorted(_MODE_ALIASES))
+    flag("--seed", "random seed", type=int)
+    flag("--bandwidth-scale", "kernel width factor, or 'auto' for a validation grid search")
+    flag("--lambda", "L2 strength", dest="lam", type=float)
+    flag("--split", "train,val,test fractions")
+    flag("--model", "model file path")
+    flag("--out", "output file path")
+    flag("--grid-points", "shape grid resolution", type=int)
+    flag("--density-bins", "histogram bins for shape densities", type=int)
+    flag("--interactions", "pairwise terms as i:j,k:l feature indices")
+    flag("--config", "JSON config file; flags override it")
+    flag("--verbose", "print ingest reports to stderr", action="store_true", default=None)
+    flag("--sgd-lr", "SGD learning rate", type=float)
+    flag("--sgd-batch", "SGD mini-batch size", type=int)
+    flag("--sgd-epochs", "SGD epoch limit", type=int)
+    flag("--sgd-lr-decay", "SGD learning-rate decay per epoch", type=float)
+    flag("--cg-tol", "CG relative residual tolerance", type=float)
+    flag("--n", "synth: number of rows", type=int)
+    flag("--d", "synth: number of features", type=int)
+    flag("--noise-sd", "synth: noise standard deviation", type=float)
     return p
 
 
@@ -167,32 +174,43 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError("--S must be >= 1")
     if cfg["grid_points"] < 2:
         raise UsageError("--grid-points must be >= 2")
+    if cfg["density_bins"] < 1:
+        raise UsageError("--density-bins must be >= 1")
     return cfg
 
 
 def _parse_split(text):
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 3:
-        raise UsageError("--split needs three comma-separated fractions")
     try:
-        return tuple(float(p) for p in parts)
+        fractions = [float(p) for p in str(text).split(",")]
     except ValueError:
         raise UsageError(f"bad split fractions {text!r}") from None
+    return data_mod.split_fractions(fractions)
 
 
-def _parse_interactions(text, d):
-    if not text:
-        return []
-    pairs = []
-    for item in str(text).split(","):
+def _candidate_scales(text):
+    """The bandwidth scales train fits: the grid for 'auto', else the one given."""
+    text = str(text).strip().lower()
+    if text == "auto":
+        return BANDWIDTH_GRID
+    try:
+        factor = float(text)
+    except ValueError:
+        raise UsageError(f"--bandwidth-scale must be a number or 'auto', got {text!r}") from None
+    if not (math.isfinite(factor) and factor > 0):
+        raise UsageError("--bandwidth-scale must be positive and finite")
+    return (factor,)
+
+
+def _parse_interactions(text):
+    """Sorted distinct (i, j) pairs with i <= j; stack_features checks them against d."""
+    pairs = set()
+    for item in str(text).split(",") if text else ():
         try:
             i, j = (int(v) for v in item.split(":"))
         except ValueError:
             raise UsageError(f"bad interaction pair {item!r}; expected i:j") from None
-        if not (0 <= i < d and 0 <= j < d) or i == j:
-            raise UsageError(f"interaction pair {item!r} out of range for d={d}")
-        pairs.append((min(i, j), max(i, j)))
-    return sorted(set(pairs))
+        pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
 
 
 def _require(cfg, *keys):
@@ -217,15 +235,12 @@ def _emit_json(doc, out_path=None):
 
 
 def _fit_config(cfg):
-    return solvers.FitConfig(lam=float(cfg["lam"]), cg_tol=float(cfg["cg_tol"]),
-                             sgd_lr=float(cfg["sgd_lr"]), sgd_batch=int(cfg["sgd_batch"]),
-                             sgd_epochs=int(cfg["sgd_epochs"]),
-                             sgd_lr_decay=float(cfg["sgd_lr_decay"]),
-                             seed=int(cfg["seed"]))
+    # each value takes the type of its FitConfig default (a config file may give lam 2)
+    return solvers.FitConfig(**{key: type(_DEFAULTS[key])(cfg[key]) for key in _FIT_KEYS})
 
 
-def _assemble_model(basis, w, feats, widths, ds, train, factor, pairs):
-    d, S = train.d, basis.S
+def _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs):
+    d, S = ds.d, basis.S
     w0 = float(w[0])
     W = w[1:1 + d * S].reshape(d, S)
     interactions = []
@@ -234,8 +249,6 @@ def _assemble_model(basis, w, feats, widths, ds, train, factor, pairs):
         interactions.append((i, j, np.array(block)))
     offsets = np.array([float(np.mean(feats.phi[:, feats.feature_block(i)] @ W[i]))
                         for i in range(d)])
-    X_raw = data_mod.destandardize(train.X, ds.standardization)
-    ranges = model_mod.training_ranges(X_raw)
     return model_mod.GPNAMModel(
         basis=basis, feature_names=ds.feature_names, task=ds.task, w0=w0, W=W,
         b=np.asarray(widths, dtype=np.float64), standardization=ds.standardization,
@@ -251,62 +264,46 @@ def _metric_rows(task, preds, y, data_path, model_path):
             for name in _TASK_METRICS[task][0]]
 
 
-def _fit_at_scale(basis, ds, train, val, task, cfg, pairs, factor):
-    """Fit, assemble and validate at one bandwidth scale.
-
-    Returns (model, SolverReport, validation rows). The design matrices stay
-    local, so a bandwidth search holds only one at a time.
-    """
-    widths = data_mod.kernel_widths(ds, factor)
-    feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
-    fit_cfg = _fit_config(cfg)
-    if task == data_mod.TASK_REGRESSION:
-        w, report = solvers.solve_ridge_cg(feats, train.y, fit_cfg)
-    else:
-        val_feats = solvers.stack_features(basis, widths, val.X, pairs=pairs)
-        w, report = solvers.fit_logistic_sgd(feats, train.y, fit_cfg,
-                                             val_features=val_feats, val_y=val.y)
-    mdl = _assemble_model(basis, w, feats, widths, ds, train, factor, pairs)
-    preds = model_mod.predict(mdl, data_mod.destandardize(val.X, ds.standardization))
-    return mdl, report, _metric_rows(task, preds, val.y, cfg["data"], cfg["model"])
-
-
 def cmd_train(cfg) -> int:
     _require(cfg, "data", "target", "task", "model")
+    # every setting that does not depend on the data is checked before reading it
+    fractions = _parse_split(cfg["split"])
+    scales = _candidate_scales(cfg["bandwidth_scale"])
+    fit_cfg = _fit_config(cfg)
+    pairs = _parse_interactions(cfg["interactions"])
     task = cfg["task"]
     ds = data_mod.load_csv(cfg["data"], cfg["target"], task)
     if cfg["verbose"]:
         print(json.dumps(ds.ingest_report), file=sys.stderr)
     ds = data_mod.standardize(ds)
-    fractions = _parse_split(cfg["split"])
     train, val, test = data_mod.split(ds, fractions, seed=int(cfg["seed"]))
-    pairs = _parse_interactions(cfg["interactions"], ds.d)
     basis = rff.build_basis(int(cfg["S"]), cfg["mode"], int(cfg["seed"]),
                             with_pairs=bool(pairs))
+    X_val = data_mod.destandardize(val.X, ds.standardization)
+    # destandardize increases in every column, so it maps the standardized
+    # extremes to the raw ones exactly, with no raw copy of the training rows
+    ranges = tuple(data_mod.destandardize(v, ds.standardization)
+                   for v in model_mod.training_ranges(train.X))
 
-    bw = str(cfg["bandwidth_scale"]).strip().lower()
-    searched = None
-    if bw == "auto":
-        # every scale is fitted once; the winner's fit is kept, not refitted
-        searched = []
-        best = None
-        higher_is_better = _TASK_METRICS[task][1]
-        for factor in BANDWIDTH_GRID:
-            mdl_try, rep_try, rows = _fit_at_scale(basis, ds, train, val, task, cfg,
-                                                   pairs, factor)
-            score = rows[0]["value"]
-            searched.append({"bandwidth_scale": factor, rows[0]["metric"]: score})
-            if best is None or (score > best[0] if higher_is_better else score < best[0]):
-                best = (score, factor, mdl_try, rep_try, rows)
-        _, factor, mdl, report, val_rows = best
-    else:
-        try:
-            factor = float(bw)
-        except ValueError:
-            raise UsageError(f"--bandwidth-scale must be a number or 'auto', got {bw!r}") from None
-        if factor <= 0:
-            raise UsageError("--bandwidth-scale must be positive")
-        mdl, report, val_rows = _fit_at_scale(basis, ds, train, val, task, cfg, pairs, factor)
+    def fit(factor):
+        # the design matrices are local, so only one scale's is held at a time
+        widths = data_mod.kernel_widths(ds, factor)
+        feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
+        if task == data_mod.TASK_REGRESSION:
+            w, report = solvers.solve_ridge_cg(feats, train.y, fit_cfg)
+        else:
+            val_feats = solvers.stack_features(basis, widths, val.X, pairs=pairs)
+            w, report = solvers.fit_logistic_sgd(feats, train.y, fit_cfg,
+                                                 val_features=val_feats, val_y=val.y)
+        mdl = _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs)
+        rows = _metric_rows(task, model_mod.predict(mdl, X_val), val.y,
+                            cfg["data"], cfg["model"])
+        return mdl, report, rows
+
+    fits = [fit(factor) for factor in scales]
+    # the first metric scores each scale; min and max keep the first of a tie
+    pick = max if _TASK_METRICS[task][1] else min
+    mdl, report, val_rows = pick(fits, key=lambda f: f[2][0]["value"])
     model_mod.save(mdl, cfg["model"])
 
     ok = report.converged or report.stopped_early
@@ -314,8 +311,10 @@ def cmd_train(cfg) -> int:
         "command": "train",
         "model": str(cfg["model"]),
         "task": task,
-        "chosen_bandwidth_scale": factor,
-        "bandwidth_search": searched,
+        "chosen_bandwidth_scale": mdl.bandwidth_scale,
+        "bandwidth_search": None if len(scales) == 1 else [
+            {"bandwidth_scale": m.bandwidth_scale, rows[0]["metric"]: rows[0]["value"]}
+            for m, _, rows in fits],
         "split_sizes": {"train": int(train.n), "val": int(val.n), "test": int(test.n)},
         "solver": report.to_dict(),
         "validation": val_rows,

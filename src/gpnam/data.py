@@ -276,6 +276,16 @@ def kernel_widths(ds: Dataset, scale_factor=1.0) -> np.ndarray:
     return b
 
 
+def split_fractions(fractions) -> tuple:
+    """Check train/val/test fractions: three positive floats summing to 1."""
+    fractions = tuple(float(f) for f in fractions)
+    if len(fractions) != 3 or not all(f > 0 for f in fractions):  # NaN fails too
+        raise ValueError("need three positive split fractions")
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
+        raise ValueError("split fractions must sum to 1")
+    return fractions
+
+
 def split(ds: Dataset, fractions=(0.8, 0.1, 0.1), seed=0):
     """Deterministic train/val/test split.
 
@@ -284,11 +294,7 @@ def split(ds: Dataset, fractions=(0.8, 0.1, 0.1), seed=0):
     classes are interleaved by within-class position, so any contiguous slice
     preserves class proportions to within one element per class.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ValueError("need three positive split fractions")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+    fractions = split_fractions(fractions)
     n = ds.n
     rng = np.random.default_rng(int(seed))
     if ds.task == TASK_CLASSIFICATION:

@@ -40,9 +40,12 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
+        # written so that NaN fails each check
+        if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
-        if self.sgd_lr <= 0:
+        if not 0 <= self.cg_tol < math.inf:
+            raise ValueError("cg_tol must be finite and nonnegative")
+        if not self.sgd_lr > 0:
             raise ValueError("learning rate must be positive")
         if self.sgd_batch < 1 or self.sgd_epochs < 1:
             raise ValueError("sgd_batch and sgd_epochs must be >= 1")
@@ -130,7 +133,7 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     pairs = tuple((int(i), int(j)) for i, j in pairs) if pairs else ()
     for (i, j) in pairs:
         if not (0 <= i < d and 0 <= j < d) or i == j:
-            raise ValueError(f"invalid interaction pair ({i}, {j})")
+            raise ValueError(f"invalid interaction pair ({i}, {j}) for d={d}")
     feats = StackedFeatures(phi=np.empty((n, 1 + basis.S * (d + len(pairs)))),
                             S=basis.S, d=d, pairs=pairs)
     _kernels.featurize(X, basis.z, basis.c, widths, out=feats.phi[:, :1 + basis.S * d])
@@ -227,6 +230,16 @@ def sigmoid(t):
     return out if out.ndim else float(out)
 
 
+def _logistic_loss(w, phi, y_pm, lam, regularize_bias):
+    """(loss, margins, w_reg): the regularized loss of logistic_objective
+    with the margins y * phi w and the penalized weights it was built from."""
+    margins = y_pm * (phi @ w)
+    w_reg = w if regularize_bias else np.concatenate(([0.0], w[1:]))
+    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+    loss += 0.5 * lam / phi.shape[0] * float(w_reg @ w_reg)
+    return loss, margins, w_reg
+
+
 def logistic_objective(w, phi, y_pm, lam, regularize_bias=False):
     """Regularized logistic loss and its gradient.
 
@@ -235,12 +248,9 @@ def logistic_objective(w, phi, y_pm, lam, regularize_bias=False):
     regularize_bias is set.
     """
     n = phi.shape[0]
-    margins = y_pm * (phi @ w)
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+    loss, margins, w_reg = _logistic_loss(w, phi, y_pm, lam, regularize_bias)
     s = sigmoid(-margins)
     grad = -(phi.T @ (y_pm * s)) / n
-    w_reg = w if regularize_bias else np.concatenate(([0.0], w[1:]))
-    loss += 0.5 * lam / n * float(w_reg @ w_reg)
     grad += (lam / n) * w_reg
     return loss, grad
 
@@ -288,9 +298,9 @@ def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,
         best_w = w.copy()
         stale = 0
 
-    def full_loss(wv):
-        loss, _ = logistic_objective(wv, phi, y_pm, cfg.lam, cfg.regularize_bias)
-        return loss
+    def full_loss(wv, features_phi=phi, labels=y_pm):
+        # the loss alone: SGD never uses the full gradient
+        return _logistic_loss(wv, features_phi, labels, cfg.lam, cfg.regularize_bias)[0]
 
     t0 = time.perf_counter()
     trace = [full_loss(w)]
@@ -302,15 +312,15 @@ def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            m = y_pm[idx] * (phi[idx] @ w)
+            phi_b, y_b = phi[idx], y_pm[idx]  # gathered once per mini-batch
+            m = y_b * (phi_b @ w)
             s = sigmoid(-m)
-            grad = -(phi[idx].T @ (y_pm[idx] * s)) / idx.size + (cfg.lam / n) * (mask * w)
+            grad = -(phi_b.T @ (y_b * s)) / idx.size + (cfg.lam / n) * (mask * w)
             w -= lr * grad
         epochs_run = epoch + 1
         trace.append(full_loss(w))
         if val_features is not None:
-            vloss, _ = logistic_objective(w, val_features.phi, val_pm, cfg.lam,
-                                          cfg.regularize_bias)
+            vloss = full_loss(w, val_features.phi, val_pm)
             if vloss < best_val - 1e-12:
                 best_val = vloss
                 best_w = w.copy()

@@ -1,6 +1,8 @@
 """CLI commands, exit codes, and output formats."""
 
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +167,24 @@ class TestTrain:
                          "--model", str(tmp_path / "m.json"))
         assert code == 2
 
+    def test_numeric_scale_runs_no_search(self, tmp_path, synth_csv, capsys):
+        code, out, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                           "--task", "reg", "--model", str(tmp_path / "m.json"), "--S", "8",
+                           "--bandwidth-scale", "0.5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["chosen_bandwidth_scale"] == 0.5
+        assert doc["bandwidth_search"] is None
+
+    @pytest.mark.parametrize("pair", ["0:2", "1:1", "-1:0"])
+    def test_interaction_pair_out_of_range(self, tmp_path, synth_csv, capsys, pair):
+        code, _, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                           "--task", "reg", "--model", str(tmp_path / "m.json"), "--S", "8",
+                           f"--interactions={pair}")
+        assert code == 1
+        assert "d=2" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_interactions_accepted(self, tmp_path, synth_csv, capsys):
         mpath = tmp_path / "mi.json"
         code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
@@ -174,6 +194,39 @@ class TestTrain:
         m = model.load(mpath)
         assert [(i, j) for (i, j, _) in m.interactions] == [(0, 1)]
         assert m.basis.pair_z is not None
+
+
+class TestSettingsCheckedBeforeReading:
+    """Every train setting that does not depend on the data is rejected
+    before the CSV is read."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "-1"], ["--lambda", "nan"], ["--cg-tol", "-1"], ["--cg-tol", "inf"],
+        ["--sgd-lr", "0"], ["--sgd-lr", "nan"], ["--sgd-batch", "0"],
+        ["--sgd-lr-decay", "1.5"], ["--split", "0.5,0.5"], ["--split", "0.5,0.6,0.1"],
+        ["--split", "nan,0.5,0.5"], ["--split", "a,b,c"], ["--bandwidth-scale", "foo"],
+        ["--bandwidth-scale", "0"], ["--bandwidth-scale", "-2"], ["--bandwidth-scale", "nan"],
+        ["--bandwidth-scale", "inf"], ["--interactions", "0-1"]], ids="=".join)
+    def test_rejected_without_reading_data(self, tmp_path, synth_csv, capsys, monkeypatch,
+                                           flags):
+        calls = []
+        load_csv = data.load_csv
+
+        def counting_load_csv(*args, **kwargs):
+            calls.append(1)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(data, "load_csv", counting_load_csv)
+        code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                         "--task", "reg", "--model", str(tmp_path / "m.json"), "--S", "8",
+                         *flags)
+        assert code == 1
+        assert calls == []
+        assert not (tmp_path / "m.json").exists()
+
+    def test_solver_defaults_are_fit_config_defaults(self):
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["train"]))
+        assert cli._fit_config(cfg) == solvers.FitConfig()
 
 
 class TestPredict:
@@ -364,6 +417,18 @@ class TestShapes:
             want = np.array([float(f"{v:.9g}") for v in table.values])
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bad_density_bins_writes_nothing(self, tmp_path, synth_csv, capsys, bins):
+        mpath = tmp_path / "m.json"
+        run(capsys, "train", "--data", synth_csv, "--target", "y", "--task", "reg",
+            "--model", str(mpath), "--S", "8")
+        out_csv = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "shapes", "--model", str(mpath), "--out", str(out_csv),
+                         "--data", synth_csv, "--density-bins", bins)
+        assert code == 1
+        assert not out_csv.exists()
+        assert not (tmp_path / "s_density.csv").exists()
+
     def test_too_few_grid_points(self, tmp_path, synth_csv, capsys):
         mpath = tmp_path / "m.json"
         run(capsys, "train", "--data", synth_csv, "--target", "y", "--task", "reg",
@@ -465,3 +530,14 @@ class TestUsage:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"mode": "quasi"}))
         assert cli.main(["kernel-check", "--config", str(cfg)]) == 1
+
+
+def test_readme_lists_every_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    parser = cli.build_parser()
+    parsers = [parser] + [action.choices[name] for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)
+                          for name in action.choices]
+    options = {opt for p in parsers for action in p._actions for opt in action.option_strings}
+    assert "--cg-tol" in options
+    assert sorted(opt for opt in options if opt not in readme) == []

@@ -1,6 +1,7 @@
 """CSV ingestion, standardization, widths, splits, synthetic data."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,27 @@ class TestStandardize:
         assert np.max(np.abs(back - X)) < 1e-12
         assert np.max(np.abs(out.X.mean(axis=0))) < 1e-8
         assert np.max(np.abs(out.X.std(axis=0) - 1.0)) < 1e-8
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+           loc=st.floats(-1e6, 1e6), spread=st.floats(1e-6, 1e6),
+           constant=st.booleans())
+    def test_destandardized_extremes_are_extremes_of_destandardized(self, seed, n, loc,
+                                                                   spread, constant):
+        # train reads the raw training ranges off the standardized extremes
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(loc, spread, (n, 3)), int(rng.integers(0, 4)))
+        if constant:
+            X[:, 1] = loc
+        ds = data.Dataset(X=X, y=np.zeros(n), feature_names=list("abc"),
+                          task=data.TASK_REGRESSION, encodings=[{"kind": "numeric"}] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = data.standardize(ds)
+        raw = data.destandardize(out.X, out.standardization)
+        for extreme in (np.min, np.max):
+            assert np.array_equal(data.destandardize(extreme(out.X, axis=0), out.standardization),
+                                  extreme(raw, axis=0))
 
     def test_rejects_double_standardization(self):
         ds = data.Dataset(X=np.array([[0.0], [2.0]]), y=np.zeros(2),
