@@ -2,8 +2,8 @@
 
 Commands: train, predict, evaluate, shapes, kernel-check, synth. Outputs are
 JSON (diagnostics, metrics) or CSV (predictions, shapes, synthetic data),
-always written atomically; the resolved configuration is echoed into every
-JSON output for provenance.
+always written atomically; the command's resolved settings are echoed into
+every JSON output for provenance.
 
 Exit codes: 0 success, 1 usage error, 2 data/model-file error,
 3 solver did not converge (model still saved), 4 numeric breakdown.
@@ -77,22 +77,19 @@ _DEFAULTS = {
 def build_parser() -> _Parser:
     parser = _Parser(prog="gpnam", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("train", "fit a model on a CSV file and save it"),
-            ("predict", "write predictions for a feature CSV"),
-            ("evaluate", "compute metrics of a saved model on labeled data"),
-            ("shapes", "export shape-function (and density) CSV files"),
-            ("kernel-check", "run kernel-approximation diagnostics"),
-            ("synth", "generate a synthetic additive dataset CSV")):
-        _add_flags(sub.add_parser(name, help=help_text))
+    for name, (_, help_text, required, other) in _COMMANDS.items():
+        # no abbreviations: evaluate --mode must not be read as --model
+        _add_flags(sub.add_parser(name, help=help_text, allow_abbrev=False), required + other)
     return parser
 
 
-def _add_flags(p):
-    # every flag defaults to None so a config-file value can fill it; the help
-    # text shows the default from _DEFAULTS
+def _add_flags(p, keys):
+    # only the flags of ``keys``, plus --config; every flag defaults to None so
+    # a config-file value can fill it; the help text shows the default from _DEFAULTS
     def flag(name, help_text, dest=None, **kwargs):
         dest = dest or name.lstrip("-").replace("-", "_")
+        if dest not in keys and dest != "config":
+            return
         default = _DEFAULTS.get(dest)
         if default is not None and not isinstance(default, bool):
             help_text += f" (default {default})"
@@ -119,9 +116,9 @@ def _add_flags(p):
     flag("--sgd-epochs", "SGD epoch limit", type=int)
     flag("--sgd-lr-decay", "SGD learning-rate decay per epoch", type=float)
     flag("--cg-tol", "CG relative residual tolerance", type=float)
-    flag("--n", "synth: number of rows", type=int)
-    flag("--d", "synth: number of features", type=int)
-    flag("--noise-sd", "synth: noise standard deviation", type=float)
+    flag("--n", "number of rows", type=int)
+    flag("--d", "number of features", type=int)
+    flag("--noise-sd", "noise standard deviation", type=float)
     return p
 
 
@@ -144,9 +141,12 @@ def _check_file_value(key, value, flag):
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    """The command's settings: defaults, then the config file, then the flags."""
+    _, _, required, other = _COMMANDS[args.command]
+    keys = required + other
+    cfg = {key: _DEFAULTS[key] for key in keys}
     cfg["command"] = args.command
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
@@ -156,26 +156,24 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(_DEFAULTS))
+        unknown = sorted(set(file_cfg) - set(keys))
         if unknown:
-            raise UsageError(f"unknown config key(s) {unknown}")
-        flags = {a.dest: a for a in _add_flags(argparse.ArgumentParser())._actions}
+            raise UsageError(f"{args.command} reads no config key(s) {unknown}")
+        flags = {a.dest: a for a in _add_flags(argparse.ArgumentParser(), keys)._actions}
         for key, value in file_cfg.items():
             _check_file_value(key, value, flags[key])
         cfg.update(file_cfg)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
-    if cfg["task"] is not None:
+    if cfg.get("task") is not None:
         cfg["task"] = _TASK_ALIASES[cfg["task"]]
-    cfg["mode"] = _MODE_ALIASES[cfg["mode"]]
-    if cfg["S"] < 1:
-        raise UsageError("--S must be >= 1")
-    if cfg["grid_points"] < 2:
-        raise UsageError("--grid-points must be >= 2")
-    if cfg["density_bins"] < 1:
-        raise UsageError("--density-bins must be >= 1")
+    if "mode" in cfg:
+        cfg["mode"] = _MODE_ALIASES[cfg["mode"]]
+    for key, low in (("S", 1), ("grid_points", 2), ("density_bins", 1)):
+        if cfg.get(key, low) < low:
+            raise UsageError(f"--{key.replace('_', '-')} must be >= {low}")
     return cfg
 
 
@@ -202,22 +200,17 @@ def _candidate_scales(text):
 
 
 def _parse_interactions(text):
-    """Sorted distinct (i, j) pairs with i <= j; stack_features checks them against d."""
+    """Sorted distinct (i, j) pairs with 0 <= i < j; stack_features checks j against d."""
     pairs = set()
     for item in str(text).split(",") if text else ():
         try:
             i, j = (int(v) for v in item.split(":"))
         except ValueError:
             raise UsageError(f"bad interaction pair {item!r}; expected i:j") from None
+        if i == j or min(i, j) < 0:
+            raise UsageError(f"bad interaction pair {item!r}; need two distinct indices >= 0")
         pairs.add((min(i, j), max(i, j)))
     return sorted(pairs)
-
-
-def _require(cfg, *keys):
-    missing = [k for k in keys if not cfg.get(k)]
-    if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise UsageError(f"{cfg['command']} requires {flags}")
 
 
 def _echo_config(cfg) -> dict:
@@ -265,7 +258,6 @@ def _metric_rows(task, preds, y, data_path, model_path):
 
 
 def cmd_train(cfg) -> int:
-    _require(cfg, "data", "target", "task", "model")
     # every setting that does not depend on the data is checked before reading it
     fractions = _parse_split(cfg["split"])
     scales = _candidate_scales(cfg["bandwidth_scale"])
@@ -320,7 +312,7 @@ def cmd_train(cfg) -> int:
         "validation": val_rows,
         "config": _echo_config(cfg),
     }
-    _emit_json(doc, cfg.get("out"))
+    _emit_json(doc, cfg["out"])
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
@@ -329,7 +321,6 @@ def _model_encodings(mdl):
 
 
 def cmd_predict(cfg) -> int:
-    _require(cfg, "data", "model")
     mdl = model_mod.load(cfg["model"])
     X, _, row_ids, report = data_mod.load_features(cfg["data"], mdl.feature_names,
                                                    _model_encodings(mdl))
@@ -344,7 +335,7 @@ def cmd_predict(cfg) -> int:
     lines = ["row_id,prediction"]
     lines.extend(f"{rid},{float(p)!r}" for rid, p in zip(row_ids, preds))
     text = "\n".join(lines) + "\n"
-    if cfg.get("out"):
+    if cfg["out"]:
         _atomic_write_text(cfg["out"], text)
     else:
         sys.stdout.write(text)
@@ -352,7 +343,6 @@ def cmd_predict(cfg) -> int:
 
 
 def cmd_evaluate(cfg) -> int:
-    _require(cfg, "data", "model", "target")
     mdl = model_mod.load(cfg["model"])
     X, y, _, report = data_mod.load_features(cfg["data"], mdl.feature_names,
                                              _model_encodings(mdl),
@@ -361,16 +351,15 @@ def cmd_evaluate(cfg) -> int:
         print(json.dumps(report), file=sys.stderr)
     rows = _metric_rows(mdl.task, model_mod.predict(mdl, X), y, cfg["data"], cfg["model"])
     _emit_json({"command": "evaluate", "metrics": rows, "config": _echo_config(cfg)},
-               cfg.get("out"))
+               cfg["out"])
     return EXIT_OK
 
 
 def cmd_shapes(cfg) -> int:
-    _require(cfg, "model", "out")
     mdl = model_mod.load(cfg["model"])
     points = int(cfg["grid_points"])
     X_data = None
-    if cfg.get("data"):
+    if cfg["data"]:
         X_data, _, _, _ = data_mod.load_features(cfg["data"], mdl.feature_names,
                                                  _model_encodings(mdl))
     if mdl.feature_ranges is not None:
@@ -436,12 +425,11 @@ def cmd_kernel_check(cfg) -> int:
         "integral_identity": ident_rows,
         "config": _echo_config(cfg),
     }
-    _emit_json(doc, cfg.get("out"))
+    _emit_json(doc, cfg["out"])
     return EXIT_OK
 
 
 def cmd_synth(cfg) -> int:
-    _require(cfg, "out")
     ds = data_mod.synth_additive(int(cfg["n"]), int(cfg["d"]),
                                  float(cfg["noise_sd"]), seed=int(cfg["seed"]))
     lines = [",".join(ds.feature_names + ["y"])]
@@ -455,13 +443,24 @@ def cmd_synth(cfg) -> int:
     return EXIT_OK
 
 
+# name -> (handler, help, required settings, other settings read). A command
+# takes the flags and config keys of these settings and --config, nothing
+# else, and its JSON config echo lists exactly these settings.
 _COMMANDS = {
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "shapes": cmd_shapes,
-    "kernel-check": cmd_kernel_check,
-    "synth": cmd_synth,
+    "train": (cmd_train, "fit a model on a CSV file and save it",
+              ("data", "target", "task", "model"),
+              ("S", "mode", "bandwidth_scale", "split", "interactions", "out", "verbose",
+               *_FIT_KEYS)),
+    "predict": (cmd_predict, "write predictions for a feature CSV",
+                ("data", "model"), ("out", "verbose")),
+    "evaluate": (cmd_evaluate, "compute metrics of a saved model on labeled data",
+                 ("data", "model", "target"), ("out", "verbose")),
+    "shapes": (cmd_shapes, "export shape-function (and density) CSV files",
+               ("model", "out"), ("data", "grid_points", "density_bins")),
+    "kernel-check": (cmd_kernel_check, "run kernel-approximation diagnostics",
+                     (), ("seed", "out")),
+    "synth": (cmd_synth, "generate a synthetic additive dataset CSV",
+              ("out",), ("n", "d", "noise_sd", "seed", "verbose")),
 }
 
 
@@ -470,7 +469,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        return _COMMANDS[cfg["command"]](cfg)
+        handler, _, required, _ = _COMMANDS[args.command]
+        missing = ["--" + key.replace("_", "-") for key in required if not cfg[key]]
+        if missing:
+            raise UsageError(f"{args.command} requires {', '.join(missing)}")
+        return handler(cfg)
     except UsageError as exc:
         print(f"gpnam: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -266,8 +266,8 @@ def destandardize(X_std, standardization):
 def kernel_widths(ds: Dataset, scale_factor=1.0) -> np.ndarray:
     """Per-feature kernel widths b_i = scale_factor * std of the standardized
     column (so scale_factor itself for non-constant columns)."""
-    if scale_factor <= 0:
-        raise ValueError("scale_factor must be positive")
+    if not 0.0 < scale_factor < math.inf:  # NaN fails too
+        raise ValueError("scale_factor must be positive and finite")
     if ds.standardization is None:
         raise ValueError("kernel widths require a standardized dataset")
     stds = ds.X.std(axis=0)

@@ -252,6 +252,13 @@ _REQUIRED_FIELDS = ("schema_version", "task", "S", "mode", "seed", "d",
                     "centering_offsets")
 
 
+def _json_int(value):
+    """``value`` if it is a JSON integer; int() would read 0.9 as 0 and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def load(path) -> GPNAMModel:
     """Load and validate a model file saved by :func:`save`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -272,8 +279,8 @@ def load(path) -> GPNAMModel:
     if doc["mode"] not in MODES:
         raise ModelInvariantError(f"{path}: unknown basis mode {doc['mode']!r}")
     try:
-        S = int(doc["S"])
-        d = int(doc["d"])
+        S = _json_int(doc["S"])
+        d = _json_int(doc["d"])
         feature_names = [str(v) for v in doc["feature_names"]]
         means = np.asarray(doc["standardization"]["means"], dtype=np.float64)
         scales = np.asarray(doc["standardization"]["scales"], dtype=np.float64)
@@ -282,9 +289,10 @@ def load(path) -> GPNAMModel:
         W = np.asarray(doc["W"], dtype=np.float64)
         offsets = np.asarray(doc["centering_offsets"], dtype=np.float64)
         raw_inter = doc.get("interactions") or []
-        interactions = [(int(e["i"]), int(e["j"]), np.asarray(e["w"], dtype=np.float64))
+        interactions = [(_json_int(e["i"]), _json_int(e["j"]),
+                         np.asarray(e["w"], dtype=np.float64))
                         for e in raw_inter]
-        seed = int(doc["seed"])
+        seed = _json_int(doc["seed"])
         ranges = None
         if doc.get("feature_ranges"):
             ranges = (np.asarray(doc["feature_ranges"]["mins"], dtype=np.float64),

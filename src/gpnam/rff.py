@@ -177,11 +177,16 @@ def build_basis(S, mode=MODE_GRID, seed=0, with_pairs=False):
     return FeatureBasis(S=S, z=z, c=c, mode=mode, seed=seed, pair_z=pair_z)
 
 
+def _check_width(b):
+    # written so that NaN fails; an infinite width makes every feature constant
+    if not 0.0 < b < math.inf:
+        raise ValueError("kernel width b must be positive and finite")
+
+
 def rbf_kernel(x, x_prime, b):
     """Exact RBF kernel exp(-||x - x'||^2 / (2 b^2)); the oracle the RFF
     features approximate."""
-    if b <= 0:
-        raise ValueError("kernel width b must be positive")
+    _check_width(b)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     x_prime = np.atleast_1d(np.asarray(x_prime, dtype=np.float64))
     if x.shape != x_prime.shape:
@@ -194,8 +199,7 @@ def rbf_kernel(x, x_prime, b):
 
 def feature_map(basis, x, b):
     """sqrt(2/S) * cos(z * x / b + c) for a scalar input x."""
-    if b <= 0:
-        raise ValueError("kernel width b must be positive")
+    _check_width(b)
     if not np.isfinite(x):
         raise ValueError("x must be finite")
     row = _kernels.featurize(np.array([[float(x)]]), basis.z, basis.c,
@@ -221,8 +225,7 @@ def pair_feature_map(basis, x_i, x_j, b):
     if basis.pair_z is None:
         raise ConfigurationError("basis has no pairwise frequencies; "
                                  "build it with with_pairs=True")
-    if b <= 0:
-        raise ValueError("kernel width b must be positive")
+    _check_width(b)
     x_i = np.asarray(x_i, dtype=np.float64)
     x_j = np.asarray(x_j, dtype=np.float64)
     if x_i.shape != x_j.shape or x_i.ndim > 1:
@@ -246,8 +249,7 @@ def mc_verify_integral_identity(b, x, x_prime, n_samples, seed=0):
     rbf_kernel(x, x', b). Diagnostic only - returns the estimate so callers
     can compare against the exact kernel.
     """
-    if b <= 0:
-        raise ValueError("kernel width b must be positive")
+    _check_width(b)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not (np.isfinite(x) and np.isfinite(x_prime)):

@@ -123,8 +123,8 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     if X.ndim != 2:
         raise ValueError("X must be a 2-D matrix")
     widths = np.asarray(widths, dtype=np.float64)
-    if np.any(widths <= 0):
-        raise ValueError("all kernel widths must be positive")
+    if not np.all((widths > 0) & (widths < np.inf)):  # NaN fails too
+        raise ValueError("all kernel widths must be positive and finite")
     if widths.shape[0] != X.shape[1]:
         raise ValueError("one kernel width per feature is required")
     if not np.all(np.isfinite(X)):

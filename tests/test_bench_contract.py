@@ -19,19 +19,30 @@ from gpnam import cli
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_target_exists():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for module_name, fn_name, *_ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module_name), fn_name))
     assert isinstance(gpnam.BACKEND, str)
     assert callable(gpnam.model.predict_raw)
+
+
+def test_every_workload_flag_is_read_by_its_command(tmp_path):
+    workloads = load_perfbench("workloads")
+    parser = cli.build_parser()
+    for name in workloads.WORKLOADS:
+        workload = workloads.build(name, tmp_path, seed=1)
+        for command in workload.commands + workload.facts.get("setup_commands", []):
+            # a flag its command does not read would be a usage error
+            assert parser.parse_args(command.argv).command == command.name
 
 
 def test_traced_train_and_evaluate_see_every_layer(tmp_path, capsys):
@@ -44,7 +55,7 @@ def test_traced_train_and_evaluate_see_every_layer(tmp_path, capsys):
     holdout.write_text("\n".join(lines[:121]) + "\n")
     mpath = tmp_path / "m.json"
 
-    spans = load_spans()
+    spans = load_perfbench("spans")
     saved = {m: dict(vars(sys.modules[m])) for m in list(sys.modules)
              if m == "gpnam" or m.startswith("gpnam.")}
     tracer = spans.Tracer()

@@ -176,7 +176,7 @@ class TestTrain:
         assert doc["chosen_bandwidth_scale"] == 0.5
         assert doc["bandwidth_search"] is None
 
-    @pytest.mark.parametrize("pair", ["0:2", "1:1", "-1:0"])
+    @pytest.mark.parametrize("pair", ["0:2"])
     def test_interaction_pair_out_of_range(self, tmp_path, synth_csv, capsys, pair):
         code, _, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
                            "--task", "reg", "--model", str(tmp_path / "m.json"), "--S", "8",
@@ -206,7 +206,8 @@ class TestSettingsCheckedBeforeReading:
         ["--sgd-lr-decay", "1.5"], ["--split", "0.5,0.5"], ["--split", "0.5,0.6,0.1"],
         ["--split", "nan,0.5,0.5"], ["--split", "a,b,c"], ["--bandwidth-scale", "foo"],
         ["--bandwidth-scale", "0"], ["--bandwidth-scale", "-2"], ["--bandwidth-scale", "nan"],
-        ["--bandwidth-scale", "inf"], ["--interactions", "0-1"]], ids="=".join)
+        ["--bandwidth-scale", "inf"], ["--interactions", "0-1"], ["--interactions", "1:1"],
+        ["--interactions=-1:0"], ["--interactions=-1:2"]], ids="=".join)
     def test_rejected_without_reading_data(self, tmp_path, synth_csv, capsys, monkeypatch,
                                            flags):
         calls = []
@@ -227,6 +228,68 @@ class TestSettingsCheckedBeforeReading:
     def test_solver_defaults_are_fit_config_defaults(self):
         cfg = cli.resolve_config(cli.build_parser().parse_args(["train"]))
         assert cli._fit_config(cfg) == solvers.FitConfig()
+
+
+def _flag(key):
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
+class TestCommandTable:
+    """Each command accepts, requires and echoes only the settings it reads,
+    as listed in ``cli._COMMANDS``."""
+
+    @pytest.fixture
+    def mpath(self, tmp_path, synth_csv, capsys):
+        path = tmp_path / "m.json"
+        code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                         "--task", "reg", "--model", str(path), "--S", "8")
+        assert code == 0
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        "predict --S 8", "predict --split 1,2,3", "evaluate --mode mc", "shapes --lambda 2",
+        "shapes --verbose", "kernel-check --S 5000", "synth --task clf"])
+    def test_unread_flag_is_usage_error(self, tmp_path, synth_csv, mpath, capsys, argv):
+        command, *extra = argv.split()
+        needed = {"predict": ["--data", synth_csv, "--model", mpath],
+                  "evaluate": ["--data", synth_csv, "--target", "y", "--model", mpath],
+                  "shapes": ["--model", mpath], "kernel-check": [], "synth": ["--n", "20"]}
+        out = tmp_path / "o.out"
+        code, _, err = run(capsys, command, *needed[command], "--out", str(out), *extra)
+        assert code == 1
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+        assert not out.exists()
+
+    def test_unread_config_key_is_usage_error(self, tmp_path, synth_csv, mpath, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"S": 8}))
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--data", synth_csv, "--model", mpath,
+                           "--out", str(out), "--config", str(cfg))
+        assert code == 1
+        assert "['S']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "kernel-check"])
+    def test_config_echo_lists_the_command_settings(self, tmp_path, synth_csv, mpath,
+                                                    capsys, command):
+        argv = {"train": ["--data", synth_csv, "--target", "y", "--task", "reg",
+                          "--model", str(tmp_path / "t.json"), "--S", "8"],
+                "evaluate": ["--data", synth_csv, "--target", "y", "--model", mpath],
+                "kernel-check": []}[command]
+        code, out, _ = run(capsys, command, *argv)
+        assert code == 0
+        _, _, required, other = cli._COMMANDS[command]
+        assert set(json.loads(out)["config"]) == {*required, *other, "command", "backend"}
+
+    def test_each_command_takes_exactly_its_flags(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli._COMMANDS)
+        for name, (_, _, required, other) in cli._COMMANDS.items():
+            options = {opt for action in sub.choices[name]._actions
+                       for opt in action.option_strings}
+            assert options == {*map(_flag, required + other), "-h", "--help", "--config"}
 
 
 class TestPredict:

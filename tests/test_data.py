@@ -1,6 +1,7 @@
 """CSV ingestion, standardization, widths, splits, synthetic data."""
 
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -338,6 +339,11 @@ class TestKernelWidths:
             data.kernel_widths(self._std_ds(), 0.0)
         with pytest.raises(ValueError):
             data.kernel_widths(self._std_ds(), -1.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_rejects_non_finite_factor(self, factor):
+        with pytest.raises(ValueError, match="positive and finite"):
+            data.kernel_widths(self._std_ds(), factor)
 
 
 class TestSplit:

@@ -353,6 +353,22 @@ class TestPersistence:
         with pytest.raises(MalformedModelError):
             model.load(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 0.9), ("seed", True), ("S", 16.7), ("d", 2.0), ("i", 0.5)])
+    def test_non_integer_field(self, tmp_path, field, value):
+        m, path = self.trained(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["interactions"] = [{"i": 0, "j": 1, "w": [0.0] * 16}]
+        path.write_text(json.dumps(doc))
+        assert model.load(path).interactions[0][:2] == (0, 1)
+        if field == "i":
+            doc["interactions"][0]["i"] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedModelError):
+            model.load(path)
+
     def test_invariant_violation(self, tmp_path):
         m, path = self.trained(tmp_path)
         doc = json.loads(path.read_text())

@@ -102,6 +102,17 @@ class TestBuildBasis:
             basis.z[0] = 3.0
 
 
+@pytest.mark.parametrize("b", [math.nan, math.inf, 0.0, -1.0])
+def test_kernel_width_must_be_positive_and_finite(b):
+    basis = rff.build_basis(8, "grid", 0, with_pairs=True)
+    for call in (lambda: rff.rbf_kernel(0.0, 1.0, b),
+                 lambda: rff.feature_map(basis, 0.5, b),
+                 lambda: rff.pair_feature_map(basis, 0.5, -0.5, b),
+                 lambda: rff.mc_verify_integral_identity(b, 0.0, 1.0, 10)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            call()
+
+
 class TestRbfKernel:
     def test_zero_distance(self):
         assert rff.rbf_kernel(1.5, 1.5, 0.7) == 1.0

@@ -79,6 +79,12 @@ class TestStackFeatures:
         with pytest.raises(ValueError):
             solvers.stack_features(basis, [1.0, 1.0], [[1.0]])
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_rejects_non_finite_width(self, width):
+        basis = rff.build_basis(4, "grid", 0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            solvers.stack_features(basis, [1.0, width], np.zeros((5, 2)))
+
 
 class TestConjugateGradients:
     def test_identity_single_iteration(self):
