@@ -489,6 +489,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gpnam: i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        # e.g. a basis size --S too large to allocate
+        print(f"gpnam: error: out of memory ({str(exc) or 'allocation failed'})",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

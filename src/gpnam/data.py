@@ -334,8 +334,8 @@ def synth_additive(n, d, noise_sd, seed=0, shapes=None) -> Dataset:
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    if not 0 <= noise_sd < math.inf:  # written so that NaN fails
+        raise ValueError("noise_sd must be nonnegative and finite")
     if shapes is None:
         shapes = [SHAPE_CYCLE[i % len(SHAPE_CYCLE)] for i in range(d)]
     else:

@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .data import TASK_CLASSIFICATION, TASK_REGRESSION
 from .errors import MalformedModelError, ModelInvariantError, SchemaVersionError
-from .rff import MODES, FeatureBasis, build_basis, feature_map, pair_feature_map
-from .solvers import sigmoid, stack_features
+from .rff import (MODES, FeatureBasis, build_basis, feature_map, fold_mirrored,
+                  pair_feature_map)
+from .solvers import sigmoid
 
 SCHEMA_VERSION = 1
 
-# Rows featurized at once by predict: about 29 MB of design matrix at D = 901.
+# Rows evaluated at once by predict.
 PREDICT_CHUNK = 4096
 
 
@@ -79,6 +79,8 @@ class GPNAMModel:
                 "{kind: ordinal, categories: [str, ...]} per feature")
         if self.task not in (TASK_REGRESSION, TASK_CLASSIFICATION):
             raise ModelInvariantError(f"unknown task {self.task!r}")
+        if self.interactions and self.basis.pair_z is None:
+            raise ModelInvariantError("interaction terms need a basis with pairwise frequencies")
         for (i, j, wij) in self.interactions:
             if not (0 <= i < d and 0 <= j < d) or i == j:
                 raise ModelInvariantError(f"interaction pair ({i}, {j}) out of range")
@@ -128,11 +130,28 @@ def _standardize_rows(model: GPNAMModel, X):
     return (np.asarray(X, dtype=np.float64) - means) / scales
 
 
-def weights_vector(model: GPNAMModel) -> np.ndarray:
-    """Stacked weight vector [w0, W rows, interaction weights]."""
-    parts = [np.array([model.w0]), model.W.ravel()]
-    parts.extend(np.asarray(wij, dtype=np.float64) for (_, _, wij) in model.interactions)
-    return np.concatenate(parts)
+def _folded_terms(model: GPNAMModel):
+    """Each additive term as (input columns, kernel width, frequencies, phases,
+    amplitudes), its cosines folded by :func:`rff.fold_mirrored`."""
+    F, phase, amp = fold_mirrored(model.basis.z, model.basis.c, model.W)
+    terms = [((i,), model.b[i], F, phase[i], amp[i]) for i in range(model.d)]
+    if model.interactions:
+        w = np.array([wij for (_, _, wij) in model.interactions])
+        F, phase, amp = fold_mirrored(model.basis.pair_z, model.basis.c, w)
+        terms += [((i, j), math.sqrt(model.b[i] * model.b[j]), F, phase[k], amp[k])
+                  for k, (i, j, _) in enumerate(model.interactions)]
+    return terms
+
+
+def _cosines(columns, width, F, phase, out):
+    """Fill ``out`` (terms x rows) with cos(sum_k F[:, k] * columns[k] / width + phase).
+    Each term's row of ``out`` is contiguous, so every pass writes whole rows."""
+    np.multiply.outer(F[:, 0], columns[0] / width, out=out)
+    for f, x in zip(F.T[1:], columns[1:]):
+        out += np.multiply.outer(f, x / width)
+    out += phase[:, None]
+    np.cos(out, out=out)
+    return out
 
 
 def predict_raw(model: GPNAMModel, x) -> float:
@@ -155,10 +174,13 @@ def predict_raw(model: GPNAMModel, x) -> float:
 def predict(model: GPNAMModel, X) -> np.ndarray:
     """Batched prediction on an n x d raw-unit matrix.
 
-    Rows are featurized PREDICT_CHUNK at a time and each chunk's design
-    matrix is dropped after its dot product with the weights, so memory is
-    O(PREDICT_CHUNK * D) whatever n is. Regression returns g(x);
-    classification returns sigmoid(g(x)).
+    Each feature and each interaction pair is a sum of weighted cosines.
+    Those whose frequencies agree up to sign are folded into one cosine
+    (:func:`rff.fold_mirrored`), so a grid basis costs S//2 + S%2 cosines per
+    term and a Monte-Carlo basis S. Rows are evaluated PREDICT_CHUNK at a time
+    and each chunk's cosine block is dropped after its dot product with the
+    amplitudes, so memory is O(PREDICT_CHUNK * terms) whatever n is.
+    Regression returns g(x); classification returns sigmoid(g(x)).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
@@ -166,13 +188,16 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite entries")
     xs = _standardize_rows(model, X)
-    pairs = [(i, j) for (i, j, _) in model.interactions]
-    w = weights_vector(model)
+    terms = _folded_terms(model)
+    amp = np.concatenate([t[4] for t in terms])
+    bounds = np.cumsum([0] + [len(t[4]) for t in terms])
     g = np.empty(X.shape[0])
     for start in range(0, X.shape[0], PREDICT_CHUNK):
-        stop = start + PREDICT_CHUNK
-        # unnamed, so each chunk's matrix is freed before the next is built
-        g[start:stop] = stack_features(model.basis, model.b, xs[start:stop], pairs=pairs).phi @ w
+        rows = xs[start:start + PREDICT_CHUNK]
+        out = np.empty((amp.shape[0], rows.shape[0]))
+        for (cols, width, F, phase, _), lo, hi in zip(terms, bounds, bounds[1:]):
+            _cosines([rows[:, k] for k in cols], width, F, phase, out[lo:hi])
+        g[start:start + PREDICT_CHUNK] = model.w0 + amp @ out
     return sigmoid(g) if model.task == TASK_CLASSIFICATION else g
 
 
@@ -191,9 +216,8 @@ def shape_function(model: GPNAMModel, i, grid, centered=True) -> ShapeTable:
         raise ValueError("grid contains non-finite entries")
     means, scales = model.standardization
     gs = (grid - means[i]) / scales[i]
-    phi = _kernels.featurize(gs[:, None], model.basis.z, model.basis.c,
-                             np.array([model.b[i]]))[:, 1:]
-    values = phi @ model.W[i]
+    F, phase, amp = fold_mirrored(model.basis.z, model.basis.c, model.W[i])
+    values = amp @ _cosines([gs], model.b[i], F, phase, np.empty((amp.shape[0], gs.shape[0])))
     offset = float(model.centering_offsets[i]) if centered else 0.0
     return ShapeTable(feature_index=int(i), feature_name=model.feature_names[i],
                       grid=grid.copy(), values=values - offset, offset=offset)

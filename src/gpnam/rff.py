@@ -241,6 +241,34 @@ def pair_feature_map(basis, x_i, x_j, b):
     return arg
 
 
+def fold_mirrored(freqs, c, weights):
+    """Fold weighted cosine features whose frequencies agree up to sign.
+
+    ``freqs`` holds one frequency per feature, shape (S,) or (S, k), with
+    phases ``c``; ``weights`` has shape (..., S). Returns (F, phase, amp),
+    where F has one row per group of frequencies equal up to sign, such that
+    for every u
+
+        sum_s weights[..., s] * sqrt(2/S) * cos(freqs[s] . u + c[s])
+            = sum_t amp[..., t] * cos(F[t] . u + phase[..., t])
+
+    exactly, so the two sides differ only by rounding: cos(-a + c) =
+    cos(a - c) moves a frequency's sign into its phase, and
+    sum_k w_k cos(a + p_k) = |A| cos(a + arg A) with A = sum_k w_k exp(i p_k).
+    A grid basis mirrors every nonzero frequency, so its S features fold into
+    S//2 + S%2 terms; Monte-Carlo features stay one term each.
+    """
+    rows = np.asarray(freqs, dtype=np.float64).reshape(len(c), -1)
+    # the sign of each row's first nonzero entry (+1 for an all-zero row)
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    sign = np.where(lead < 0, -1.0, 1.0)
+    F, group = np.unique(rows * sign[:, None], axis=0, return_inverse=True)
+    weights = np.asarray(weights, dtype=np.float64)
+    A = np.zeros(weights.shape[:-1] + (len(F),), dtype=np.complex128)
+    np.add.at(A, (..., group.ravel()), weights * np.exp(1j * sign * np.asarray(c)))
+    return F, np.angle(A), np.abs(A) * math.sqrt(2.0 / len(rows))
+
+
 def mc_verify_integral_identity(b, x, x_prime, n_samples, seed=0):
     """Monte-Carlo estimate of the cosine integral that underlies the RFF map.
 

@@ -51,6 +51,8 @@ class FitConfig:
             raise ValueError("sgd_batch and sgd_epochs must be >= 1")
         if not 0 < self.sgd_lr_decay <= 1:
             raise ValueError("sgd_lr_decay must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

@@ -52,6 +52,14 @@ class TestSynth:
         code, _, err = run(capsys, "synth", "--n", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("noise_sd", ["nan", "inf"])
+    def test_non_finite_noise_rejected(self, tmp_path, capsys, noise_sd):
+        path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "synth", "--out", str(path), "--n", "5", "--d", "2",
+                         "--noise-sd", noise_sd)
+        assert code == 1
+        assert not path.exists()
+
     def test_header(self, synth_csv):
         with open(synth_csv) as fh:
             assert fh.readline().strip() == "x1,x2,y"
@@ -161,6 +169,19 @@ class TestTrain:
                            "--S", "0")
         assert code == 1
 
+    def test_unallocatable_basis_is_one_line_error(self, tmp_path, synth_csv, capsys,
+                                                   monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(rff, "build_basis", too_large)
+        code, _, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                           "--task", "reg", "--model", str(tmp_path / "m.json"),
+                           "--S", "100000000000")
+        assert code == 1
+        assert err.startswith("gpnam: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--data", str(tmp_path / "nope.csv"),
                          "--target", "y", "--task", "reg",
@@ -207,7 +228,7 @@ class TestSettingsCheckedBeforeReading:
         ["--split", "nan,0.5,0.5"], ["--split", "a,b,c"], ["--bandwidth-scale", "foo"],
         ["--bandwidth-scale", "0"], ["--bandwidth-scale", "-2"], ["--bandwidth-scale", "nan"],
         ["--bandwidth-scale", "inf"], ["--interactions", "0-1"], ["--interactions", "1:1"],
-        ["--interactions=-1:0"], ["--interactions=-1:2"]], ids="=".join)
+        ["--interactions=-1:0"], ["--interactions=-1:2"], ["--seed", "-1"]], ids="=".join)
     def test_rejected_without_reading_data(self, tmp_path, synth_csv, capsys, monkeypatch,
                                            flags):
         calls = []

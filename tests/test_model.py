@@ -6,8 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpnam import data, model, rff, solvers
+from gpnam import _kernels, data, model, rff, solvers
 from gpnam.errors import (MalformedModelError, ModelInvariantError,
                           SchemaVersionError)
 
@@ -142,11 +144,11 @@ class TestPredict:
         assert np.all(np.diff(p[order]) >= 0.0)
 
 
-def random_pair_model(task, with_pair, d=3, S=16, seed=11):
+def random_pair_model(task, with_pair, d=3, S=16, seed=11, mode="monte_carlo"):
     """Model over a real basis with random weights and, optionally, one
     interaction pair."""
     rng = np.random.default_rng(seed)
-    basis = rff.build_basis(S, "monte_carlo", seed, with_pairs=with_pair)
+    basis = rff.build_basis(S, mode, seed, with_pairs=with_pair)
     interactions = [(0, d - 1, rng.standard_normal(S))] if with_pair else []
     return model.GPNAMModel(
         basis=basis, feature_names=[f"x{i + 1}" for i in range(d)], task=task,
@@ -183,6 +185,47 @@ class TestChunkedPredict:
             tracemalloc.stop()
         # the full 50,000 x 901 design matrix alone would be 360 MB
         assert peak < 64 * 2**20
+
+
+def within_1e12(got, want):
+    return np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+
+class TestFoldedCosines:
+    """predict and shape_function fold the cosines whose frequencies agree up
+    to sign; predict_raw and featurize evaluate all S and are the oracles."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(S=st.integers(1, 130), d=st.integers(1, 5), mode=st.sampled_from(rff.MODES),
+           with_pair=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_unfolded_oracles(self, S, d, mode, with_pair, seed):
+        m = random_pair_model(model.TASK_REGRESSION, with_pair and d > 1, d=d, S=S,
+                              seed=seed, mode=mode)
+        X = np.random.default_rng(seed).normal(size=(20, d))
+        want = np.array([model.predict_raw(m, x) for x in X])
+        assert within_1e12(model.predict(m, X), want)
+        means, scales = m.standardization
+        for i in range(d):
+            gs = (X[:, i] - means[i]) / scales[i]
+            phi = _kernels.featurize(gs[:, None], m.basis.z, m.basis.c, m.b[i:i + 1])
+            got = model.shape_function(m, i, X[:, i], centered=False).values
+            assert within_1e12(got, phi[:, 1:] @ m.W[i])
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 7, 100, 101])
+    def test_grid_folds_mirrored_pairs(self, S):
+        for mode, terms in (("grid", S // 2 + S % 2), ("monte_carlo", S)):
+            basis = rff.build_basis(S, mode, 3, with_pairs=True)
+            weights = np.ones((2, S))
+            for freqs in (basis.z, basis.pair_z):
+                F, phase, amp = rff.fold_mirrored(freqs, basis.c, weights)
+                assert F.shape[0] == terms
+                assert phase.shape == amp.shape == (2, terms)
+
+    @pytest.mark.parametrize("mode", rff.MODES)
+    def test_reruns_bit_identical(self, mode):
+        m = random_pair_model(model.TASK_REGRESSION, True, d=4, S=20, mode=mode)
+        X = np.random.default_rng(14).normal(size=(model.PREDICT_CHUNK + 5, 4))
+        assert model.predict(m, X).tobytes() == model.predict(m, X).tobytes()
 
 
 class TestAdditivity:
@@ -415,6 +458,7 @@ class TestInvariants:
         {"encodings": [{"kind": "numeric"}, {"kind": "ordinal", "categories": [1, 2]}]},
         {"encodings": {"kind": "numeric"}},
         {"task": "multiclass"},
+        {"interactions": [(0, 1, np.zeros(4))]},
     ])
     def test_violation_raises(self, overrides):
         with pytest.raises(ModelInvariantError):
