@@ -1,11 +1,14 @@
 """Hot numeric kernels: RFF featurization and the Gram-operator matvec.
 
 There is one backend, plain numpy: featurization fills each feature's
-S-column cosine block with in-place array operations, and the Gram matvec is
-two BLAS GEMVs (the ridge solver forms the Gram matrix once instead of
-applying it per iteration). Featurization is elementwise, so every output
-element depends only on its own input cell and basis entry, never on n or on
-how rows are grouped into calls.
+S-column cosine block with in-place array operations. Featurization is
+elementwise, so every output element depends only on its own input cell and
+basis entry, never on n or on how rows are grouped into calls.
+
+``gram_apply`` (two BLAS GEMVs) has no caller in the package: the ridge
+solver forms the Gram matrix once instead of applying it per iteration. It
+stays only because the benchmark's span tracer, ``perfbench/spans.py``,
+wraps it by name.
 """
 
 import math

@@ -3,7 +3,10 @@
 Commands: train, predict, evaluate, shapes, kernel-check, synth. Outputs are
 JSON (diagnostics, metrics) or CSV (predictions, shapes, synthetic data),
 always written atomically; the command's resolved settings are echoed into
-every JSON output for provenance.
+every JSON output for provenance. Every run reports what it read: train and
+evaluate put their ingest report (rows read and dropped) into their JSON,
+predict writes it, and synth a summary of its data, as one JSON line on
+stderr.
 
 Exit codes: 0 success, 1 usage error, 2 data/model-file error,
 3 solver did not converge (model still saved), 4 numeric breakdown.
@@ -15,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,19 +62,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Setting(NamedTuple):
+    """A setting's flag, help text and default (None: it has none), and the
+    argparse type and choices that its flag and config-file values must fit."""
+
+    flag: str
+    help: str
+    default: object = None
+    type: type = str
+    choices: list | None = None
+
+
 # config keys that go to solvers.FitConfig; their defaults are its field defaults
 _FIT_KEYS = ("lam", "cg_tol", "sgd_lr", "sgd_batch", "sgd_epochs", "sgd_lr_decay", "seed")
-_DEFAULTS = {
-    "data": None, "target": None, "task": None,
-    "S": 100, "mode": "grid",
-    "bandwidth_scale": "1.0",
-    "split": "0.8,0.1,0.1",
-    "model": None, "out": None,
-    "grid_points": 256, "density_bins": 32,
-    "interactions": None,
-    "n": 1000, "d": 3, "noise_sd": 0.1,
-    "verbose": False,
-    **{key: getattr(solvers.FitConfig(), key) for key in _FIT_KEYS},
+_FIT = solvers.FitConfig()
+
+# Every setting a command can read, in --help order; "config" is the flag of
+# the config file, which every command takes.
+_SETTINGS = {
+    "data": _Setting("--data", "input CSV path"),
+    "target": _Setting("--target", "target column name"),
+    "task": _Setting("--task", "reg or clf", choices=sorted(_TASK_ALIASES)),
+    "S": _Setting("--S", "basis size", 100, int),
+    "mode": _Setting("--mode", "mc or grid", "grid", choices=sorted(_MODE_ALIASES)),
+    "seed": _Setting("--seed", "random seed", _FIT.seed, int),
+    "bandwidth_scale": _Setting(
+        "--bandwidth-scale", "kernel width factor, or 'auto' for a validation grid search",
+        "1.0"),
+    "lam": _Setting("--lambda", "L2 strength", _FIT.lam, float),
+    "split": _Setting("--split", "train,val,test fractions", "0.8,0.1,0.1"),
+    "model": _Setting("--model", "model file path"),
+    "out": _Setting("--out", "output file path"),
+    "grid_points": _Setting("--grid-points", "shape grid resolution", 256, int),
+    "density_bins": _Setting("--density-bins", "histogram bins for shape densities", 32, int),
+    "interactions": _Setting("--interactions", "pairwise terms as i:j,k:l feature indices"),
+    "config": _Setting("--config", "JSON config file; flags override it"),
+    "sgd_lr": _Setting("--sgd-lr", "SGD learning rate", _FIT.sgd_lr, float),
+    "sgd_batch": _Setting("--sgd-batch", "SGD mini-batch size", _FIT.sgd_batch, int),
+    "sgd_epochs": _Setting("--sgd-epochs", "SGD epoch limit", _FIT.sgd_epochs, int),
+    "sgd_lr_decay": _Setting("--sgd-lr-decay", "SGD learning-rate decay per epoch",
+                             _FIT.sgd_lr_decay, float),
+    "cg_tol": _Setting("--cg-tol", "CG relative residual tolerance", _FIT.cg_tol, float),
+    "n": _Setting("--n", "number of rows", 1000, int),
+    "d": _Setting("--d", "number of features", 3, int),
+    "noise_sd": _Setting("--noise-sd", "noise standard deviation", 0.1, float),
 }
 
 
@@ -79,64 +114,27 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, required, other) in _COMMANDS.items():
         # no abbreviations: evaluate --mode must not be read as --model
-        _add_flags(sub.add_parser(name, help=help_text, allow_abbrev=False), required + other)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for key, s in _SETTINGS.items():
+            if key in required + other or key == "config":
+                # no argparse default, so that a config-file value can fill the setting
+                shown = "" if s.default is None else f" (default {s.default})"
+                p.add_argument(s.flag, dest=key, help=s.help + shown, type=s.type,
+                               choices=s.choices)
     return parser
 
 
-def _add_flags(p, keys):
-    # only the flags of ``keys``, plus --config; every flag defaults to None so
-    # a config-file value can fill it; the help text shows the default from _DEFAULTS
-    def flag(name, help_text, dest=None, **kwargs):
-        dest = dest or name.lstrip("-").replace("-", "_")
-        if dest not in keys and dest != "config":
-            return
-        default = _DEFAULTS.get(dest)
-        if default is not None and not isinstance(default, bool):
-            help_text += f" (default {default})"
-        p.add_argument(name, dest=dest, help=help_text, **kwargs)
-
-    flag("--data", "input CSV path")
-    flag("--target", "target column name")
-    flag("--task", "reg or clf", choices=sorted(_TASK_ALIASES))
-    flag("--S", "basis size", type=int)
-    flag("--mode", "mc or grid", choices=sorted(_MODE_ALIASES))
-    flag("--seed", "random seed", type=int)
-    flag("--bandwidth-scale", "kernel width factor, or 'auto' for a validation grid search")
-    flag("--lambda", "L2 strength", dest="lam", type=float)
-    flag("--split", "train,val,test fractions")
-    flag("--model", "model file path")
-    flag("--out", "output file path")
-    flag("--grid-points", "shape grid resolution", type=int)
-    flag("--density-bins", "histogram bins for shape densities", type=int)
-    flag("--interactions", "pairwise terms as i:j,k:l feature indices")
-    flag("--config", "JSON config file; flags override it")
-    flag("--verbose", "print ingest reports to stderr", action="store_true", default=None)
-    flag("--sgd-lr", "SGD learning rate", type=float)
-    flag("--sgd-batch", "SGD mini-batch size", type=int)
-    flag("--sgd-epochs", "SGD epoch limit", type=int)
-    flag("--sgd-lr-decay", "SGD learning-rate decay per epoch", type=float)
-    flag("--cg-tol", "CG relative residual tolerance", type=float)
-    flag("--n", "number of rows", type=int)
-    flag("--d", "number of features", type=int)
-    flag("--noise-sd", "noise standard deviation", type=float)
-    return p
-
-
-def _check_file_value(key, value, flag):
-    """Reject a config-file value its flag could not have produced: the flag's
-    ``type`` (str when unset) must map it to itself, and it must be one of the
-    flag's ``choices``. ``verbose`` takes only JSON true or false."""
-    if flag.dest == "verbose":
-        ok, want = isinstance(value, bool), "true or false"
-    else:
-        convert = flag.type or str
-        want = f"one of {flag.choices}" if flag.choices else f"a {convert.__name__}"
-        try:
-            ok = not isinstance(value, bool) and convert(value) == value
-        except (TypeError, ValueError):
-            ok = False
-        ok = ok and (flag.choices is None or value in flag.choices)
-    if not ok:
+def _check_file_value(key, value):
+    """Reject a config-file value the setting's flag could not have produced:
+    its ``type`` must map the value to itself, and it must be one of its
+    ``choices``."""
+    s = _SETTINGS[key]
+    try:
+        ok = not isinstance(value, bool) and s.type(value) == value
+    except (TypeError, ValueError):
+        ok = False
+    if not ok or (s.choices is not None and value not in s.choices):
+        want = f"one of {s.choices}" if s.choices else f"a {s.type.__name__}"
         raise UsageError(f"config key {key!r} must be {want}, got {value!r}")
 
 
@@ -144,7 +142,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """The command's settings: defaults, then the config file, then the flags."""
     _, _, required, other = _COMMANDS[args.command]
     keys = required + other
-    cfg = {key: _DEFAULTS[key] for key in keys}
+    cfg = {key: _SETTINGS[key].default for key in keys}
     cfg["command"] = args.command
     if args.config:
         try:
@@ -159,9 +157,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         unknown = sorted(set(file_cfg) - set(keys))
         if unknown:
             raise UsageError(f"{args.command} reads no config key(s) {unknown}")
-        flags = {a.dest: a for a in _add_flags(argparse.ArgumentParser(), keys)._actions}
         for key, value in file_cfg.items():
-            _check_file_value(key, value, flags[key])
+            _check_file_value(key, value)
         cfg.update(file_cfg)
     for key in keys:
         value = getattr(args, key)
@@ -173,7 +170,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["mode"] = _MODE_ALIASES[cfg["mode"]]
     for key, low in (("S", 1), ("grid_points", 2), ("density_bins", 1)):
         if cfg.get(key, low) < low:
-            raise UsageError(f"--{key.replace('_', '-')} must be >= {low}")
+            raise UsageError(f"{_SETTINGS[key].flag} must be >= {low}")
     return cfg
 
 
@@ -228,8 +225,8 @@ def _emit_json(doc, out_path=None):
 
 
 def _fit_config(cfg):
-    # each value takes the type of its FitConfig default (a config file may give lam 2)
-    return solvers.FitConfig(**{key: type(_DEFAULTS[key])(cfg[key]) for key in _FIT_KEYS})
+    # each value takes its setting's type (a config file may give lam 2)
+    return solvers.FitConfig(**{key: _SETTINGS[key].type(cfg[key]) for key in _FIT_KEYS})
 
 
 def _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs):
@@ -264,10 +261,7 @@ def cmd_train(cfg) -> int:
     fit_cfg = _fit_config(cfg)
     pairs = _parse_interactions(cfg["interactions"])
     task = cfg["task"]
-    ds = data_mod.load_csv(cfg["data"], cfg["target"], task)
-    if cfg["verbose"]:
-        print(json.dumps(ds.ingest_report), file=sys.stderr)
-    ds = data_mod.standardize(ds)
+    ds = data_mod.standardize(data_mod.load_csv(cfg["data"], cfg["target"], task))
     train, val, test = data_mod.split(ds, fractions, seed=int(cfg["seed"]))
     basis = rff.build_basis(int(cfg["S"]), cfg["mode"], int(cfg["seed"]),
                             with_pairs=bool(pairs))
@@ -307,6 +301,7 @@ def cmd_train(cfg) -> int:
         "bandwidth_search": None if len(scales) == 1 else [
             {"bandwidth_scale": m.bandwidth_scale, rows[0]["metric"]: rows[0]["value"]}
             for m, _, rows in fits],
+        "ingest": ds.ingest_report,
         "split_sizes": {"train": int(train.n), "val": int(val.n), "test": int(test.n)},
         "solver": report.to_dict(),
         "validation": val_rows,
@@ -320,17 +315,23 @@ def _model_encodings(mdl):
     return mdl.encodings or [{"kind": "numeric"} for _ in range(mdl.d)]
 
 
+def _load_model_rows(cfg, mdl, **target):
+    """``load_features`` on ``cfg["data"]`` with the model's encodings. When
+    the model stores its training ranges, the report also counts the rows
+    outside them: extrapolation is allowed but flagged."""
+    X, y, row_ids, report = data_mod.load_features(cfg["data"], mdl.feature_names,
+                                                   _model_encodings(mdl), **target)
+    if mdl.feature_ranges is not None:
+        mins, maxs = mdl.feature_ranges
+        outside = np.any((X < mins) | (X > maxs), axis=1)
+        report["rows_outside_training_range"] = int(outside.sum())
+    return X, y, row_ids, report
+
+
 def cmd_predict(cfg) -> int:
     mdl = model_mod.load(cfg["model"])
-    X, _, row_ids, report = data_mod.load_features(cfg["data"], mdl.feature_names,
-                                                   _model_encodings(mdl))
-    if cfg["verbose"]:
-        if mdl.feature_ranges is not None:
-            # extrapolation beyond the training range is allowed but flagged
-            mins, maxs = mdl.feature_ranges
-            outside = np.any((X < mins) | (X > maxs), axis=1)
-            report["rows_outside_training_range"] = int(outside.sum())
-        print(json.dumps(report), file=sys.stderr)
+    X, _, row_ids, report = _load_model_rows(cfg, mdl)
+    print(json.dumps(report), file=sys.stderr)
     preds = model_mod.predict(mdl, X)
     lines = ["row_id,prediction"]
     lines.extend(f"{rid},{float(p)!r}" for rid, p in zip(row_ids, preds))
@@ -344,14 +345,10 @@ def cmd_predict(cfg) -> int:
 
 def cmd_evaluate(cfg) -> int:
     mdl = model_mod.load(cfg["model"])
-    X, y, _, report = data_mod.load_features(cfg["data"], mdl.feature_names,
-                                             _model_encodings(mdl),
-                                             target_column=cfg["target"], task=mdl.task)
-    if cfg["verbose"]:
-        print(json.dumps(report), file=sys.stderr)
+    X, y, _, report = _load_model_rows(cfg, mdl, target_column=cfg["target"], task=mdl.task)
     rows = _metric_rows(mdl.task, model_mod.predict(mdl, X), y, cfg["data"], cfg["model"])
-    _emit_json({"command": "evaluate", "metrics": rows, "config": _echo_config(cfg)},
-               cfg["out"])
+    _emit_json({"command": "evaluate", "ingest": report, "metrics": rows,
+                "config": _echo_config(cfg)}, cfg["out"])
     return EXIT_OK
 
 
@@ -437,9 +434,7 @@ def cmd_synth(cfg) -> int:
         cells = [repr(float(v)) for v in ds.X[i]] + [repr(float(ds.y[i]))]
         lines.append(",".join(cells))
     _atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
-    if cfg["verbose"]:
-        print(json.dumps({"n": ds.n, "d": ds.d, "shapes": ds.shape_names}),
-              file=sys.stderr)
+    print(json.dumps({"n": ds.n, "d": ds.d, "shapes": ds.shape_names}), file=sys.stderr)
     return EXIT_OK
 
 
@@ -449,18 +444,18 @@ def cmd_synth(cfg) -> int:
 _COMMANDS = {
     "train": (cmd_train, "fit a model on a CSV file and save it",
               ("data", "target", "task", "model"),
-              ("S", "mode", "bandwidth_scale", "split", "interactions", "out", "verbose",
+              ("S", "mode", "bandwidth_scale", "split", "interactions", "out",
                *_FIT_KEYS)),
     "predict": (cmd_predict, "write predictions for a feature CSV",
-                ("data", "model"), ("out", "verbose")),
+                ("data", "model"), ("out",)),
     "evaluate": (cmd_evaluate, "compute metrics of a saved model on labeled data",
-                 ("data", "model", "target"), ("out", "verbose")),
+                 ("data", "model", "target"), ("out",)),
     "shapes": (cmd_shapes, "export shape-function (and density) CSV files",
                ("model", "out"), ("data", "grid_points", "density_bins")),
     "kernel-check": (cmd_kernel_check, "run kernel-approximation diagnostics",
                      (), ("seed", "out")),
     "synth": (cmd_synth, "generate a synthetic additive dataset CSV",
-              ("out",), ("n", "d", "noise_sd", "seed", "verbose")),
+              ("out",), ("n", "d", "noise_sd", "seed")),
 }
 
 
@@ -470,7 +465,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
         handler, _, required, _ = _COMMANDS[args.command]
-        missing = ["--" + key.replace("_", "-") for key in required if not cfg[key]]
+        missing = [_SETTINGS[key].flag for key in required if not cfg[key]]
         if missing:
             raise UsageError(f"{args.command} requires {', '.join(missing)}")
         return handler(cfg)

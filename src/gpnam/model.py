@@ -178,9 +178,10 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
     Those whose frequencies agree up to sign are folded into one cosine
     (:func:`rff.fold_mirrored`), so a grid basis costs S//2 + S%2 cosines per
     term and a Monte-Carlo basis S. Rows are evaluated PREDICT_CHUNK at a time
-    and each chunk's cosine block is dropped after its dot product with the
-    amplitudes, so memory is O(PREDICT_CHUNK * terms) whatever n is.
-    Regression returns g(x); classification returns sigmoid(g(x)).
+    and each chunk's cosine block is dropped once summed, so memory is
+    O(PREDICT_CHUNK * terms) whatever n is. Each row's terms are added in one
+    fixed order, so a row's prediction does not depend on the other rows of
+    ``X``. Regression returns g(x); classification returns sigmoid(g(x)).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
@@ -197,7 +198,12 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
         out = np.empty((amp.shape[0], rows.shape[0]))
         for (cols, width, F, phase, _), lo, hi in zip(terms, bounds, bounds[1:]):
             _cosines([rows[:, k] for k in cols], width, F, phase, out[lo:hi])
-        g[start:start + PREDICT_CHUNK] = model.w0 + amp @ out
+        # a BLAS product amp @ out would round each row differently with the
+        # chunk's row count; adding the weighted term rows one by one does not
+        total, term = np.zeros(rows.shape[0]), np.empty(rows.shape[0])
+        for a, cosines in zip(amp, out):
+            total += np.multiply(cosines, a, out=term)
+        g[start:start + PREDICT_CHUNK] = model.w0 + total
     return sigmoid(g) if model.task == TASK_CLASSIFICATION else g
 
 
@@ -283,6 +289,21 @@ def _json_int(value):
     return value
 
 
+def _json_real(value) -> float:
+    """``value`` as a float if it is a JSON number; float() would also read
+    the string "0.5" and true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_reals(values) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float64 array; numpy
+    alone would also read strings and booleans as reals."""
+    cells = np.asarray(values, dtype=object)
+    return np.array([_json_real(v) for v in cells.flat], dtype=np.float64).reshape(cells.shape)
+
+
 def load(path) -> GPNAMModel:
     """Load and validate a model file saved by :func:`save`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -296,34 +317,40 @@ def load(path) -> GPNAMModel:
     missing = [k for k in _REQUIRED_FIELDS if k not in doc]
     if missing:
         raise MalformedModelError(f"{path}: missing field(s) {missing}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    try:
+        version = _json_int(doc["schema_version"])
+    except ValueError as exc:
+        raise MalformedModelError(f"{path}: malformed schema_version ({exc})") from None
+    if version != SCHEMA_VERSION:
         raise SchemaVersionError(
-            f"{path}: schema version {doc['schema_version']!r} unsupported "
-            f"(expected {SCHEMA_VERSION})")
+            f"{path}: schema version {version!r} unsupported (expected {SCHEMA_VERSION})")
     if doc["mode"] not in MODES:
         raise ModelInvariantError(f"{path}: unknown basis mode {doc['mode']!r}")
     try:
         S = _json_int(doc["S"])
         d = _json_int(doc["d"])
-        feature_names = [str(v) for v in doc["feature_names"]]
-        means = np.asarray(doc["standardization"]["means"], dtype=np.float64)
-        scales = np.asarray(doc["standardization"]["scales"], dtype=np.float64)
-        b = np.asarray(doc["b"], dtype=np.float64)
-        w0 = float(doc["w0"])
-        W = np.asarray(doc["W"], dtype=np.float64)
-        offsets = np.asarray(doc["centering_offsets"], dtype=np.float64)
+        # not list() or str(): "abc" would be three features, [1, 2] names "1", "2"
+        feature_names = doc["feature_names"]
+        if not (isinstance(feature_names, list)
+                and all(isinstance(v, str) for v in feature_names)):
+            raise ValueError("feature_names must be a list of strings")
+        means = _json_reals(doc["standardization"]["means"])
+        scales = _json_reals(doc["standardization"]["scales"])
+        b = _json_reals(doc["b"])
+        w0 = _json_real(doc["w0"])
+        W = _json_reals(doc["W"])
+        offsets = _json_reals(doc["centering_offsets"])
         raw_inter = doc.get("interactions") or []
-        interactions = [(_json_int(e["i"]), _json_int(e["j"]),
-                         np.asarray(e["w"], dtype=np.float64))
+        interactions = [(_json_int(e["i"]), _json_int(e["j"]), _json_reals(e["w"]))
                         for e in raw_inter]
         seed = _json_int(doc["seed"])
         ranges = None
         if doc.get("feature_ranges"):
-            ranges = (np.asarray(doc["feature_ranges"]["mins"], dtype=np.float64),
-                      np.asarray(doc["feature_ranges"]["maxs"], dtype=np.float64))
+            ranges = (_json_reals(doc["feature_ranges"]["mins"]),
+                      _json_reals(doc["feature_ranges"]["maxs"]))
         bw = doc.get("bandwidth_scale")
-        bw = None if bw is None else float(bw)
-    except (KeyError, TypeError, ValueError) as exc:
+        bw = None if bw is None else _json_real(bw)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedModelError(f"{path}: malformed field ({exc})") from None
     if S < 1:
         raise ModelInvariantError(f"{path}: S must be >= 1")

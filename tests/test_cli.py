@@ -313,6 +313,59 @@ class TestCommandTable:
             assert options == {*map(_flag, required + other), "-h", "--help", "--config"}
 
 
+class TestIngestReport:
+    """Every run reports the rows it read and dropped; there is no --verbose."""
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "synth"])
+    def test_verbose_is_usage_error(self, tmp_path, synth_csv, capsys, command):
+        mpath = tmp_path / "m.json"
+        argv = {"train": ["--data", synth_csv, "--target", "y", "--task", "reg",
+                          "--model", str(mpath)],
+                "predict": ["--data", synth_csv, "--model", str(mpath)],
+                "evaluate": ["--data", synth_csv, "--target", "y", "--model", str(mpath)],
+                "synth": []}[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"verbose": True}))
+        out = tmp_path / "o.out"
+        for extra, message in ((["--verbose"], "unrecognized arguments: --verbose"),
+                               (["--config", str(cfg)], "['verbose']")):
+            code, _, err = run(capsys, command, *argv, "--out", str(out), *extra)
+            assert code == 1
+            assert message in err
+            assert not out.exists() and not mpath.exists()
+
+    def test_every_run_reports_its_rows(self, tmp_path, synth_csv, capsys):
+        mpath = tmp_path / "m.json"
+        code, out, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                             "--task", "reg", "--model", str(mpath), "--S", "8")
+        assert code == 0 and err == ""
+        assert json.loads(out)["ingest"] == {
+            "rows_read": 800, "rows_dropped": 0,
+            "encodings": {"x1": "numeric", "x2": "numeric"}}
+
+        # one row with a missing cell, and one far outside the training range
+        damaged = tmp_path / "damaged.csv"
+        damaged.write_text(Path(synth_csv).read_text() + ",1.0,2.0\n100.0,0.0,1.0\n")
+        mins, maxs = model.load(mpath).feature_ranges
+        X, _, _, _ = data.load_features(synth_csv, ["x1", "x2"], [{"kind": "numeric"}] * 2)
+        outside = sum(any(not lo <= v <= hi for v, lo, hi in zip(row, mins, maxs)) for row in X)
+        want = {"rows_read": 802, "rows_dropped": 1, "rows_outside_training_range": outside + 1}
+        code, out, err = run(capsys, "evaluate", "--data", str(damaged), "--target", "y",
+                             "--model", str(mpath))
+        assert code == 0 and err == ""
+        assert json.loads(out)["ingest"] == want
+        code, out, err = run(capsys, "predict", "--data", str(damaged), "--model", str(mpath),
+                             "--out", str(tmp_path / "p.csv"))
+        assert code == 0 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [want]
+
+        code, out, err = run(capsys, "synth", "--out", str(tmp_path / "s.csv"),
+                             "--n", "5", "--d", "2")
+        assert code == 0 and out == ""
+        (report,) = [json.loads(line) for line in err.splitlines()]
+        assert (report["n"], report["d"], len(report["shapes"])) == (5, 2, 2)
+
+
 class TestPredict:
     def _zero_weight_model(self, tmp_path, w0=0.25, d=2):
         basis = rff.build_basis(8, "grid", 0)
@@ -427,7 +480,7 @@ class TestMalformedModelFile:
     def test_feature_ranges_one_short(self, tmp_path, synth_csv, capsys, command):
         mpath = self._break(tmp_path, synth_csv, capsys,
                             lambda doc: doc["feature_ranges"]["mins"].pop())
-        extra = ["--verbose", "--data", synth_csv] if command == "predict" else []
+        extra = ["--data", synth_csv] if command == "predict" else []
         code, _, err = run(capsys, command, "--model", mpath,
                            "--out", str(tmp_path / "o.csv"), *extra)
         assert code == 2
@@ -564,8 +617,7 @@ class TestConfigFile:
 
 
     @pytest.mark.parametrize("value", [{"S": "16"}, {"S": 16.5}, {"lam": "1"},
-                                       {"mode": "quasi"}, {"data": 5}, {"verbose": "false"},
-                                       {"verbose": 1}])
+                                       {"mode": "quasi"}, {"data": 5}])
     def test_value_of_wrong_type_rejected(self, tmp_path, synth_csv, capsys, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(value))
@@ -579,7 +631,7 @@ class TestConfigFile:
     def test_values_of_flag_types_accepted(self, tmp_path, synth_csv, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"S": 8, "lam": 2, "cg_tol": 1e-9, "mode": "mc",
-                                   "bandwidth_scale": "0.5", "verbose": False}))
+                                   "bandwidth_scale": "0.5"}))
         code, out, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
                              "--task", "reg", "--model", str(tmp_path / "m.json"),
                              "--config", str(cfg))
@@ -625,3 +677,20 @@ def test_readme_lists_every_flag():
     options = {opt for p in parsers for action in p._actions for opt in action.option_strings}
     assert "--cg-tol" in options
     assert sorted(opt for opt in options if opt not in readme) == []
+    # the Default cell of each flag in the README table is its _SETTINGS default
+    cells = {}
+    for line in readme.splitlines():
+        if line.startswith("| `--"):
+            flags, defaults = line.split("|")[1:3]
+            flags = [f.strip(" `") for f in flags.split(",")]
+            defaults = defaults.split(",") if len(flags) > 1 else [defaults]
+            cells.update(zip(flags, (d.strip(" `") for d in defaults)))
+    settings = {s.flag: s.default for s in cli._SETTINGS.values()}
+    assert set(cells) == set(settings)
+    for flag, default in settings.items():
+        if default is None:
+            assert cells[flag] in ("none", "stdout"), flag
+        elif isinstance(default, str):
+            assert cells[flag] == default, flag
+        else:
+            assert float(cells[flag]) == default, flag

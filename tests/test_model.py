@@ -174,6 +174,18 @@ class TestChunkedPredict:
             assert got.shape == (n,)
             assert np.all(np.abs(got - want[:n]) <= 1e-12 * np.maximum(np.abs(want[:n]), 1.0))
 
+    @pytest.mark.parametrize("task", [model.TASK_REGRESSION, model.TASK_CLASSIFICATION])
+    @pytest.mark.parametrize("mode", rff.MODES)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(start=st.integers(0, 2 * CHUNK + 2), length=st.integers(1, CHUNK + 3))
+    def test_row_does_not_depend_on_the_other_rows(self, task, mode, start, length):
+        m = random_pair_model(task, True, d=8, S=100, mode=mode)
+        X = np.random.default_rng(15).normal(size=(2 * self.CHUNK + 3, m.d))
+        full = model.predict(m, X)
+        for a, b in ((start, start + length), (start, start + 1),
+                     (self.CHUNK - 2, self.CHUNK + 2)):
+            assert np.array_equal(model.predict(m, X[a:b]), full[a:b])
+
     def test_memory_does_not_grow_with_rows(self):
         m = random_pair_model(model.TASK_REGRESSION, True, d=8, S=100)
         X = np.random.default_rng(13).normal(size=(50_000, 8))
@@ -387,6 +399,14 @@ class TestPersistence:
         ("feature_ranges", {"mins": ["a", 0.0], "maxs": [1.0, 1.0]}),
         ("seed", "zero"),
         ("bandwidth_scale", [1.0]),
+        ("w0", "0.5"),
+        ("w0", True),
+        pytest.param("w0", 10**400, id="w0-int-beyond-float"),
+        ("b", ["1.5", "1.5"]),
+        ("W", [[True] + [0.0] * 15, [0.0] * 16]),
+        ("bandwidth_scale", True),
+        ("feature_names", "ab"),
+        ("feature_names", [1, 2]),
     ])
     def test_malformed_optional_field(self, tmp_path, field, value):
         m, path = self.trained(tmp_path)
@@ -397,7 +417,8 @@ class TestPersistence:
             model.load(path)
 
     @pytest.mark.parametrize("field, value", [
-        ("seed", 0.9), ("seed", True), ("S", 16.7), ("d", 2.0), ("i", 0.5)])
+        ("seed", 0.9), ("seed", True), ("S", 16.7), ("d", 2.0), ("i", 0.5),
+        ("schema_version", True), ("schema_version", 1.0)])
     def test_non_integer_field(self, tmp_path, field, value):
         m, path = self.trained(tmp_path)
         doc = json.loads(path.read_text())
