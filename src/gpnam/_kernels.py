@@ -1,9 +1,10 @@
-"""Hot numeric kernels: RFF featurization and the Gram-operator matvec.
+"""Hot numeric kernels: the cosine kernel and the Gram-operator matvec.
 
-There is one backend, plain numpy: featurization fills each feature's
-S-column cosine block with in-place array operations. Featurization is
-elementwise, so every output element depends only on its own input cell and
-basis entry, never on n or on how rows are grouped into calls.
+There is one backend, plain numpy, and one cosine kernel, ``cosines``. It
+fills every RFF block - ``featurize``'s per-feature blocks, the pair blocks of
+``rff.pair_feature_map`` and the folded terms of ``model.predict`` and
+``model.shape_function`` - in place, in one arithmetic order. It is
+elementwise, so an output element never depends on how rows are grouped.
 
 ``gram_apply`` (two BLAS GEMVs) has no caller in the package: the ridge
 solver forms the Gram matrix once instead of applying it per iteration. It
@@ -47,10 +48,20 @@ def featurize(X, z, c, widths, out=None):
     out[:, 0] = 1.0
     for j in range(d):
         block = out[:, 1 + j * S:1 + (j + 1) * S]
-        np.multiply.outer(X[:, j] / widths[j], z, out=block)
-        block += c
-        np.cos(block, out=block)
+        cosines([X[:, j]], widths[j], z[:, None], c, block.T)
         block *= scale
+    return out
+
+
+def cosines(columns, width, F, phase, out):
+    """Fill ``out`` (terms x rows, any strides) with
+    cos(sum_k F[:, k] * (columns[k] / width) + phase); F and phase have one
+    row per term, and ``columns`` one input vector per column of F."""
+    np.multiply.outer(F[:, 0], columns[0] / width, out=out)
+    for f, x in zip(F.T[1:], columns[1:]):
+        out += np.multiply.outer(f, x / width)
+    out += phase[:, None]
+    np.cos(out, out=out)
     return out
 
 

@@ -5,8 +5,8 @@ JSON (diagnostics, metrics) or CSV (predictions, shapes, synthetic data),
 always written atomically; the command's resolved settings are echoed into
 every JSON output for provenance. Every run reports what it read: train and
 evaluate put their ingest report (rows read and dropped) into their JSON,
-predict writes it, and synth a summary of its data, as one JSON line on
-stderr.
+predict and shapes --data write it, and synth a summary of its data, as one
+JSON line on stderr.
 
 Exit codes: 0 success, 1 usage error, 2 data/model-file error,
 3 solver did not converge (model still saved), 4 numeric breakdown.
@@ -126,11 +126,12 @@ def build_parser() -> _Parser:
 
 def _check_file_value(key, value):
     """Reject a config-file value the setting's flag could not have produced:
-    its ``type`` must map the value to itself, and it must be one of its
-    ``choices``."""
+    its ``type`` must map the value to itself, an ``int`` setting takes only a
+    JSON integer, and the value must be one of the ``choices``."""
     s = _SETTINGS[key]
+    check = model_mod._json_int if s.type is int else s.type
     try:
-        ok = not isinstance(value, bool) and s.type(value) == value
+        ok = not isinstance(value, bool) and check(value) == value
     except (TypeError, ValueError):
         ok = False
     if not ok or (s.choices is not None and value not in s.choices):
@@ -357,8 +358,8 @@ def cmd_shapes(cfg) -> int:
     points = int(cfg["grid_points"])
     X_data = None
     if cfg["data"]:
-        X_data, _, _, _ = data_mod.load_features(cfg["data"], mdl.feature_names,
-                                                 _model_encodings(mdl))
+        X_data, _, _, report = _load_model_rows(cfg, mdl)
+        print(json.dumps(report), file=sys.stderr)
     if mdl.feature_ranges is not None:
         mins, maxs = mdl.feature_ranges
     elif X_data is not None:

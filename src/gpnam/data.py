@@ -3,11 +3,11 @@
 CSV files are RFC-4180-style with a mandatory header row, UTF-8, ``.`` decimal
 separator. Rows with a missing or unparseable cell are dropped and counted,
 never imputed. Training (``load_csv``) and prediction (``load_features``)
-ingest share one column encoder, ``_encode_column``: a column whose cells all
-parse as floats is numeric, any other is ordinal-encoded by first appearance,
-and under a stored encoding a missing or unparseable cell or an unseen
-category encodes to NaN. No real cell gives NaN (non-finite numbers count as
-missing), so NaN is the drop sentinel. Each loader keeps only its row filter.
+ingest run through one reader core, ``_read_table``, and its column encoder,
+``_encode_column``: a column whose cells all parse as floats is numeric, any
+other is ordinal-encoded by first appearance, and under a stored encoding a
+missing or unparseable cell or an unseen category encodes to NaN. No real cell
+gives NaN (non-finite numbers count as missing), so NaN is the drop sentinel.
 
 Splits and synthetic data use ``numpy.random.default_rng`` (PCG64), so every
 operation here is bit-reproducible from its seed.
@@ -16,6 +16,7 @@ operation here is bit-reproducible from its seed.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -124,16 +125,6 @@ def _encode_column(cells, enc=None):
     return np.array([codes.get(cell.strip()) for cell in cells], dtype=np.float64), enc
 
 
-def _feature_matrix(rows, idx, encodings):
-    """Encode the columns ``idx`` of ``rows``; returns (X, encodings)."""
-    X = np.empty((len(rows), len(idx)))
-    out = []
-    for j, (i, enc) in enumerate(zip(idx, encodings)):
-        X[:, j], enc = _encode_column([row[i] for row in rows], enc)
-        out.append(enc)
-    return X, out
-
-
 def _target_present(cell, task):
     # _parse_float is None for every missing marker, so it also covers those
     return _parse_float(cell) is not None if task == TASK_REGRESSION else not _is_missing(cell)
@@ -163,6 +154,47 @@ def _class_sort_key(value: str):
     return (0, v, "") if v is not None else (1, 0.0, value)
 
 
+def _read_table(path, target_column, task, feature_names=None, encodings=None,
+                target_classes=None):
+    """The reader core of both loaders; returns (Dataset, kept), where kept
+    holds one byte per data row of the file, 1 for a row that survived.
+    ``feature_names`` None reads every column but the target, and
+    ``encodings`` None infers each column's encoding after dropping the rows
+    with a missing feature cell; ``y`` is None without a target column."""
+    header, rows = _read_rows(path)
+    names = [h for h in header if h != target_column] if feature_names is None else feature_names
+    missing = [nm for nm in names if nm not in header]
+    if missing:
+        raise MissingColumnError(f"feature column(s) {missing} not in header {header}")
+    if (target_column is not None or feature_names is None) and target_column not in header:
+        raise MissingColumnError(f"target column {target_column!r} not in header {header}")
+    t_idx = None if target_column is None else header.index(target_column)
+    idx = [header.index(nm) for nm in names]
+    infer = encodings is None
+    kept = bytearray(
+        len(row) == len(header) and (t_idx is None or _target_present(row[t_idx], task))
+        and not (infer and any(_is_missing(row[i]) for i in idx)) for row in rows)
+    X = np.empty((kept.count(1), len(idx)))
+    encs = []
+    for j, (i, enc) in enumerate(zip(idx, [None] * len(idx) if infer else encodings)):
+        X[:, j], enc = _encode_column([row[i] for row in itertools.compress(rows, kept)], enc)
+        encs.append(enc)
+    nan = np.isnan(X).any(axis=1)
+    if nan.any():  # an inferred encoding never gives NaN, so training rows are not copied
+        X = X[~nan]
+        survived = np.frombuffer(kept, dtype=bool)  # a view: this updates kept
+        survived[survived] = ~nan
+    if X.shape[0] == 0:
+        raise EmptyDataError(f"{path}: every row was dropped during ingestion")
+    y = None
+    if t_idx is not None:
+        y, target_classes = _encode_target(
+            [row[t_idx] for row in itertools.compress(rows, kept)], task, target_classes)
+    report = {"rows_read": len(rows), "rows_dropped": len(rows) - X.shape[0]}
+    return Dataset(X=X, y=y, feature_names=names, task=task, encodings=encs,
+                   target_classes=target_classes, ingest_report=report), kept
+
+
 def load_csv(path, target_column, task) -> Dataset:
     """Ingest a CSV file into a Dataset.
 
@@ -173,30 +205,10 @@ def load_csv(path, target_column, task) -> Dataset:
     """
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-    header, rows = _read_rows(path)
-    if target_column not in header:
-        raise MissingColumnError(f"target column {target_column!r} not in header {header}")
-    t_idx = header.index(target_column)
-    feature_names = [h for h in header if h != target_column]
-    f_idx = [i for i, h in enumerate(header) if h != target_column]
-
-    rows_read = len(rows)
-    kept = [row for row in rows if len(row) == len(header)
-            and not any(_is_missing(cell) for cell in row) and _target_present(row[t_idx], task)]
-    if not kept:
-        raise EmptyDataError(f"{path}: every row was dropped during ingestion")
-
-    X, encodings = _feature_matrix(kept, f_idx, [None] * len(f_idx))
-    y, target_classes = _encode_target([row[t_idx] for row in kept], task)
-
-    report = {
-        "rows_read": rows_read,
-        "rows_dropped": rows_read - len(kept),
-        "encodings": {name: enc["kind"] for name, enc in zip(feature_names, encodings)},
-    }
-    return Dataset(X=X, y=y, feature_names=feature_names, task=task,
-                   encodings=encodings, target_classes=target_classes,
-                   ingest_report=report)
+    ds, _ = _read_table(path, target_column, task)
+    ds.ingest_report["encodings"] = {name: enc["kind"]
+                                     for name, enc in zip(ds.feature_names, ds.encodings)}
+    return ds
 
 
 def load_features(path, feature_names, encodings, target_column=None, task=None,
@@ -210,31 +222,8 @@ def load_features(path, feature_names, encodings, target_column=None, task=None,
     ``task`` (classification labels must be among ``target_classes`` when
     those are known).
     """
-    header, rows = _read_rows(path)
-    missing = [nm for nm in feature_names if nm not in header]
-    if missing:
-        raise MissingColumnError(f"feature column(s) {missing} not in header {header}")
-    idx = [header.index(nm) for nm in feature_names]
-    t_idx = None
-    if target_column is not None:
-        if target_column not in header:
-            raise MissingColumnError(f"target column {target_column!r} not in header {header}")
-        t_idx = header.index(target_column)
-
-    row_ids = [rid for rid, row in enumerate(rows) if len(row) == len(header)
-               and (t_idx is None or _target_present(row[t_idx], task))]
-    X, _ = _feature_matrix([rows[rid] for rid in row_ids], idx, encodings)
-    keep = np.flatnonzero(~np.isnan(X).any(axis=1))
-    if keep.size == 0:
-        raise EmptyDataError(f"{path}: every row was dropped during ingestion")
-    X = X[keep]
-    row_ids = np.array(row_ids, dtype=np.int64)[keep]
-    y = None
-    if t_idx is not None:
-        y, _ = _encode_target([rows[rid][t_idx] for rid in row_ids.tolist()], task,
-                              target_classes)
-    report = {"rows_read": len(rows), "rows_dropped": len(rows) - len(row_ids)}
-    return X, y, row_ids, report
+    ds, kept = _read_table(path, target_column, task, feature_names, encodings, target_classes)
+    return ds.X, ds.y, np.flatnonzero(np.frombuffer(kept, dtype=bool)), ds.ingest_report
 
 
 def standardize(ds: Dataset) -> Dataset:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .data import TASK_CLASSIFICATION, TASK_REGRESSION
 from .errors import MalformedModelError, ModelInvariantError, SchemaVersionError
 from .rff import (MODES, FeatureBasis, build_basis, feature_map, fold_mirrored,
@@ -54,7 +55,11 @@ class GPNAMModel:
     bandwidth_scale: float | None = None
 
     def __post_init__(self):
-        d = len(self.feature_names)
+        names = self.feature_names
+        d = len(names)
+        repeated = sorted({nm for nm in names if names.count(nm) > 1})
+        if repeated:
+            raise ModelInvariantError(f"feature name(s) {repeated} repeated; names must be distinct")
         self.W = np.asarray(self.W, dtype=np.float64)
         if self.W.shape != (d, self.basis.S):
             raise ModelInvariantError(f"W must be {d} x {self.basis.S}, got {self.W.shape}")
@@ -143,17 +148,6 @@ def _folded_terms(model: GPNAMModel):
     return terms
 
 
-def _cosines(columns, width, F, phase, out):
-    """Fill ``out`` (terms x rows) with cos(sum_k F[:, k] * columns[k] / width + phase).
-    Each term's row of ``out`` is contiguous, so every pass writes whole rows."""
-    np.multiply.outer(F[:, 0], columns[0] / width, out=out)
-    for f, x in zip(F.T[1:], columns[1:]):
-        out += np.multiply.outer(f, x / width)
-    out += phase[:, None]
-    np.cos(out, out=out)
-    return out
-
-
 def predict_raw(model: GPNAMModel, x) -> float:
     """Additive score g(x) for one raw-unit input vector."""
     x = np.asarray(x, dtype=np.float64)
@@ -197,7 +191,7 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
         rows = xs[start:start + PREDICT_CHUNK]
         out = np.empty((amp.shape[0], rows.shape[0]))
         for (cols, width, F, phase, _), lo, hi in zip(terms, bounds, bounds[1:]):
-            _cosines([rows[:, k] for k in cols], width, F, phase, out[lo:hi])
+            _kernels.cosines([rows[:, k] for k in cols], width, F, phase, out[lo:hi])
         # a BLAS product amp @ out would round each row differently with the
         # chunk's row count; adding the weighted term rows one by one does not
         total, term = np.zeros(rows.shape[0]), np.empty(rows.shape[0])
@@ -223,7 +217,8 @@ def shape_function(model: GPNAMModel, i, grid, centered=True) -> ShapeTable:
     means, scales = model.standardization
     gs = (grid - means[i]) / scales[i]
     F, phase, amp = fold_mirrored(model.basis.z, model.basis.c, model.W[i])
-    values = amp @ _cosines([gs], model.b[i], F, phase, np.empty((amp.shape[0], gs.shape[0])))
+    block = np.empty((amp.shape[0], gs.shape[0]))
+    values = amp @ _kernels.cosines([gs], model.b[i], F, phase, block)
     offset = float(model.centering_offsets[i]) if centered else 0.0
     return ShapeTable(feature_index=int(i), feature_name=model.feature_names[i],
                       grid=grid.copy(), values=values - offset, offset=offset)

@@ -215,7 +215,7 @@ def approx_kernel(basis, x, x_prime, b):
 
 
 def pair_feature_map(basis, x_i, x_j, b):
-    """Two-dimensional RFF map sqrt(2/S) * cos((z1*x_i + z2*x_j)/b + c).
+    """Two-dimensional RFF map sqrt(2/S) * cos(z1*(x_i/b) + z2*(x_j/b) + c).
 
     Requires a basis built with ``with_pairs=True``; approximates the 2-D RBF
     kernel between (x_i, x_j) points. Scalars x_i, x_j give shape (S,);
@@ -232,13 +232,11 @@ def pair_feature_map(basis, x_i, x_j, b):
         raise ValueError("x_i and x_j must be scalars or vectors of equal length")
     if not (np.all(np.isfinite(x_i)) and np.all(np.isfinite(x_j))):
         raise ValueError("inputs must be finite")
-    arg = np.multiply.outer(x_i, basis.pair_z[:, 0])
-    arg += np.multiply.outer(x_j, basis.pair_z[:, 1])
-    arg /= b
-    arg += basis.c
-    np.cos(arg, out=arg)
-    arg *= math.sqrt(2.0 / basis.S)
-    return arg
+    out = np.empty(x_i.shape + (basis.S,))
+    _kernels.cosines([np.atleast_1d(x_i), np.atleast_1d(x_j)], b, basis.pair_z, basis.c,
+                     out.reshape(-1, basis.S).T)
+    out *= math.sqrt(2.0 / basis.S)
+    return out
 
 
 def fold_mirrored(freqs, c, weights):

@@ -358,6 +358,10 @@ class TestIngestReport:
                              "--out", str(tmp_path / "p.csv"))
         assert code == 0 and out == ""
         assert [json.loads(line) for line in err.splitlines()] == [want]
+        code, out, err = run(capsys, "shapes", "--data", str(damaged), "--model", str(mpath),
+                             "--out", str(tmp_path / "s.csv"))
+        assert code == 0 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [want]
 
         code, out, err = run(capsys, "synth", "--out", str(tmp_path / "s.csv"),
                              "--n", "5", "--d", "2")
@@ -617,16 +621,19 @@ class TestConfigFile:
 
 
     @pytest.mark.parametrize("value", [{"S": "16"}, {"S": 16.5}, {"lam": "1"},
-                                       {"mode": "quasi"}, {"data": 5}])
+                                       {"mode": "quasi"}, {"data": 5}, {"S": 8.0},
+                                       {"grid_points": 3.0}])
     def test_value_of_wrong_type_rejected(self, tmp_path, synth_csv, capsys, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(value))
-        code, _, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
-                           "--task", "reg", "--model", str(tmp_path / "m.json"),
+        # grid_points is read by shapes only; every other key here is a train setting
+        argv = (["shapes", "--out", str(tmp_path / "s.csv")] if "grid_points" in value
+                else ["train", "--data", synth_csv, "--target", "y", "--task", "reg"])
+        code, _, err = run(capsys, *argv, "--model", str(tmp_path / "m.json"),
                            "--config", str(cfg))
         assert code == 1
         assert f"config key {next(iter(value))!r}" in err
-        assert not (tmp_path / "m.json").exists()
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "s.csv").exists()
 
     def test_values_of_flag_types_accepted(self, tmp_path, synth_csv, capsys):
         cfg = tmp_path / "cfg.json"

@@ -480,6 +480,7 @@ class TestInvariants:
         {"encodings": {"kind": "numeric"}},
         {"task": "multiclass"},
         {"interactions": [(0, 1, np.zeros(4))]},
+        {"feature_names": ["a", "a"]},
     ])
     def test_violation_raises(self, overrides):
         with pytest.raises(ModelInvariantError):

@@ -347,3 +347,30 @@ class TestInteractionCapture:
         # x1*x2 has no additive representation; the 2-D map reaches the noise floor
         assert rmses["additive"] >= 1.0
         assert rmses["pairwise"] <= 0.25
+
+
+class TestGridSeed:
+    """A grid basis's seed only permutes the phases of mirrored frequency
+    pairs, and each pair spans {cos(z x), sin(z x)} whatever its phases, so
+    the ridge optimum's 1-D terms do not depend on the seed."""
+
+    rng = np.random.default_rng(12)
+    X = rng.uniform(-2.0, 2.0, (300, 2))
+    y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2 + rng.normal(0.0, 0.1, 300)
+    X_new = rng.uniform(-2.5, 2.5, (50, 2))
+    widths = np.array([0.7, 1.3])
+
+    def predictions(self, mode, seed, S):
+        basis = rff.build_basis(S, mode, seed)
+        phi = solvers.stack_features(basis, self.widths, self.X).phi
+        w = dense_ridge_solve(phi, self.y, 0.1, regularize_bias=False)
+        return solvers.stack_features(basis, self.widths, self.X_new).phi @ w
+
+    @pytest.mark.parametrize("S", [15, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grid_predictions_do_not_depend_on_seed(self, seed, S):
+        base = self.predictions("grid", 0, S)
+        assert np.max(np.abs(self.predictions("grid", seed, S) - base)) <= 1e-10
+        # a Monte-Carlo seed draws other frequencies, so it moves the fit
+        assert np.max(np.abs(self.predictions("monte_carlo", seed, S)
+                             - self.predictions("monte_carlo", 0, S))) > 1e-3
