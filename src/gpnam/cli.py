@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -234,10 +235,7 @@ def _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs):
     d, S = ds.d, basis.S
     w0 = float(w[0])
     W = w[1:1 + d * S].reshape(d, S)
-    interactions = []
-    for k, (i, j) in enumerate(pairs):
-        block = w[1 + d * S + k * S:1 + d * S + (k + 1) * S]
-        interactions.append((i, j, np.array(block)))
+    interactions = [(i, j, np.array(w[feats.pair_block(k)])) for k, (i, j) in enumerate(pairs)]
     offsets = np.array([float(np.mean(feats.phi[:, feats.feature_block(i)] @ W[i]))
                         for i in range(d)])
     return model_mod.GPNAMModel(
@@ -384,9 +382,9 @@ def cmd_shapes(cfg) -> int:
     return EXIT_OK
 
 
-def _density_path(out_path: str) -> str:
-    stem, dot, ext = str(out_path).rpartition(".")
-    return f"{stem}_density.{ext}" if dot else f"{out_path}_density"
+def _density_path(out_path: str) -> Path:
+    out = Path(out_path)
+    return out.with_name(out.stem + "_density" + out.suffix)
 
 
 def cmd_kernel_check(cfg) -> int:

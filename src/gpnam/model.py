@@ -26,7 +26,7 @@ from .solvers import sigmoid
 
 SCHEMA_VERSION = 1
 
-# Rows evaluated at once by predict.
+# Rows evaluated at once by predict and shape_function.
 PREDICT_CHUNK = 4096
 
 
@@ -165,45 +165,54 @@ def predict_raw(model: GPNAMModel, x) -> float:
     return float(g)
 
 
+def _sum_terms(terms, xs) -> np.ndarray:
+    """Each row of the standardized matrix ``xs`` summed over the folded
+    ``terms`` of :func:`_folded_terms`, PREDICT_CHUNK rows at a time, so
+    memory is O(PREDICT_CHUNK * terms) whatever n is. A row's weighted
+    cosines are added one by one in one fixed order: a BLAS product
+    amp @ block would round each row differently with the block's row count.
+    """
+    amp = np.concatenate([t[4] for t in terms])
+    bounds = np.cumsum([0] + [len(t[4]) for t in terms])
+    total = np.zeros(xs.shape[0])
+    term = np.empty(min(PREDICT_CHUNK, xs.shape[0]))
+    for start in range(0, xs.shape[0], PREDICT_CHUNK):
+        rows = xs[start:start + PREDICT_CHUNK]
+        block = np.empty((amp.shape[0], rows.shape[0]))
+        for (cols, width, F, phase, _), lo, hi in zip(terms, bounds, bounds[1:]):
+            _kernels.cosines([rows[:, k] for k in cols], width, F, phase, block[lo:hi])
+        chunk = total[start:start + PREDICT_CHUNK]
+        for a, cosines in zip(amp, block):
+            chunk += np.multiply(cosines, a, out=term[:rows.shape[0]])
+    return total
+
+
 def predict(model: GPNAMModel, X) -> np.ndarray:
     """Batched prediction on an n x d raw-unit matrix.
 
     Each feature and each interaction pair is a sum of weighted cosines.
     Those whose frequencies agree up to sign are folded into one cosine
     (:func:`rff.fold_mirrored`), so a grid basis costs S//2 + S%2 cosines per
-    term and a Monte-Carlo basis S. Rows are evaluated PREDICT_CHUNK at a time
-    and each chunk's cosine block is dropped once summed, so memory is
-    O(PREDICT_CHUNK * terms) whatever n is. Each row's terms are added in one
-    fixed order, so a row's prediction does not depend on the other rows of
-    ``X``. Regression returns g(x); classification returns sigmoid(g(x)).
+    term and a Monte-Carlo basis S. :func:`_sum_terms` adds them in chunks
+    of rows and in one fixed order, so a row's prediction does not depend on
+    the other rows of ``X``. Regression returns g(x); classification returns
+    sigmoid(g(x)).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError(f"expected an n x {model.d} matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite entries")
-    xs = _standardize_rows(model, X)
-    terms = _folded_terms(model)
-    amp = np.concatenate([t[4] for t in terms])
-    bounds = np.cumsum([0] + [len(t[4]) for t in terms])
-    g = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], PREDICT_CHUNK):
-        rows = xs[start:start + PREDICT_CHUNK]
-        out = np.empty((amp.shape[0], rows.shape[0]))
-        for (cols, width, F, phase, _), lo, hi in zip(terms, bounds, bounds[1:]):
-            _kernels.cosines([rows[:, k] for k in cols], width, F, phase, out[lo:hi])
-        # a BLAS product amp @ out would round each row differently with the
-        # chunk's row count; adding the weighted term rows one by one does not
-        total, term = np.zeros(rows.shape[0]), np.empty(rows.shape[0])
-        for a, cosines in zip(amp, out):
-            total += np.multiply(cosines, a, out=term)
-        g[start:start + PREDICT_CHUNK] = model.w0 + total
+    g = _sum_terms(_folded_terms(model), _standardize_rows(model, X))
+    g += model.w0
     return sigmoid(g) if model.task == TASK_CLASSIFICATION else g
 
 
 def shape_function(model: GPNAMModel, i, grid, centered=True) -> ShapeTable:
     """Evaluate shape function f_i over a grid given in original units.
 
+    Values come from predict's evaluator :func:`_sum_terms`, so f_i at a
+    point does not depend on the other grid points.
     With ``centered`` the stored training-mean offset is subtracted (and
     reported), so exported curves average to zero over the training data.
     """
@@ -217,8 +226,7 @@ def shape_function(model: GPNAMModel, i, grid, centered=True) -> ShapeTable:
     means, scales = model.standardization
     gs = (grid - means[i]) / scales[i]
     F, phase, amp = fold_mirrored(model.basis.z, model.basis.c, model.W[i])
-    block = np.empty((amp.shape[0], gs.shape[0]))
-    values = amp @ _kernels.cosines([gs], model.b[i], F, phase, block)
+    values = _sum_terms([((0,), model.b[i], F, phase, amp)], gs[:, None])
     offset = float(model.centering_offsets[i]) if centered else 0.0
     return ShapeTable(feature_index=int(i), feature_name=model.feature_names[i],
                       grid=grid.copy(), values=values - offset, offset=offset)

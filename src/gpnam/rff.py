@@ -4,7 +4,8 @@ A basis is the frozen sample set {(z_s, c_s)} shared by every per-feature map.
 Inner products of the resulting cosine features approximate
 exp(-(x - x')^2 / (2 b^2)); the approximation error vanishes as the basis size
 S grows. Frequencies come either from seeded Monte Carlo draws or from a
-deterministic quantile grid of the standard normal.
+deterministic quantile grid of the standard normal, whose quantiles are
+``statistics.NormalDist().inv_cdf``.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a basis
 is bit-reproducible from its (S, mode, seed) metadata on any platform.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -56,63 +58,17 @@ class FeatureBasis:
     pair_z: np.ndarray | None = None
 
 
-# Acklam's rational approximation to the standard normal quantile function.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_SPLIT = 0.02425
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_TWO_PI = 1.0 / math.sqrt(TWO_PI)
-
-
 def inv_std_normal_cdf(p):
-    """Quantile function of N(0, 1) for p in (0, 1).
+    """Quantile function of N(0, 1) for p in (0, 1), per element.
 
-    Acklam's rational approximation polished by one Newton step on the
-    erf-based CDF; the result is accurate to well below 1e-9 absolute.
+    Each value is ``statistics.NormalDist().inv_cdf`` (Wichura's algorithm
+    AS 241), within 6e-16 relative of the exact quantile.
     """
     p = np.asarray(p, dtype=np.float64)
     if not np.all(np.isfinite(p)) or np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    x = np.empty_like(p)
-
-    lo = p < _ACK_SPLIT
-    hi = p > 1.0 - _ACK_SPLIT
-    mid = ~(lo | hi)
-
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        x[lo] = _ack_tail(q)
-    if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        x[hi] = -_ack_tail(q)
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        a, b = _ACK_A, _ACK_B
-        num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[mid] = num / den
-
-    # One Newton step on Phi(x) - p = 0.
-    flat = x.ravel()
-    cdf = np.array([0.5 * (1.0 + math.erf(v / _SQRT2)) for v in flat])
-    pdf = _INV_SQRT_TWO_PI * np.exp(-0.5 * flat * flat)
-    flat += (p.ravel() - cdf) / pdf
+    x = np.vectorize(NormalDist().inv_cdf, otypes=[np.float64])(p)
     return x if x.ndim else float(x)
-
-
-def _ack_tail(q):
-    c, d = _ACK_C, _ACK_D
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    return num / den
 
 
 def build_basis(S, mode=MODE_GRID, seed=0, with_pairs=False):
@@ -122,14 +78,14 @@ def build_basis(S, mode=MODE_GRID, seed=0, with_pairs=False):
     seeded generator.
 
     In grid mode, z is the standard-normal quantile grid
-    Phi^-1((s - 0.5) / S) for s = 1..S. Phases are assigned antithetically:
-    the positive frequencies take a seeded shuffle of an equally spaced
-    midpoint grid on [0, 2*pi) and each mirrored frequency -z carries the
-    reflected phase pi/2 - c, so every (z, -z) pair contributes
-    cos(u)^2 + sin(u)^2 = 1 and the squared feature map sums to exactly S/2
-    at any input. An odd S places z = 0 in the middle with phase pi/4
-    (cos^2(pi/4) = 1/2, the half-weight the lone node needs); S = 1 keeps the
-    single-cell midpoint phase pi.
+    Phi^-1((s - 0.5) / S) for s = 1..S (:func:`inv_std_normal_cdf`). Phases
+    are assigned antithetically: the positive frequencies take a seeded
+    shuffle of an equally spaced midpoint grid on [0, 2*pi) and each
+    mirrored frequency -z carries the reflected phase pi/2 - c, so every
+    (z, -z) pair contributes cos(u)^2 + sin(u)^2 = 1 and the squared feature
+    map sums to exactly S/2 at any input. An odd S places z = 0 in the middle
+    with phase pi/4 (cos^2(pi/4) = 1/2, the half-weight the lone node needs);
+    S = 1 keeps the single-cell midpoint phase pi.
 
     ``with_pairs`` additionally draws S two-dimensional standard-normal rows
     for pairwise interaction maps (mirrored the same way in grid mode).

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -526,20 +529,27 @@ class TestShapes:
         assert len(lines) == 1 + 2 * 16
         assert all(float(l.split(",")[2]) == 0.0 for l in lines[1:])
 
-    def test_density_written_with_data(self, tmp_path, synth_csv, capsys):
+    def test_density_written_with_data(self, tmp_path, synth_csv, capsys, monkeypatch):
         mpath = tmp_path / "m.json"
         run(capsys, "train", "--data", synth_csv, "--target", "y", "--task", "reg",
             "--model", str(mpath), "--S", "8")
-        out_csv = tmp_path / "shapes.csv"
-        code, _, _ = run(capsys, "shapes", "--model", str(mpath), "--out",
-                         str(out_csv), "--data", synth_csv)
-        assert code == 0
-        dens = tmp_path / "shapes_density.csv"
-        assert dens.exists()
-        lines = dens.read_text().strip().splitlines()
-        assert lines[0] == "feature,bin_left,bin_right,count"
-        counts = [int(l.split(",")[3]) for l in lines[1:]]
-        assert sum(counts) == 2 * 800  # every row lands in a bin, per feature
+        (tmp_path / "run.v2").mkdir()
+        monkeypatch.chdir(tmp_path)
+        # the density file takes the shapes file's name, whatever dots the path holds
+        for out, density in (("shapes.csv", "shapes_density.csv"), ("shapes", "shapes_density"),
+                             ("run.v2/shapes", "run.v2/shapes_density"),
+                             ("./shapes", "shapes_density")):
+            code, _, _ = run(capsys, "shapes", "--model", str(mpath), "--out", out,
+                             "--data", synth_csv)
+            assert code == 0
+            assert (tmp_path / out).is_file()
+            dens = tmp_path / density
+            assert dens.exists()
+            lines = dens.read_text().strip().splitlines()
+            assert lines[0] == "feature,bin_left,bin_right,count"
+            counts = [int(l.split(",")[3]) for l in lines[1:]]
+            assert sum(counts) == 2 * 800  # every row lands in a bin, per feature
+            dens.unlink()
 
     def test_exported_values_match_shape_function(self, tmp_path, synth_csv, capsys):
         mpath = tmp_path / "m.json"
@@ -577,6 +587,29 @@ class TestShapes:
         code, _, _ = run(capsys, "shapes", "--model", str(mpath), "--out",
                          str(tmp_path / "s.csv"), "--grid-points", "1")
         assert code == 1
+
+
+class TestBlasThreads:
+    def test_predict_and_shapes_do_not_depend_on_the_thread_count(self, tmp_path,
+                                                                  synth_csv, capsys):
+        """predict and shapes sum through no BLAS routine, so a model file
+        gives the same bytes at any BLAS thread count."""
+        mpath = tmp_path / "m.json"
+        run(capsys, "train", "--data", synth_csv, "--target", "y", "--task", "reg",
+            "--model", str(mpath), "--S", "32", "--interactions", "0:1")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            out = tmp_path / threads
+            out.mkdir()
+            for argv in (("predict", "--data", synth_csv, "--out", str(out / "p.csv")),
+                         ("shapes", "--data", synth_csv, "--out", str(out / "s.csv"))):
+                proc = subprocess.run([sys.executable, "-m", "gpnam.cli", *argv,
+                                       "--model", str(mpath)], env=env, capture_output=True)
+                assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / f).read_bytes() for f in ("p.csv", "s.csv", "s_density.csv")])
+        assert outputs[0] == outputs[1]
 
 
 class TestKernelCheck:

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gpnam.errors import (MalformedModelError, ModelInvariantError,
                           SchemaVersionError)
 
 SQRT2 = math.sqrt(2.0)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def identity_standardization(d):
@@ -240,6 +242,34 @@ class TestFoldedCosines:
         assert model.predict(m, X).tobytes() == model.predict(m, X).tobytes()
 
 
+class TestOneEvaluator:
+    """shape_function sums its folded cosines with predict's evaluator, in
+    predict's fixed order, so a shape value is a function of its point alone."""
+
+    CHUNK = model.PREDICT_CHUNK
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(S=st.integers(1, 130), mode=st.sampled_from(rff.MODES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_feature_prediction_is_bias_plus_shape(self, S, mode, seed):
+        m = random_pair_model(model.TASK_REGRESSION, False, d=1, S=S, seed=seed, mode=mode)
+        X = np.random.default_rng(seed).normal(size=(200, 1))
+        shape = model.shape_function(m, 0, X[:, 0], centered=False)
+        assert np.array_equal(model.predict(m, X), m.w0 + shape.values)
+
+    @pytest.mark.parametrize("mode", rff.MODES)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(start=st.integers(0, CHUNK + 2), length=st.integers(1, CHUNK + 3))
+    def test_shape_value_does_not_depend_on_the_other_grid_points(self, mode, start, length):
+        m = random_pair_model(model.TASK_REGRESSION, False, d=3, S=100, mode=mode)
+        grid = np.random.default_rng(16).normal(size=2 * self.CHUNK + 3)
+        for i in range(m.d):
+            full = model.shape_function(m, i, grid).values
+            for a, b in ((start, start + length), (start, start + 1),
+                         (self.CHUNK - 2, self.CHUNK + 2)):
+                assert np.array_equal(model.shape_function(m, i, grid[a:b]).values, full[a:b])
+
+
 class TestAdditivity:
     def test_single_coordinate_change(self):
         m = seeded_random_model()
@@ -440,6 +470,21 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelInvariantError):
             model.load(path)
+
+
+class TestSchemaV1File:
+    """A schema-1 model file and the predictions made by the code that wrote
+    it, before the grid quantiles came from ``statistics.NormalDist``: the
+    rows of ``synth --n 200 --d 3 --seed 4``, the model of ``train --target y
+    --task reg --S 16 --mode grid --interactions 0:2 --seed 1`` on them. Files
+    already written must keep predicting what they predicted."""
+
+    def test_predictions_unchanged(self):
+        m = model.load(DATA / "v1_grid_pair_model.json")
+        table = np.loadtxt(DATA / "v1_grid_pair_predictions.csv", delimiter=",", skiprows=1)
+        X, want = table[:, :3], table[:, 3]
+        got = model.predict(m, X)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
 
 class TestInvariants:
