@@ -1,5 +1,5 @@
 """Additive Gaussian-process models for tabular data via random Fourier
-features: convex training (CG ridge regression, SGD logistic regression),
+features: convex training (direct ridge regression, SGD logistic regression),
 per-feature shape functions, and a reproducible CLI."""
 
 from ._kernels import BACKEND

@@ -75,7 +75,7 @@ class _Setting(NamedTuple):
 
 
 # config keys that go to solvers.FitConfig; their defaults are its field defaults
-_FIT_KEYS = ("lam", "cg_tol", "sgd_lr", "sgd_batch", "sgd_epochs", "sgd_lr_decay", "seed")
+_FIT_KEYS = ("lam", "sgd_lr", "sgd_batch", "sgd_epochs", "sgd_lr_decay", "seed")
 _FIT = solvers.FitConfig()
 
 # Every setting a command can read, in --help order; "config" is the flag of
@@ -103,7 +103,6 @@ _SETTINGS = {
     "sgd_epochs": _Setting("--sgd-epochs", "SGD epoch limit", _FIT.sgd_epochs, int),
     "sgd_lr_decay": _Setting("--sgd-lr-decay", "SGD learning-rate decay per epoch",
                              _FIT.sgd_lr_decay, float),
-    "cg_tol": _Setting("--cg-tol", "CG relative residual tolerance", _FIT.cg_tol, float),
     "n": _Setting("--n", "number of rows", 1000, int),
     "d": _Setting("--d", "number of features", 3, int),
     "noise_sd": _Setting("--noise-sd", "noise standard deviation", 0.1, float),

@@ -1,12 +1,11 @@
 """Convex fitting on stacked RFF features.
 
 Regression solves the regularized normal equations
-(lambda*I + sum_n phi_n phi_n^T) w = sum_n y_n phi_n by conjugate gradients
-on the Gram matrix G = Phi^T Phi, formed once per fit: one pass over the
-n x D design matrix, then each CG iteration is a D x D matvec. G takes
-D^2 * 8 bytes (5 MB at D = 801). Binary classification minimizes
-L2-regularized logistic loss by seeded mini-batch SGD with per-epoch
-learning-rate decay.
+(lambda*I + sum_n phi_n phi_n^T) w = sum_n y_n phi_n exactly: the Gram matrix
+G = Phi^T Phi is formed once per fit (one pass over the n x D design matrix,
+D^2 * 8 bytes: 5 MB at D = 801) and one np.linalg.solve factors G + lambda*I.
+Binary classification minimizes L2-regularized logistic loss by seeded
+mini-batch SGD with per-epoch learning-rate decay.
 """
 
 from __future__ import annotations
@@ -24,8 +23,9 @@ from .errors import NumericBreakdownError
 
 @dataclass
 class FitConfig:
-    """Solver settings. lam is the L2 strength (unit prior by default);
-    cg_max_iter of None means 2 * dimension."""
+    """Solver settings. lam is the L2 strength (unit prior by default). cg_tol
+    bounds the ridge residual for ``converged``; no solver reads cg_max_iter.
+    Both stay because the acceptance tests build FitConfig(cg_tol, cg_max_iter)."""
 
     lam: float = 1.0
     cg_tol: float = 1e-8
@@ -41,12 +41,12 @@ class FitConfig:
 
     def __post_init__(self):
         # written so that NaN fails each check
-        if not self.lam >= 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
         if not 0 <= self.cg_tol < math.inf:
             raise ValueError("cg_tol must be finite and nonnegative")
-        if not self.sgd_lr > 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.sgd_lr < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.sgd_batch < 1 or self.sgd_epochs < 1:
             raise ValueError("sgd_batch and sgd_epochs must be >= 1")
         if not 0 < self.sgd_lr_decay <= 1:
@@ -57,8 +57,8 @@ class FitConfig:
 
 @dataclass
 class SolverReport:
-    """Outcome of a CG or SGD run. final_residual_or_loss holds the relative
-    residual for CG and the full regularized loss for SGD."""
+    """Outcome of a direct ridge solve or SGD. final_residual_or_loss holds the
+    solve's relative residual and the full regularized loss for SGD."""
 
     method: str
     iterations: int
@@ -152,7 +152,8 @@ def conjugate_gradients(apply_A, v, tol=1e-8, max_iter=None):
     """Classic CG for SPD systems, started from w = 0.
 
     Stops when the residual norm falls to ``tol * ||v||`` or after max_iter
-    iterations. Returns (w, iterations, relative_residual).
+    iterations. Returns (w, iterations, relative_residual). No gpnam code
+    calls it: like ``_kernels.gram_apply`` it stays for the benchmark's tracer.
     """
     v = np.asarray(v, dtype=np.float64)
     if max_iter is None:
@@ -186,12 +187,13 @@ def conjugate_gradients(apply_A, v, tol=1e-8, max_iter=None):
 
 
 def solve_ridge_cg(features: StackedFeatures, y, cfg: FitConfig | None = None):
-    """Solve (lam*I + Phi^T Phi) w = Phi^T y with CG on the formed Gram matrix.
+    """Solve (lam*I + Phi^T Phi) w = Phi^T y exactly on the formed Gram matrix.
 
-    G = Phi^T Phi (D^2 * 8 bytes) is built once and CG runs on G + lam*I.
-    With regularize_bias False (the default) the identity term skips the bias
-    coordinate. The report's wall_time includes building G and Phi^T y.
-    Returns (w, SolverReport).
+    G = Phi^T Phi (D^2 * 8 bytes) is built once, lam goes onto its diagonal
+    (not the bias coordinate's unless regularize_bias), and one np.linalg.solve,
+    which copies the D x D system, gives w. lam > 0 and the bias column of ones
+    make the system positive definite. The report holds ||A w - v|| / ||v|| and
+    a wall_time that includes building G and Phi^T y. Returns (w, SolverReport).
     """
     cfg = cfg or FitConfig()
     phi = features.phi
@@ -207,15 +209,14 @@ def solve_ridge_cg(features: StackedFeatures, y, cfg: FitConfig | None = None):
     if not cfg.regularize_bias:
         mask[0] = 0.0
 
-    max_iter = cfg.cg_max_iter if cfg.cg_max_iter is not None else 2 * phi.shape[1]
     t0 = time.perf_counter()
     gram = phi.T @ phi
     gram[np.diag_indices_from(gram)] += cfg.lam * mask
     v = phi.T @ y
-    w, iters, rel = conjugate_gradients(lambda p: gram @ p, v, tol=cfg.cg_tol,
-                                        max_iter=max_iter)
+    w = np.linalg.solve(gram, v)
+    rel = float(np.linalg.norm(gram @ w - v) / np.linalg.norm(v)) if v.any() else 0.0
     wall = time.perf_counter() - t0
-    report = SolverReport(method="cg", iterations=iters, final_residual_or_loss=rel,
+    report = SolverReport(method="direct", iterations=0, final_residual_or_loss=rel,
                           tolerance=cfg.cg_tol, converged=rel <= cfg.cg_tol,
                           wall_time=wall)
     return w, report
@@ -266,7 +267,8 @@ def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,
     Shuffling is seeded (cfg.seed), the learning rate decays by
     cfg.sgd_lr_decay per epoch, and when a validation set is supplied the fit
     stops once validation loss has not improved for cfg.sgd_patience epochs
-    (returning the best weights seen). Returns (w, SolverReport).
+    (returning the best weights seen). A non-finite training loss after an
+    epoch raises NumericBreakdownError. Returns (w, SolverReport).
     """
     cfg = cfg or FitConfig()
     phi = features.phi
@@ -321,6 +323,9 @@ def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,
             w -= lr * grad
         epochs_run = epoch + 1
         trace.append(full_loss(w))
+        if not math.isfinite(trace[-1]):
+            raise NumericBreakdownError(f"SGD diverged: training loss {trace[-1]} "
+                                        f"after epoch {epochs_run}")
         if val_features is not None:
             vloss = full_loss(w, val_features.phi, val_pm)
             if vloss < best_val - 1e-12:

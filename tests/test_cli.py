@@ -93,6 +93,15 @@ class TestTrain:
         m = model.load(mpath)
         assert m.task == "binary_classification"
 
+    def test_diverged_sgd_is_numeric_breakdown(self, tmp_path, clf_csv, capsys):
+        out, mpath = tmp_path / "t.json", tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", clf_csv, "--target", "y",
+                           "--task", "clf", "--model", str(mpath), "--out", str(out),
+                           "--S", "16", "--sgd-lr", "1e308")
+        assert code == 4
+        assert "SGD diverged" in err
+        assert not mpath.exists() and not out.exists()
+
     def test_undertrained_run_flags_not_converged(self, tmp_path, clf_csv, capsys):
         code, out, _ = run(capsys, "train", "--data", clf_csv, "--target", "y",
                            "--task", "clf", "--model", str(tmp_path / "m.json"),
@@ -226,6 +235,7 @@ class TestSettingsCheckedBeforeReading:
 
     @pytest.mark.parametrize("flags", [
         ["--lambda", "-1"], ["--lambda", "nan"], ["--cg-tol", "-1"], ["--cg-tol", "inf"],
+        ["--lambda", "0"], ["--lambda", "inf"], ["--sgd-lr", "inf"],
         ["--sgd-lr", "0"], ["--sgd-lr", "nan"], ["--sgd-batch", "0"],
         ["--sgd-lr-decay", "1.5"], ["--split", "0.5,0.5"], ["--split", "0.5,0.6,0.1"],
         ["--split", "nan,0.5,0.5"], ["--split", "a,b,c"], ["--bandwidth-scale", "foo"],
@@ -248,6 +258,20 @@ class TestSettingsCheckedBeforeReading:
         assert code == 1
         assert calls == []
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_cg_tol_is_not_a_setting(self, tmp_path, synth_csv, capsys, source):
+        """The ridge solve is direct, so there is no tolerance to set."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cg_tol": 1e-9}))
+        extra = ["--cg-tol", "1e-9"] if source == "flag" else ["--config", str(cfg)]
+        out, mpath = tmp_path / "t.json", tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                           "--task", "reg", "--model", str(mpath), "--out", str(out),
+                           "--S", "8", *extra)
+        assert code == 1
+        assert ("--cg-tol" if source == "flag" else "['cg_tol']") in err
+        assert not mpath.exists() and not out.exists()
 
     def test_solver_defaults_are_fit_config_defaults(self):
         cfg = cli.resolve_config(cli.build_parser().parse_args(["train"]))
@@ -611,6 +635,24 @@ class TestBlasThreads:
             outputs.append([(out / f).read_bytes() for f in ("p.csv", "s.csv", "s_density.csv")])
         assert outputs[0] == outputs[1]
 
+    def test_train_weights_do_not_depend_on_the_thread_count(self, tmp_path, synth_csv):
+        """The ridge solve is exact, so the BLAS thread count moves the
+        weights by rounding only."""
+        models = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            mpath = tmp_path / f"m{threads}.json"
+            proc = subprocess.run([sys.executable, "-m", "gpnam.cli", "train", "--data",
+                                   synth_csv, "--target", "y", "--task", "reg", "--S", "100",
+                                   "--model", str(mpath)], env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            models.append(model.load(mpath))
+        a, b = models
+        scale = np.max(np.abs(a.W))
+        assert abs(a.w0 - b.w0) <= 1e-12 * scale
+        assert np.max(np.abs(a.W - b.W)) <= 1e-12 * scale
+
 
 class TestKernelCheck:
     def test_report_schema_and_bounds(self, tmp_path, capsys):
@@ -670,7 +712,7 @@ class TestConfigFile:
 
     def test_values_of_flag_types_accepted(self, tmp_path, synth_csv, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"S": 8, "lam": 2, "cg_tol": 1e-9, "mode": "mc",
+        cfg.write_text(json.dumps({"S": 8, "lam": 2, "mode": "mc",
                                    "bandwidth_scale": "0.5"}))
         code, out, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
                              "--task", "reg", "--model", str(tmp_path / "m.json"),
@@ -715,7 +757,7 @@ def test_readme_lists_every_flag():
                           if isinstance(action, argparse._SubParsersAction)
                           for name in action.choices]
     options = {opt for p in parsers for action in p._actions for opt in action.option_strings}
-    assert "--cg-tol" in options
+    assert "--sgd-lr-decay" in options
     assert sorted(opt for opt in options if opt not in readme) == []
     # the Default cell of each flag in the README table is its _SETTINGS default
     cells = {}

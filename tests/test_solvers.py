@@ -194,8 +194,9 @@ class TestSolveRidgeCg:
         A, v = reg + phi.T @ phi, phi.T @ y
         want = np.linalg.solve(A, v)
         assert report.converged
-        assert np.linalg.norm(w - want) <= 1e-6 * max(1.0, np.linalg.norm(want))
-        assert np.linalg.norm(A @ w - v) <= 10 * cfg.cg_tol * np.linalg.norm(v)
+        assert np.linalg.norm(w - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+        assert np.linalg.norm(A @ w - v) <= 1e-12 * np.linalg.norm(v)
+        assert report.final_residual_or_loss <= 1e-12
 
     def test_rejects_non_finite_targets(self):
         feats = make_features(np.ones((2, 2)))
@@ -301,6 +302,17 @@ class TestLogisticSgd:
                                              val_y=y[:30])
         assert report.stopped_early
         assert report.iterations < 500
+
+    @pytest.mark.parametrize("with_val", [False, True])
+    def test_diverged_loss_is_numeric_breakdown(self, with_val):
+        rng = np.random.default_rng(37)
+        phi = np.hstack([np.ones((50, 1)), rng.normal(size=(50, 3))])
+        y = (rng.uniform(size=50) < 0.5).astype(float)
+        feats = make_features(phi)
+        val = {"val_features": make_features(phi[:10]), "val_y": y[:10]} if with_val else {}
+        cfg = solvers.FitConfig(sgd_lr=1e308, sgd_epochs=5)
+        with pytest.raises(NumericBreakdownError, match="diverged"):
+            solvers.fit_logistic_sgd(feats, y, cfg, **val)
 
 
 class TestGradientCheck:
