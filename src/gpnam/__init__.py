@@ -1,5 +1,5 @@
 """Additive Gaussian-process models for tabular data via random Fourier
-features: convex training (direct ridge regression, SGD logistic regression),
+features: convex training (direct ridge regression, Newton logistic regression),
 per-feature shape functions, and a reproducible CLI."""
 
 from ._kernels import BACKEND
@@ -8,10 +8,10 @@ from .metrics import auc, error_rate, mse, rmse
 from .model import (GPNAMModel, ShapeTable, load, param_count, predict,
                     predict_raw, save, shape_function)
 from .rff import (FeatureBasis, approx_kernel, build_basis, feature_map,
-                  mc_verify_integral_identity, pair_feature_map, rbf_kernel)
+                  pair_feature_map, rbf_kernel)
 from .solvers import (FitConfig, SolverReport, StackedFeatures,
-                      conjugate_gradients, fit_logistic_sgd, solve_ridge_cg,
-                      stack_features)
+                      conjugate_gradients, fit_logistic_newton, fit_logistic_sgd,
+                      solve_ridge_cg, stack_features)
 
 __version__ = "0.1.0"
 
@@ -22,8 +22,8 @@ __all__ = [
     "GPNAMModel", "ShapeTable", "load", "param_count", "predict", "predict_raw",
     "save", "shape_function",
     "FeatureBasis", "approx_kernel", "build_basis", "feature_map",
-    "mc_verify_integral_identity", "pair_feature_map", "rbf_kernel",
+    "pair_feature_map", "rbf_kernel",
     "FitConfig", "SolverReport", "StackedFeatures", "conjugate_gradients",
-    "fit_logistic_sgd", "solve_ridge_cg", "stack_features",
+    "fit_logistic_newton", "fit_logistic_sgd", "solve_ridge_cg", "stack_features",
     "__version__",
 ]

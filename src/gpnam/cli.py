@@ -1,12 +1,15 @@
 """Command-line interface.
 
-Commands: train, predict, evaluate, shapes, kernel-check, synth. Outputs are
+Commands: train, predict, evaluate, shapes, synth. Outputs are
 JSON (diagnostics, metrics) or CSV (predictions, shapes, synthetic data),
 always written atomically; the command's resolved settings are echoed into
 every JSON output for provenance. Every run reports what it read: train and
 evaluate put their ingest report (rows read and dropped) into their JSON,
 predict and shapes --data write it, and synth a summary of its data, as one
 JSON line on stderr.
+
+train fits regression by one exact ridge solve and classification by damped
+Newton on the logistic loss; neither has a setting beyond lambda.
 
 Exit codes: 0 success, 1 usage error, 2 data/model-file error,
 3 solver did not converge (model still saved), 4 numeric breakdown.
@@ -43,7 +46,6 @@ BANDWIDTH_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 # score is better. The first metric is the bandwidth-selection score.
 _TASK_METRICS = {data_mod.TASK_REGRESSION: (("rmse", "mse"), False),
                  data_mod.TASK_CLASSIFICATION: (("auc", "error_rate"), True)}
-KERNEL_CHECK_SIZES = (50, 100, 500, 2000)
 
 _TASK_ALIASES = {"reg": data_mod.TASK_REGRESSION, "regression": data_mod.TASK_REGRESSION,
                  "clf": data_mod.TASK_CLASSIFICATION,
@@ -75,7 +77,7 @@ class _Setting(NamedTuple):
 
 
 # config keys that go to solvers.FitConfig; their defaults are its field defaults
-_FIT_KEYS = ("lam", "sgd_lr", "sgd_batch", "sgd_epochs", "sgd_lr_decay", "seed")
+_FIT_KEYS = ("lam", "seed")
 _FIT = solvers.FitConfig()
 
 # Every setting a command can read, in --help order; "config" is the flag of
@@ -98,11 +100,6 @@ _SETTINGS = {
     "density_bins": _Setting("--density-bins", "histogram bins for shape densities", 32, int),
     "interactions": _Setting("--interactions", "pairwise terms as i:j,k:l feature indices"),
     "config": _Setting("--config", "JSON config file; flags override it"),
-    "sgd_lr": _Setting("--sgd-lr", "SGD learning rate", _FIT.sgd_lr, float),
-    "sgd_batch": _Setting("--sgd-batch", "SGD mini-batch size", _FIT.sgd_batch, int),
-    "sgd_epochs": _Setting("--sgd-epochs", "SGD epoch limit", _FIT.sgd_epochs, int),
-    "sgd_lr_decay": _Setting("--sgd-lr-decay", "SGD learning-rate decay per epoch",
-                             _FIT.sgd_lr_decay, float),
     "n": _Setting("--n", "number of rows", 1000, int),
     "d": _Setting("--d", "number of features", 3, int),
     "noise_sd": _Setting("--noise-sd", "noise standard deviation", 0.1, float),
@@ -276,9 +273,7 @@ def cmd_train(cfg) -> int:
         if task == data_mod.TASK_REGRESSION:
             w, report = solvers.solve_ridge_cg(feats, train.y, fit_cfg)
         else:
-            val_feats = solvers.stack_features(basis, widths, val.X, pairs=pairs)
-            w, report = solvers.fit_logistic_sgd(feats, train.y, fit_cfg,
-                                                 val_features=val_feats, val_y=val.y)
+            w, report = solvers.fit_logistic_newton(feats, train.y, fit_cfg)
         mdl = _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs)
         rows = _metric_rows(task, model_mod.predict(mdl, X_val), val.y,
                             cfg["data"], cfg["model"])
@@ -290,7 +285,6 @@ def cmd_train(cfg) -> int:
     mdl, report, val_rows = pick(fits, key=lambda f: f[2][0]["value"])
     model_mod.save(mdl, cfg["model"])
 
-    ok = report.converged or report.stopped_early
     doc = {
         "command": "train",
         "model": str(cfg["model"]),
@@ -306,7 +300,7 @@ def cmd_train(cfg) -> int:
         "config": _echo_config(cfg),
     }
     _emit_json(doc, cfg["out"])
-    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+    return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
 def _model_encodings(mdl):
@@ -386,44 +380,6 @@ def _density_path(out_path: str) -> Path:
     return out.with_name(out.stem + "_density" + out.suffix)
 
 
-def cmd_kernel_check(cfg) -> int:
-    seed = int(cfg["seed"])
-    rng = np.random.default_rng(seed)
-    pairs = rng.uniform(-3.0, 3.0, (100, 2))
-    b = 1.0
-    approx_rows = []
-    self_rows = []
-    for S in KERNEL_CHECK_SIZES:
-        for mode in (rff.MODE_GRID, rff.MODE_MONTE_CARLO):
-            basis = rff.build_basis(S, mode, seed)
-            errs = np.array([abs(rff.approx_kernel(basis, x, xp, b) - rff.rbf_kernel(x, xp, b))
-                             for x, xp in pairs])
-            approx_rows.append({"S": S, "mode": mode,
-                                "max_abs_err": float(errs.max()),
-                                "median_abs_err": float(np.median(errs))})
-            if mode == rff.MODE_GRID:
-                self_errs = np.array([abs(rff.approx_kernel(basis, x, x, b) - 1.0)
-                                      for x, _ in pairs])
-                self_rows.append({"S": S, "max_abs_err": float(self_errs.max())})
-    ident_rows = []
-    for x, xp in ((0.0, 0.0), (0.0, 1.0), (0.0, 2.0)):
-        est = rff.mc_verify_integral_identity(b, x, xp, 200_000, seed)
-        exact = rff.rbf_kernel(x, xp, b)
-        ident_rows.append({"x": x, "x_prime": xp, "n_samples": 200_000,
-                           "estimate": est, "exact": exact,
-                           "abs_err": abs(est - exact)})
-    doc = {
-        "command": "kernel-check",
-        "probes": {"n_pairs": 100, "low": -3.0, "high": 3.0, "b": b, "seed": seed},
-        "approximation": approx_rows,
-        "grid_self_consistency": self_rows,
-        "integral_identity": ident_rows,
-        "config": _echo_config(cfg),
-    }
-    _emit_json(doc, cfg["out"])
-    return EXIT_OK
-
-
 def cmd_synth(cfg) -> int:
     ds = data_mod.synth_additive(int(cfg["n"]), int(cfg["d"]),
                                  float(cfg["noise_sd"]), seed=int(cfg["seed"]))
@@ -450,8 +406,6 @@ _COMMANDS = {
                  ("data", "model", "target"), ("out",)),
     "shapes": (cmd_shapes, "export shape-function (and density) CSV files",
                ("model", "out"), ("data", "grid_points", "density_bins")),
-    "kernel-check": (cmd_kernel_check, "run kernel-approximation diagnostics",
-                     (), ("seed", "out")),
     "synth": (cmd_synth, "generate a synthetic additive dataset CSV",
               ("out",), ("n", "d", "noise_sd", "seed")),
 }

@@ -222,21 +222,3 @@ def fold_mirrored(freqs, c, weights):
     np.add.at(A, (..., group.ravel()), weights * np.exp(1j * sign * np.asarray(c)))
     return F, np.angle(A), np.abs(A) * math.sqrt(2.0 / len(rows))
 
-
-def mc_verify_integral_identity(b, x, x_prime, n_samples, seed=0):
-    """Monte-Carlo estimate of the cosine integral that underlies the RFF map.
-
-    Draws (z, c) ~ N(0,1) x Uniform[0, 2*pi) and averages
-    2 * cos(z*x/b + c) * cos(z*x'/b + c); the expectation equals
-    rbf_kernel(x, x', b). Diagnostic only - returns the estimate so callers
-    can compare against the exact kernel.
-    """
-    _check_width(b)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if not (np.isfinite(x) and np.isfinite(x_prime)):
-        raise ValueError("inputs must be finite")
-    rng = np.random.default_rng(int(seed))
-    z = rng.standard_normal(int(n_samples))
-    cs = rng.uniform(0.0, TWO_PI, int(n_samples))
-    return float(2.0 * np.mean(np.cos(z * x / b + cs) * np.cos(z * x_prime / b + cs)))

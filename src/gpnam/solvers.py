@@ -4,8 +4,10 @@ Regression solves the regularized normal equations
 (lambda*I + sum_n phi_n phi_n^T) w = sum_n y_n phi_n exactly: the Gram matrix
 G = Phi^T Phi is formed once per fit (one pass over the n x D design matrix,
 D^2 * 8 bytes: 5 MB at D = 801) and one np.linalg.solve factors G + lambda*I.
-Binary classification minimizes L2-regularized logistic loss by seeded
-mini-batch SGD with per-epoch learning-rate decay.
+Binary classification minimizes the L2-regularized logistic loss, which is
+strictly convex for lambda > 0, by damped Newton steps on the D x D Hessian,
+stopping once the gradient norm is at most NEWTON_TOL. Seeded mini-batch SGD
+(fit_logistic_sgd) stays in the library; no command calls it.
 """
 
 from __future__ import annotations
@@ -20,12 +22,21 @@ import numpy as np
 from . import _kernels
 from .errors import NumericBreakdownError
 
+# Newton stops once ||grad|| <= NEWTON_TOL, or after NEWTON_MAX_ITER steps
+# (then its report says converged: false).
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+# Rows per Hessian chunk: BLAS workspace grows with the chunk, and a fixed
+# chunk order keeps the summed Hessian bit-identical across reruns.
+HESSIAN_CHUNK = 256
+
 
 @dataclass
 class FitConfig:
     """Solver settings. lam is the L2 strength (unit prior by default). cg_tol
     bounds the ridge residual for ``converged``; no solver reads cg_max_iter.
-    Both stay because the acceptance tests build FitConfig(cg_tol, cg_max_iter)."""
+    Both stay because the acceptance tests build FitConfig(cg_tol, cg_max_iter).
+    The sgd_* fields and seed are read by fit_logistic_sgd alone."""
 
     lam: float = 1.0
     cg_tol: float = 1e-8
@@ -35,7 +46,6 @@ class FitConfig:
     sgd_epochs: int = 100
     sgd_lr_decay: float = 0.99
     sgd_tol: float = 1e-6
-    sgd_patience: int = 10
     regularize_bias: bool = False
     seed: int = 0
 
@@ -57,8 +67,9 @@ class FitConfig:
 
 @dataclass
 class SolverReport:
-    """Outcome of a direct ridge solve or SGD. final_residual_or_loss holds the
-    solve's relative residual and the full regularized loss for SGD."""
+    """Outcome of a direct ridge solve, Newton or SGD. final_residual_or_loss
+    holds the solve's relative residual and the final regularized loss of a
+    logistic fit; gradient_norm is Newton's final ||grad||."""
 
     method: str
     iterations: int
@@ -67,8 +78,8 @@ class SolverReport:
     converged: bool
     wall_time: float
     degenerate: bool = False
-    stopped_early: bool = False
     loss_trace: list[float] = field(default_factory=list)
+    gradient_norm: float | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -79,11 +90,12 @@ class SolverReport:
             "converged": self.converged,
             "wall_time": self.wall_time,
         }
-        if self.method == "sgd":
+        if self.method != "direct":
             out["degenerate"] = self.degenerate
-            out["stopped_early"] = self.stopped_early
-            out["loss_first"] = self.loss_trace[0] if self.loss_trace else None
-            out["loss_last"] = self.loss_trace[-1] if self.loss_trace else None
+            out["loss_first"] = self.loss_trace[0]
+            out["loss_last"] = self.loss_trace[-1]
+        if self.gradient_norm is not None:
+            out["gradient_norm"] = self.gradient_norm
         return out
 
 
@@ -112,6 +124,13 @@ class StackedFeatures:
     def pair_block(self, k: int) -> slice:
         base = 1 + self.d * self.S
         return slice(base + k * self.S, base + (k + 1) * self.S)
+
+
+def _penalty_mask(dim, cfg):
+    """1 on each coordinate lam penalizes; the bias's is 0 unless regularize_bias."""
+    mask = np.ones(dim)
+    mask[0] = float(cfg.regularize_bias)
+    return mask
 
 
 def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
@@ -205,13 +224,9 @@ def solve_ridge_cg(features: StackedFeatures, y, cfg: FitConfig | None = None):
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite entries")
 
-    mask = np.ones(phi.shape[1])
-    if not cfg.regularize_bias:
-        mask[0] = 0.0
-
     t0 = time.perf_counter()
     gram = phi.T @ phi
-    gram[np.diag_indices_from(gram)] += cfg.lam * mask
+    gram[np.diag_indices_from(gram)] += cfg.lam * _penalty_mask(phi.shape[1], cfg)
     v = phi.T @ y
     w = np.linalg.solve(gram, v)
     rel = float(np.linalg.norm(gram @ w - v) / np.linalg.norm(v)) if v.any() else 0.0
@@ -233,16 +248,6 @@ def sigmoid(t):
     return out if out.ndim else float(out)
 
 
-def _logistic_loss(w, phi, y_pm, lam, regularize_bias):
-    """(loss, margins, w_reg): the regularized loss of logistic_objective
-    with the margins y * phi w and the penalized weights it was built from."""
-    margins = y_pm * (phi @ w)
-    w_reg = w if regularize_bias else np.concatenate(([0.0], w[1:]))
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
-    loss += 0.5 * lam / phi.shape[0] * float(w_reg @ w_reg)
-    return loss, margins, w_reg
-
-
 def logistic_objective(w, phi, y_pm, lam, regularize_bias=False):
     """Regularized logistic loss and its gradient.
 
@@ -251,29 +256,20 @@ def logistic_objective(w, phi, y_pm, lam, regularize_bias=False):
     regularize_bias is set.
     """
     n = phi.shape[0]
-    loss, margins, w_reg = _logistic_loss(w, phi, y_pm, lam, regularize_bias)
-    s = sigmoid(-margins)
-    grad = -(phi.T @ (y_pm * s)) / n
+    margins = y_pm * (phi @ w)
+    w_reg = w if regularize_bias else np.concatenate(([0.0], w[1:]))
+    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+    loss += 0.5 * lam / n * float(w_reg @ w_reg)
+    grad = -(phi.T @ (y_pm * sigmoid(-margins))) / n
     grad += (lam / n) * w_reg
     return loss, grad
 
 
-def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,
-                     w_init=None, val_features: StackedFeatures | None = None,
-                     val_y=None):
-    """Mini-batch SGD for L2-regularized logistic regression.
-
-    Labels are {0, 1} at the interface and mapped to +/-1 internally.
-    Shuffling is seeded (cfg.seed), the learning rate decays by
-    cfg.sgd_lr_decay per epoch, and when a validation set is supplied the fit
-    stops once validation loss has not improved for cfg.sgd_patience epochs
-    (returning the best weights seen). A non-finite training loss after an
-    epoch raises NumericBreakdownError. Returns (w, SolverReport).
-    """
-    cfg = cfg or FitConfig()
-    phi = features.phi
+def _pm_labels(y, n):
+    """(labels mapped to +/-1, degenerate): y must hold one {0, 1} label per
+    feature row; a single class warns and flags the fit degenerate."""
     y = np.asarray(y, dtype=np.float64)
-    if y.shape[0] != phi.shape[0]:
+    if y.shape != (n,):
         raise ValueError("y must have one label per feature row")
     labels = np.unique(y)
     if not np.all(np.isin(labels, (0.0, 1.0))):
@@ -281,9 +277,95 @@ def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,
     degenerate = labels.size < 2
     if degenerate:
         warnings.warn("single-class labels: logistic fit is degenerate")
+    return 2.0 * y - 1.0, degenerate
 
+
+def _logistic_hessian(phi, w, lam, mask):
+    """Phi^T diag(s) Phi / n + (lam/n) * diag(mask) with s = p(1 - p), summed
+    over HESSIAN_CHUNK-row chunks in row order, so no n x D weighted copy of
+    Phi is formed. Each chunk adds B^T B with B = sqrt(s) * rows."""
     n, dim = phi.shape
-    y_pm = 2.0 * y - 1.0
+    t = phi @ w
+    root_s = np.sqrt(sigmoid(t) * sigmoid(-t))
+    hess = np.zeros((dim, dim))
+    for start in range(0, n, HESSIAN_CHUNK):
+        block = phi[start:start + HESSIAN_CHUNK] * root_s[start:start + HESSIAN_CHUNK, None]
+        hess += block.T @ block
+    hess /= n
+    hess[np.diag_indices(dim)] += (lam / n) * mask
+    return hess
+
+
+def fit_logistic_newton(features: StackedFeatures, y, cfg: FitConfig | None = None):
+    """Damped Newton for the L2-regularized logistic loss of logistic_objective.
+
+    Labels are {0, 1}. From w = 0, each step solves H p = -grad on the
+    Hessian of _logistic_hessian and halves the step length until the loss
+    meets the Armijo condition loss(w + t p) <= loss(w) + 1e-4 * t * grad.p.
+    Once -grad.p <= 1e-12 the full step is taken, so the loss trace falls
+    except for rounding-level moves at the end. The fit stops once
+    ||grad|| <= NEWTON_TOL (converged), after NEWTON_MAX_ITER steps, or when
+    no step length lowers the loss (both not converged). A non-finite Newton
+    step raises NumericBreakdownError. Only cfg.lam and cfg.regularize_bias
+    are read. Returns (w, SolverReport).
+    """
+    cfg = cfg or FitConfig()
+    phi = features.phi
+    n, dim = phi.shape
+    y_pm, degenerate = _pm_labels(y, n)
+    mask = _penalty_mask(dim, cfg)
+
+    def objective(wv):
+        return logistic_objective(wv, phi, y_pm, cfg.lam, cfg.regularize_bias)
+
+    t0 = time.perf_counter()
+    w = np.zeros(dim)
+    loss, grad = objective(w)
+    trace = [loss]
+    steps = 0
+    # written so that a NaN gradient goes on to the finiteness check of the step
+    while not (gnorm := float(np.linalg.norm(grad))) <= NEWTON_TOL and steps < NEWTON_MAX_ITER:
+        step = np.linalg.solve(_logistic_hessian(phi, w, cfg.lam, mask), -grad)
+        if not np.all(np.isfinite(step)):
+            raise NumericBreakdownError(f"non-finite Newton step at iteration {steps}")
+        slope = float(grad @ step)  # minus the squared Newton decrement
+        for halvings in range(60):
+            length = 0.5 ** halvings
+            w_new = w + length * step
+            loss_new, grad_new = objective(w_new)
+            # below a squared decrement of 1e-12 the loss (at most log 2) moves
+            # by rounding only, so it cannot rank step lengths: take the full step
+            if loss_new <= loss + 1e-4 * length * slope or -slope <= 1e-12:
+                break
+        else:
+            break  # no step length lowers the loss: stop unconverged
+        w, loss, grad = w_new, loss_new, grad_new
+        trace.append(loss)
+        steps += 1
+    wall = time.perf_counter() - t0
+    report = SolverReport(method="newton", iterations=steps, final_residual_or_loss=loss,
+                          tolerance=NEWTON_TOL, converged=gnorm <= NEWTON_TOL,
+                          wall_time=wall, degenerate=degenerate, loss_trace=trace,
+                          gradient_norm=gnorm)
+    return w, report
+
+
+def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,
+                     w_init=None):
+    """Mini-batch SGD for L2-regularized logistic regression.
+
+    Labels are {0, 1} at the interface and mapped to +/-1 internally.
+    Shuffling is seeded (cfg.seed) and the learning rate decays by
+    cfg.sgd_lr_decay per epoch; the fit stops when an epoch changes the full
+    loss by at most cfg.sgd_tol (converged) or after cfg.sgd_epochs. A
+    non-finite training loss after an epoch raises NumericBreakdownError.
+    No command calls it; train fits with fit_logistic_newton.
+    Returns (w, SolverReport).
+    """
+    cfg = cfg or FitConfig()
+    phi = features.phi
+    n, dim = phi.shape
+    y_pm, degenerate = _pm_labels(y, n)
     rng = np.random.default_rng(cfg.seed)
     if w_init is None:
         w = np.zeros(dim)
@@ -291,60 +373,39 @@ def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,
         w = np.array(w_init, dtype=np.float64, copy=True)
         if w.shape != (dim,):
             raise ValueError("w_init has the wrong dimension")
-    mask = np.ones(dim)
-    if not cfg.regularize_bias:
-        mask[0] = 0.0
+    mask = _penalty_mask(dim, cfg)
     batch = min(cfg.sgd_batch, n)
 
-    if val_features is not None:
-        val_pm = 2.0 * np.asarray(val_y, dtype=np.float64) - 1.0
-        best_val = math.inf
-        best_w = w.copy()
-        stale = 0
-
-    def full_loss(wv, features_phi=phi, labels=y_pm):
-        # the loss alone: SGD never uses the full gradient
-        return _logistic_loss(wv, features_phi, labels, cfg.lam, cfg.regularize_bias)[0]
+    def full_loss(wv):
+        return logistic_objective(wv, phi, y_pm, cfg.lam, cfg.regularize_bias)[0]
 
     t0 = time.perf_counter()
     trace = [full_loss(w)]
     converged = False
-    stopped_early = False
     epochs_run = 0
-    for epoch in range(cfg.sgd_epochs):
-        lr = cfg.sgd_lr * cfg.sgd_lr_decay ** epoch
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            phi_b, y_b = phi[idx], y_pm[idx]  # gathered once per mini-batch
-            m = y_b * (phi_b @ w)
-            s = sigmoid(-m)
-            grad = -(phi_b.T @ (y_b * s)) / idx.size + (cfg.lam / n) * (mask * w)
-            w -= lr * grad
-        epochs_run = epoch + 1
-        trace.append(full_loss(w))
-        if not math.isfinite(trace[-1]):
-            raise NumericBreakdownError(f"SGD diverged: training loss {trace[-1]} "
-                                        f"after epoch {epochs_run}")
-        if val_features is not None:
-            vloss = full_loss(w, val_features.phi, val_pm)
-            if vloss < best_val - 1e-12:
-                best_val = vloss
-                best_w = w.copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.sgd_patience:
-                    stopped_early = True
-                    w = best_w
-                    trace.append(full_loss(w))
-                    break
-        if abs(trace[-2] - trace[-1]) <= cfg.sgd_tol:
-            converged = True
-            break
+    # a diverging fit overflows on its way to the check below, which reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.sgd_epochs):
+            lr = cfg.sgd_lr * cfg.sgd_lr_decay ** epoch
+            order = rng.permutation(n)
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                phi_b, y_b = phi[idx], y_pm[idx]  # gathered once per mini-batch
+                m = y_b * (phi_b @ w)
+                s = sigmoid(-m)
+                grad = -(phi_b.T @ (y_b * s)) / idx.size + (cfg.lam / n) * (mask * w)
+                w -= lr * grad
+            epochs_run = epoch + 1
+            trace.append(full_loss(w))
+            if not math.isfinite(trace[-1]):
+                raise NumericBreakdownError(f"SGD diverged: training loss {trace[-1]} "
+                                            f"after epoch {epochs_run}")
+            if abs(trace[-2] - trace[-1]) <= cfg.sgd_tol:
+                converged = True
+                break
     wall = time.perf_counter() - t0
     report = SolverReport(method="sgd", iterations=epochs_run,
                           final_residual_or_loss=trace[-1], tolerance=cfg.sgd_tol,
                           converged=converged, wall_time=wall, degenerate=degenerate,
-                          stopped_early=stopped_early, loss_trace=trace)
+                          loss_trace=trace)
     return w, report

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gpnam import cli, data, model, rff, solvers
+from gpnam.errors import NumericBreakdownError
 from gpnam.solvers import sigmoid
 
 
@@ -83,30 +84,39 @@ class TestTrain:
     def test_classification_end_to_end(self, tmp_path, clf_csv, capsys):
         mpath = tmp_path / "mc.json"
         code, out, _ = run(capsys, "train", "--data", clf_csv, "--target", "y",
-                           "--task", "clf", "--model", str(mpath), "--S", "16",
-                           "--sgd-epochs", "300", "--sgd-lr", "0.5")
-        assert code == 0  # early stopping on validation counts as success
+                           "--task", "clf", "--model", str(mpath), "--S", "16")
+        assert code == 0
         doc = json.loads(out)
-        assert doc["solver"]["converged"] or doc["solver"]["stopped_early"]
+        assert doc["solver"]["converged"] and doc["solver"]["method"] == "newton"
+        assert doc["solver"]["gradient_norm"] <= solvers.NEWTON_TOL
         metrics_by_name = {m["metric"]: m["value"] for m in doc["validation"]}
         assert 0.6 <= metrics_by_name["auc"] <= 1.0
         m = model.load(mpath)
         assert m.task == "binary_classification"
 
-    def test_diverged_sgd_is_numeric_breakdown(self, tmp_path, clf_csv, capsys):
+    def test_diverged_sgd_is_numeric_breakdown(self, tmp_path, clf_csv, capsys,
+                                               monkeypatch):
+        def breakdown(*args, **kwargs):
+            raise NumericBreakdownError("non-finite Newton step at iteration 0")
+
+        monkeypatch.setattr(solvers, "fit_logistic_newton", breakdown)
         out, mpath = tmp_path / "t.json", tmp_path / "m.json"
         code, _, err = run(capsys, "train", "--data", clf_csv, "--target", "y",
                            "--task", "clf", "--model", str(mpath), "--out", str(out),
-                           "--S", "16", "--sgd-lr", "1e308")
+                           "--S", "16")
         assert code == 4
-        assert "SGD diverged" in err
+        assert err == "gpnam: numeric breakdown: non-finite Newton step at iteration 0\n"
         assert not mpath.exists() and not out.exists()
 
-    def test_undertrained_run_flags_not_converged(self, tmp_path, clf_csv, capsys):
+    def test_undertrained_run_flags_not_converged(self, tmp_path, clf_csv, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 1)
         code, out, _ = run(capsys, "train", "--data", clf_csv, "--target", "y",
                            "--task", "clf", "--model", str(tmp_path / "m.json"),
-                           "--S", "16", "--sgd-epochs", "3")
+                           "--S", "16")
         assert code == 3
+        solver = json.loads(out)["solver"]
+        assert solver["iterations"] == 1 and not solver["converged"]
         assert (tmp_path / "m.json").exists()  # model still saved, flagged
 
     @pytest.mark.parametrize("mode", ["grid", "mc"])
@@ -260,18 +270,22 @@ class TestSettingsCheckedBeforeReading:
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_cg_tol_is_not_a_setting(self, tmp_path, synth_csv, capsys, source):
-        """The ridge solve is direct, so there is no tolerance to set."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"cg_tol": 1e-9}))
-        extra = ["--cg-tol", "1e-9"] if source == "flag" else ["--config", str(cfg)]
-        out, mpath = tmp_path / "t.json", tmp_path / "m.json"
-        code, _, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
-                           "--task", "reg", "--model", str(mpath), "--out", str(out),
-                           "--S", "8", *extra)
-        assert code == 1
-        assert ("--cg-tol" if source == "flag" else "['cg_tol']") in err
-        assert not mpath.exists() and not out.exists()
+    def test_cg_tol_is_not_a_setting(self, tmp_path, synth_csv, clf_csv, capsys, source):
+        """The ridge solve is direct and Newton stops at a fixed gradient norm,
+        so neither has a tolerance, step size or iteration limit to set."""
+        for key, value, task, path in (("cg_tol", 1e-9, "reg", synth_csv),
+                                       ("sgd_lr", 0.5, "clf", clf_csv)):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            flag = "--" + key.replace("_", "-")
+            extra = [flag, repr(value)] if source == "flag" else ["--config", str(cfg)]
+            out, mpath = tmp_path / "t.json", tmp_path / "m.json"
+            code, _, err = run(capsys, "train", "--data", path, "--target", "y",
+                               "--task", task, "--model", str(mpath), "--out", str(out),
+                               "--S", "8", *extra)
+            assert code == 1
+            assert (flag if source == "flag" else f"[{key!r}]") in err
+            assert not mpath.exists() and not out.exists()
 
     def test_solver_defaults_are_fit_config_defaults(self):
         cfg = cli.resolve_config(cli.build_parser().parse_args(["train"]))
@@ -296,12 +310,12 @@ class TestCommandTable:
 
     @pytest.mark.parametrize("argv", [
         "predict --S 8", "predict --split 1,2,3", "evaluate --mode mc", "shapes --lambda 2",
-        "shapes --verbose", "kernel-check --S 5000", "synth --task clf"])
+        "shapes --verbose", "synth --task clf"])
     def test_unread_flag_is_usage_error(self, tmp_path, synth_csv, mpath, capsys, argv):
         command, *extra = argv.split()
         needed = {"predict": ["--data", synth_csv, "--model", mpath],
                   "evaluate": ["--data", synth_csv, "--target", "y", "--model", mpath],
-                  "shapes": ["--model", mpath], "kernel-check": [], "synth": ["--n", "20"]}
+                  "shapes": ["--model", mpath], "synth": ["--n", "20"]}
         out = tmp_path / "o.out"
         code, _, err = run(capsys, command, *needed[command], "--out", str(out), *extra)
         assert code == 1
@@ -318,13 +332,12 @@ class TestCommandTable:
         assert "['S']" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "evaluate", "kernel-check"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_config_echo_lists_the_command_settings(self, tmp_path, synth_csv, mpath,
                                                     capsys, command):
         argv = {"train": ["--data", synth_csv, "--target", "y", "--task", "reg",
                           "--model", str(tmp_path / "t.json"), "--S", "8"],
-                "evaluate": ["--data", synth_csv, "--target", "y", "--model", mpath],
-                "kernel-check": []}[command]
+                "evaluate": ["--data", synth_csv, "--target", "y", "--model", mpath]}[command]
         code, out, _ = run(capsys, command, *argv)
         assert code == 0
         _, _, required, other = cli._COMMANDS[command]
@@ -481,9 +494,8 @@ class TestMetricTable:
         path = synth_csv if task == "reg" else clf_csv
         mpath = tmp_path / "m.json"
         code, out, _ = run(capsys, "train", "--data", path, "--target", target,
-                           "--task", task, "--model", str(mpath), "--S", "8",
-                           "--sgd-epochs", "3")
-        assert code in (0, 3)
+                           "--task", task, "--model", str(mpath), "--S", "8")
+        assert code == 0
         validation = json.loads(out)["validation"]
         code, out, _ = run(capsys, "evaluate", "--data", path, "--target", target,
                            "--model", str(mpath))
@@ -654,24 +666,6 @@ class TestBlasThreads:
         assert np.max(np.abs(a.W - b.W)) <= 1e-12 * scale
 
 
-class TestKernelCheck:
-    def test_report_schema_and_bounds(self, tmp_path, capsys):
-        out = tmp_path / "kc.json"
-        code, _, _ = run(capsys, "kernel-check", "--seed", "0", "--out", str(out))
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert set(doc) >= {"probes", "approximation", "grid_self_consistency",
-                            "integral_identity", "config"}
-        assert {row["S"] for row in doc["approximation"]} == set(cli.KERNEL_CHECK_SIZES)
-        for row in doc["grid_self_consistency"]:
-            assert row["max_abs_err"] <= 1e-10
-        med = {(r["S"], r["mode"]): r["median_abs_err"] for r in doc["approximation"]}
-        assert med[(2000, "monte_carlo")] < med[(50, "monte_carlo")]
-        assert med[(2000, "grid")] < med[(50, "grid")]
-        for row in doc["integral_identity"]:
-            assert row["abs_err"] <= 0.02
-
-
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, synth_csv, capsys):
         cfg = tmp_path / "cfg.json"
@@ -725,7 +719,8 @@ class TestConfigFile:
     def test_non_object_rejected(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
-        assert cli.main(["kernel-check", "--config", str(cfg)]) == 1
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert "config file must hold a JSON object" in capsys.readouterr().err
 
 
 class TestUsage:
@@ -747,7 +742,8 @@ class TestUsage:
     def test_bad_mode_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"mode": "quasi"}))
-        assert cli.main(["kernel-check", "--config", str(cfg)]) == 1
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert "config key 'mode' must be one of" in capsys.readouterr().err
 
 
 def test_readme_lists_every_flag():
@@ -757,7 +753,7 @@ def test_readme_lists_every_flag():
                           if isinstance(action, argparse._SubParsersAction)
                           for name in action.choices]
     options = {opt for p in parsers for action in p._actions for opt in action.option_strings}
-    assert "--sgd-lr-decay" in options
+    assert "--density-bins" in options
     assert sorted(opt for opt in options if opt not in readme) == []
     # the Default cell of each flag in the README table is its _SETTINGS default
     cells = {}

@@ -107,8 +107,7 @@ def test_kernel_width_must_be_positive_and_finite(b):
     basis = rff.build_basis(8, "grid", 0, with_pairs=True)
     for call in (lambda: rff.rbf_kernel(0.0, 1.0, b),
                  lambda: rff.feature_map(basis, 0.5, b),
-                 lambda: rff.pair_feature_map(basis, 0.5, -0.5, b),
-                 lambda: rff.mc_verify_integral_identity(b, 0.0, 1.0, 10)):
+                 lambda: rff.pair_feature_map(basis, 0.5, -0.5, b)):
         with pytest.raises(ValueError, match="positive and finite"):
             call()
 
@@ -273,23 +272,3 @@ class TestPairFeatureMap:
         with pytest.raises(ValueError):
             rff.pair_feature_map(basis, x_i, x_j, 1.0)
 
-
-class TestIntegralIdentity:
-    def test_identical_points(self):
-        est = rff.mc_verify_integral_identity(1.0, 0.7, 0.7, 10**6, seed=0)
-        assert abs(est - 1.0) <= 0.01
-
-    def test_separated_points(self):
-        est = rff.mc_verify_integral_identity(1.0, 0.0, 2.0, 10**6, seed=0)
-        assert abs(est - math.exp(-2.0)) <= 0.01
-
-    def test_single_sample_bounded(self):
-        est = rff.mc_verify_integral_identity(1.0, 0.3, -1.1, 1, seed=5)
-        assert math.isfinite(est)
-        assert -2.0 <= est <= 2.0
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            rff.mc_verify_integral_identity(1.0, 0.0, 0.0, 0)
-        with pytest.raises(ValueError):
-            rff.mc_verify_integral_identity(0.0, 0.0, 0.0, 10)

@@ -290,29 +290,92 @@ class TestLogisticSgd:
         w2, _ = solvers.fit_logistic_sgd(feats, y, cfg)
         assert np.array_equal(w1, w2)
 
-    def test_early_stopping_on_validation(self):
-        rng = np.random.default_rng(29)
-        phi = np.hstack([np.ones((100, 1)), rng.normal(size=(100, 3))])
-        y = (rng.uniform(size=100) < 0.5).astype(float)
-        feats = make_features(phi)
-        val = make_features(phi[:30])
-        cfg = solvers.FitConfig(sgd_epochs=500, sgd_lr=0.5, sgd_lr_decay=1.0,
-                                sgd_tol=0.0, sgd_patience=5, seed=1)
-        w, report = solvers.fit_logistic_sgd(feats, y, cfg, val_features=val,
-                                             val_y=y[:30])
-        assert report.stopped_early
-        assert report.iterations < 500
-
-    @pytest.mark.parametrize("with_val", [False, True])
-    def test_diverged_loss_is_numeric_breakdown(self, with_val):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("regularize_bias", [False, True])
+    def test_diverged_loss_is_numeric_breakdown(self, regularize_bias):
+        """A diverging fit raises its one error and prints no numpy warning."""
         rng = np.random.default_rng(37)
         phi = np.hstack([np.ones((50, 1)), rng.normal(size=(50, 3))])
         y = (rng.uniform(size=50) < 0.5).astype(float)
         feats = make_features(phi)
-        val = {"val_features": make_features(phi[:10]), "val_y": y[:10]} if with_val else {}
-        cfg = solvers.FitConfig(sgd_lr=1e308, sgd_epochs=5)
+        cfg = solvers.FitConfig(sgd_lr=1e308, sgd_epochs=5, regularize_bias=regularize_bias)
         with pytest.raises(NumericBreakdownError, match="diverged"):
-            solvers.fit_logistic_sgd(feats, y, cfg, **val)
+            solvers.fit_logistic_sgd(feats, y, cfg)
+
+
+class TestLogisticNewton:
+    @staticmethod
+    def problem(seed, n=300, D=9):
+        rng = np.random.default_rng(seed)
+        phi = np.hstack([np.ones((n, 1)), rng.normal(size=(n, D - 1)) * 0.5])
+        y = (rng.uniform(size=n) < solvers.sigmoid(phi @ rng.normal(size=D))).astype(float)
+        return make_features(phi), y
+
+    def test_matches_newton_oracle(self):
+        feats, y = self.problem(41)
+        w, report = solvers.fit_logistic_newton(feats, y, solvers.FitConfig(lam=1.0))
+        want, want_loss = newton_logistic_oracle(feats.phi, 2 * y - 1, lam=1.0)
+        assert report.method == "newton" and report.converged
+        assert np.max(np.abs(w - want)) <= 1e-9 * np.max(np.abs(want))
+        assert abs(report.final_residual_or_loss - want_loss) <= 1e-12
+
+    def test_loss_trace_non_increasing_to_gradient_tolerance(self):
+        feats, y = self.problem(43, n=500, D=21)
+        w, report = solvers.fit_logistic_newton(feats, y)
+        # full steps below a decrement of 1e-12 may move the loss by rounding
+        assert np.all(np.diff(report.loss_trace) <= 1e-15)
+        assert report.loss_trace[-1] < report.loss_trace[1] < report.loss_trace[0]
+        assert len(report.loss_trace) == report.iterations + 1
+        _, grad = solvers.logistic_objective(w, feats.phi, 2 * y - 1, 1.0)
+        assert report.gradient_norm == np.linalg.norm(grad) <= solvers.NEWTON_TOL
+        doc = report.to_dict()
+        assert (doc["gradient_norm"], doc["loss_first"], doc["loss_last"]) == (
+            report.gradient_norm, report.loss_trace[0], report.final_residual_or_loss)
+        assert report.loss_trace[0] == pytest.approx(math.log(2.0), rel=1e-15)  # w = 0
+
+    def test_iteration_cap_is_not_converged(self, monkeypatch):
+        feats, y = self.problem(47)
+        monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 1)
+        _, report = solvers.fit_logistic_newton(feats, y)
+        assert report.iterations == 1 and not report.converged
+        assert report.gradient_norm > solvers.NEWTON_TOL
+
+    def test_hessian_sums_row_chunks(self):
+        """The chunked Hessian equals the product over all rows at once."""
+        feats, _ = self.problem(53, n=3 * solvers.HESSIAN_CHUNK + 7)
+        w = np.random.default_rng(1).normal(size=feats.dim)
+        mask = np.ones(feats.dim)
+        mask[0] = 0.0
+        p = solvers.sigmoid(feats.phi @ w)
+        want = feats.phi.T @ (feats.phi * (p * (1 - p))[:, None]) / feats.n
+        want += np.diag(2.0 / feats.n * mask)
+        got = solvers._logistic_hessian(feats.phi, w, 2.0, mask)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_rejects_bad_labels(self):
+        feats = make_features(np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            solvers.fit_logistic_newton(feats, np.array([0.0, 1.0, 2.0]))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n=st.integers(20, 120), D=st.integers(2, 12),
+           lam=st.floats(0.05, 20.0), regularize_bias=st.booleans())
+    def test_converges_below_sgd_and_reruns_bit_identically(self, seed, n, D, lam,
+                                                            regularize_bias):
+        rng = np.random.default_rng(seed)
+        phi = np.hstack([np.ones((n, 1)), rng.normal(size=(n, D - 1))])
+        y = (rng.uniform(size=n) < 0.5).astype(float)
+        y[:2] = (0.0, 1.0)
+        feats = make_features(phi)
+        cfg = solvers.FitConfig(lam=lam, regularize_bias=regularize_bias, sgd_lr=0.5,
+                                sgd_batch=n, sgd_epochs=2000, sgd_lr_decay=1.0, sgd_tol=0.0)
+        w, report = solvers.fit_logistic_newton(feats, y, cfg)
+        assert report.converged and report.gradient_norm <= solvers.NEWTON_TOL
+        assert np.all(np.diff(report.loss_trace) <= 1e-15)
+        _, sgd = solvers.fit_logistic_sgd(feats, y, cfg)
+        assert report.final_residual_or_loss <= sgd.final_residual_or_loss + 1e-15
+        w_again, _ = solvers.fit_logistic_newton(feats, y, cfg)
+        assert np.array_equal(w, w_again)
 
 
 class TestGradientCheck:
