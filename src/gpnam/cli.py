@@ -256,26 +256,24 @@ def cmd_train(cfg) -> int:
     fit_cfg = _fit_config(cfg)
     pairs = _parse_interactions(cfg["interactions"])
     task = cfg["task"]
-    ds = data_mod.standardize(data_mod.load_csv(cfg["data"], cfg["target"], task))
+    ds = data_mod.load_csv(cfg["data"], cfg["target"], task)
+    # split raw rows first: every fitted statistic comes from the training rows
     train, val, test = data_mod.split(ds, fractions, seed=int(cfg["seed"]))
+    ranges = model_mod.training_ranges(train.X)
+    train = data_mod.standardize(train)
     basis = rff.build_basis(int(cfg["S"]), cfg["mode"], int(cfg["seed"]),
                             with_pairs=bool(pairs))
-    X_val = data_mod.destandardize(val.X, ds.standardization)
-    # destandardize increases in every column, so it maps the standardized
-    # extremes to the raw ones exactly, with no raw copy of the training rows
-    ranges = tuple(data_mod.destandardize(v, ds.standardization)
-                   for v in model_mod.training_ranges(train.X))
 
     def fit(factor):
         # the design matrices are local, so only one scale's is held at a time
-        widths = data_mod.kernel_widths(ds, factor)
+        widths = data_mod.kernel_widths(train, factor)
         feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
         if task == data_mod.TASK_REGRESSION:
             w, report = solvers.solve_ridge_cg(feats, train.y, fit_cfg)
         else:
             w, report = solvers.fit_logistic_newton(feats, train.y, fit_cfg)
-        mdl = _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs)
-        rows = _metric_rows(task, model_mod.predict(mdl, X_val), val.y,
+        mdl = _assemble_model(basis, w, feats, widths, train, ranges, factor, pairs)
+        rows = _metric_rows(task, model_mod.predict(mdl, val.X), val.y,
                             cfg["data"], cfg["model"])
         return mdl, report, rows
 
@@ -367,7 +365,7 @@ def cmd_shapes(cfg) -> int:
     if X_data is not None:
         bins = int(cfg["density_bins"])
         lines = ["feature,bin_left,bin_right,count"]
-        for i, name in enumerate(mdl.feature_names):
+        for i, name in enumerate(map(model_mod.csv_field, mdl.feature_names)):
             counts, edges = np.histogram(X_data[:, i], bins=bins)
             for k in range(bins):
                 lines.append(f"{name},{edges[k]:.9g},{edges[k + 1]:.9g},{int(counts[k])}")

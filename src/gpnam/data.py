@@ -1,16 +1,18 @@
 """Tabular data ingestion, standardization, kernel widths, splits.
 
-CSV files are RFC-4180-style with a mandatory header row, UTF-8, ``.`` decimal
-separator. Rows with a missing or unparseable cell are dropped and counted,
-never imputed. Training (``load_csv``) and prediction (``load_features``)
-ingest run through one reader core, ``_read_table``, and its column encoder,
-``_encode_column``: a column whose cells all parse as floats is numeric, any
-other is ordinal-encoded by first appearance, and under a stored encoding a
-missing or unparseable cell or an unseen category encodes to NaN. No real cell
-gives NaN (non-finite numbers count as missing), so NaN is the drop sentinel.
+CSV files are RFC-4180-style with a mandatory header row, UTF-8 (a leading
+byte-order mark is skipped), ``.`` decimal separator. Rows with a missing or
+unparseable cell are dropped and counted, never imputed. Training
+(``load_csv``) and prediction (``load_features``) ingest run through one
+reader core, ``_read_table``, and its column encoder, ``_encode_column``: a
+column whose cells all parse as floats is numeric, any other is
+ordinal-encoded by first appearance, and under a stored encoding a missing or
+unparseable cell or an unseen category encodes to NaN. No real cell gives NaN
+(non-finite numbers count as missing), so NaN is the drop sentinel.
 
-Splits and synthetic data use ``numpy.random.default_rng`` (PCG64), so every
-operation here is bit-reproducible from its seed.
+Training splits raw rows, then fits means, scales and widths on the training
+part. Splits and synthetic data use ``numpy.random.default_rng`` (PCG64), so
+every operation here is bit-reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def _parse_float(cell: str):
 
 
 def _read_rows(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -230,7 +232,7 @@ def standardize(ds: Dataset) -> Dataset:
     """Center/scale each column to mean 0, population std 1.
 
     Constant columns keep scale 1 (with a warning). The (mean, scale) pairs
-    are stored on the returned Dataset for exact inverse mapping.
+    are stored on the returned Dataset; a model applies them to raw inputs.
     """
     if ds.standardization is not None:
         raise ValueError("dataset is already standardized")
@@ -246,23 +248,14 @@ def standardize(ds: Dataset) -> Dataset:
     return replace(ds, X=X, standardization=(means, scales))
 
 
-def destandardize(X_std, standardization):
-    """Inverse of the affine standardization map."""
-    means, scales = standardization
-    return X_std * scales + means
-
-
 def kernel_widths(ds: Dataset, scale_factor=1.0) -> np.ndarray:
-    """Per-feature kernel widths b_i = scale_factor * std of the standardized
-    column (so scale_factor itself for non-constant columns)."""
+    """Kernel widths b_i = scale_factor * std of standardized column i, which
+    ``standardize`` makes 1 (a constant column gets scale_factor too)."""
     if not 0.0 < scale_factor < math.inf:  # NaN fails too
         raise ValueError("scale_factor must be positive and finite")
     if ds.standardization is None:
         raise ValueError("kernel widths require a standardized dataset")
-    stds = ds.X.std(axis=0)
-    b = scale_factor * stds
-    b[stds == 0.0] = scale_factor
-    return b
+    return np.full(ds.d, float(scale_factor))
 
 
 def split_fractions(fractions) -> tuple:

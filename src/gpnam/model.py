@@ -371,13 +371,21 @@ def load(path) -> GPNAMModel:
         raise ModelInvariantError(f"{path}: {exc}") from None
 
 
+def csv_field(text: str) -> str:
+    """``text`` as a CSV field, quoted (as csv.QUOTE_MINIMAL) if it holds , " CR or LF."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_shape_csv(tables, path) -> None:
     """Concatenated shape-function export: header feature,x,f with reals at
     9 significant digits, UTF-8, LF line endings."""
     lines = ["feature,x,f"]
     for t in tables:
+        name = csv_field(t.feature_name)
         for x, v in zip(t.grid, t.values):
-            lines.append(f"{t.feature_name},{x:.9g},{v:.9g}")
+            lines.append(f"{name},{x:.9g},{v:.9g}")
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -1,10 +1,12 @@
 """CLI commands, exit codes, and output formats."""
 
 import argparse
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +177,47 @@ class TestTrain:
                          "--bandwidth-scale", repr(chosen))
         assert code == 0
         assert auto.read_bytes() == fixed.read_bytes()
+
+    @pytest.mark.parametrize("task", ["reg", "clf"])
+    def test_fit_reads_only_the_training_rows(self, tmp_path, synth_csv, clf_csv, capsys,
+                                              task):
+        path = Path(synth_csv if task == "reg" else clf_csv)
+        # the rows split puts into validation and test: split the row indices
+        ds = data.load_csv(path, "y", cli._TASK_ALIASES[task])
+        rows = replace(ds, X=np.arange(ds.n, dtype=np.float64)[:, None])
+        _, val, test = data.split(rows, (0.8, 0.1, 0.1), seed=5)
+        held_out = set(np.concatenate([val.X[:, 0], test.X[:, 0]]).astype(int))
+        lines = path.read_text().splitlines()
+        for k in held_out:
+            *features, y = lines[1 + k].split(",")
+            lines[1 + k] = ",".join([repr(3.0 * float(v) + 7.0) for v in features] + [y])
+        moved = tmp_path / "moved.csv"
+        moved.write_text("\n".join(lines) + "\n")
+        models = []
+        for csv_path in (path, moved):
+            mpath = tmp_path / f"{csv_path.stem}.json"
+            code, _, _ = run(capsys, "train", "--data", str(csv_path), "--target", "y",
+                             "--task", task, "--model", str(mpath), "--S", "16",
+                             "--bandwidth-scale", "0.5", "--seed", "5")
+            assert code == 0
+            models.append(mpath.read_bytes())
+        assert models[0] == models[1]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, synth_csv, capsys):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(synth_csv).read_bytes())
+        outputs = []
+        for csv_path in (synth_csv, bom):
+            mpath = tmp_path / "m.json"
+            code, _, _ = run(capsys, "train", "--data", str(csv_path), "--target", "y",
+                             "--task", "reg", "--model", str(mpath), "--S", "16")
+            assert code == 0
+            code, preds, _ = run(capsys, "predict", "--data", str(csv_path),
+                                 "--model", str(mpath))
+            assert code == 0
+            outputs.append((mpath.read_bytes(), preds))
+        assert outputs[0] == outputs[1]
 
     def test_duplicate_header_is_data_error(self, tmp_path, capsys):
         csv = tmp_path / "dup.csv"
@@ -603,6 +646,29 @@ class TestShapes:
             table = model.shape_function(m, i, np.linspace(mins[i], maxs[i], 32))
             want = np.array([float(f"{v:.9g}") for v in table.values])
             assert np.array_equal(got, want)
+
+    def test_feature_names_needing_quotes_parse_back(self, tmp_path, capsys):
+        names = ["x, one", 'say "x"', "plain"]
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-2, 2, (300, 3))
+        path = tmp_path / "quoted.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(names + ["y"])
+            writer.writerows([*map(repr, x), repr(float(np.sin(x).sum()))] for x in X)
+        mpath, out = tmp_path / "m.json", tmp_path / "s.csv"
+        code, _, _ = run(capsys, "train", "--data", str(path), "--target", "y",
+                         "--task", "reg", "--model", str(mpath), "--S", "8")
+        assert code == 0
+        code, _, _ = run(capsys, "shapes", "--model", str(mpath), "--out", str(out),
+                         "--data", str(path), "--grid-points", "4", "--density-bins", "3")
+        assert code == 0
+        for csv_path, width in ((out, 3), (tmp_path / "s_density.csv", 4)):
+            with open(csv_path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert {len(r) for r in rows} == {width}
+            assert [r[0] for r in rows[::len(rows) // 3]] == names
+            assert "\nplain," in csv_path.read_text()  # a plain name is not quoted
 
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_bad_density_bins_writes_nothing(self, tmp_path, synth_csv, capsys, bins):

@@ -2,7 +2,6 @@
 
 import csv
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -278,31 +277,8 @@ class TestStandardize:
                           task=data.TASK_REGRESSION,
                           encodings=[{"kind": "numeric"}] * 3)
         out = data.standardize(ds)
-        back = data.destandardize(out.X, out.standardization)
-        assert np.max(np.abs(back - X)) < 1e-12
         assert np.max(np.abs(out.X.mean(axis=0))) < 1e-8
         assert np.max(np.abs(out.X.std(axis=0) - 1.0)) < 1e-8
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
-           loc=st.floats(-1e6, 1e6), spread=st.floats(1e-6, 1e6),
-           constant=st.booleans())
-    def test_destandardized_extremes_are_extremes_of_destandardized(self, seed, n, loc,
-                                                                   spread, constant):
-        # train reads the raw training ranges off the standardized extremes
-        rng = np.random.default_rng(seed)
-        X = np.round(rng.normal(loc, spread, (n, 3)), int(rng.integers(0, 4)))
-        if constant:
-            X[:, 1] = loc
-        ds = data.Dataset(X=X, y=np.zeros(n), feature_names=list("abc"),
-                          task=data.TASK_REGRESSION, encodings=[{"kind": "numeric"}] * 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = data.standardize(ds)
-        raw = data.destandardize(out.X, out.standardization)
-        for extreme in (np.min, np.max):
-            assert np.array_equal(data.destandardize(extreme(out.X, axis=0), out.standardization),
-                                  extreme(raw, axis=0))
 
     def test_rejects_double_standardization(self):
         ds = data.Dataset(X=np.array([[0.0], [2.0]]), y=np.zeros(2),
@@ -322,11 +298,11 @@ class TestKernelWidths:
 
     def test_unit_factor(self):
         b = data.kernel_widths(self._std_ds(), 1.0)
-        assert np.allclose(b, 1.0, atol=1e-12)
+        assert b.tolist() == [1.0] * 4
 
     def test_half_factor(self):
         b = data.kernel_widths(self._std_ds(), 0.5)
-        assert np.allclose(b, 0.5, atol=1e-12)
+        assert b.tolist() == [0.5] * 4
 
     def test_requires_standardized(self):
         ds = data.Dataset(X=np.ones((3, 1)), y=np.zeros(3), feature_names=["a"],

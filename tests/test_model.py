@@ -1,5 +1,6 @@
 """Model behavior: prediction, shape functions, parameter count, persistence."""
 
+import csv
 import json
 import math
 import tracemalloc
@@ -543,3 +544,10 @@ class TestShapeCsv:
         content = out.read_bytes().decode("utf-8")
         assert content == "feature,x,f\nage,0.5,0.123456789\nage,1,-2\n"
         assert b"\r" not in out.read_bytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=st.text(alphabet=st.sampled_from('ab ,"\r\n\t;\'\u00e9'), max_size=8))
+    def test_field_parses_back(self, text):
+        field = model.csv_field(text)
+        assert next(csv.reader([field + ",1"])) == [text, "1"]
+        assert (field == text) == (not any(ch in text for ch in ',"\r\n'))
