@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-#: Name of the compute backend, echoed into every JSON output.
+#: Name of the compute backend; the benchmark records it with its run.
 BACKEND = "numpy"
 
 

@@ -30,7 +30,6 @@ from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
 from . import rff, solvers
-from ._kernels import BACKEND
 from .errors import DataError, ModelFileError, NumericBreakdownError, UndefinedMetricError
 from .model import _atomic_write_text
 
@@ -209,17 +208,18 @@ def _parse_interactions(text):
 
 
 def _echo_config(cfg) -> dict:
-    out = {k: cfg[k] for k in sorted(cfg)}
-    out["backend"] = BACKEND
-    return out
+    return {k: cfg[k] for k in sorted(cfg)}
 
 
-def _emit_json(doc, out_path=None):
-    text = json.dumps(doc, indent=1, sort_keys=False) + "\n"
+def _emit_text(text, out_path=None):
     if out_path:
         _atomic_write_text(out_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(doc, out_path=None):
+    _emit_text(json.dumps(doc, indent=1, sort_keys=False) + "\n", out_path)
 
 
 def _fit_config(cfg):
@@ -238,7 +238,7 @@ def _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs):
         basis=basis, feature_names=ds.feature_names, task=ds.task, w0=w0, W=W,
         b=np.asarray(widths, dtype=np.float64), standardization=ds.standardization,
         centering_offsets=offsets, interactions=interactions, encodings=ds.encodings,
-        feature_ranges=ranges, bandwidth_scale=factor)
+        feature_ranges=ranges, bandwidth_scale=factor, target_classes=ds.target_classes)
 
 
 def _metric_rows(task, preds, y, data_path, model_path):
@@ -325,17 +325,15 @@ def cmd_predict(cfg) -> int:
     preds = model_mod.predict(mdl, X)
     lines = ["row_id,prediction"]
     lines.extend(f"{rid},{float(p)!r}" for rid, p in zip(row_ids, preds))
-    text = "\n".join(lines) + "\n"
-    if cfg["out"]:
-        _atomic_write_text(cfg["out"], text)
-    else:
-        sys.stdout.write(text)
+    _emit_text("\n".join(lines) + "\n", cfg["out"])
     return EXIT_OK
 
 
 def cmd_evaluate(cfg) -> int:
     mdl = model_mod.load(cfg["model"])
-    X, y, _, report = _load_model_rows(cfg, mdl, target_column=cfg["target"], task=mdl.task)
+    # a model file without target_classes maps this file's sorted labels to 0/1
+    X, y, _, report = _load_model_rows(cfg, mdl, target_column=cfg["target"], task=mdl.task,
+                                       target_classes=mdl.target_classes)
     rows = _metric_rows(mdl.task, model_mod.predict(mdl, X), y, cfg["data"], cfg["model"])
     _emit_json({"command": "evaluate", "ingest": report, "metrics": rows,
                 "config": _echo_config(cfg)}, cfg["out"])

@@ -27,7 +27,7 @@ class MissingColumnError(DataError):
 
 
 class TargetClassError(DataError):
-    """The classification target does not hold exactly two distinct values."""
+    """The classification target does not hold two distinct values, or holds an unseen one."""
 
 
 class ModelFileError(GpnamError):

@@ -53,6 +53,7 @@ class GPNAMModel:
     encodings: list[dict] | None = None
     feature_ranges: tuple[np.ndarray, np.ndarray] | None = None
     bandwidth_scale: float | None = None
+    target_classes: list[str] | None = None
 
     def __post_init__(self):
         names = self.feature_names
@@ -84,6 +85,11 @@ class GPNAMModel:
                 "{kind: ordinal, categories: [str, ...]} per feature")
         if self.task not in (TASK_REGRESSION, TASK_CLASSIFICATION):
             raise ModelInvariantError(f"unknown task {self.task!r}")
+        tc = self.target_classes
+        if tc is not None and not (self.task == TASK_CLASSIFICATION and isinstance(tc, list)
+                                   and len(tc) == 2 and tc[0] != tc[1]
+                                   and all(isinstance(c, str) for c in tc)):
+            raise ModelInvariantError("target_classes must be 2 distinct strings of a classifier")
         if self.interactions and self.basis.pair_z is None:
             raise ModelInvariantError("interaction terms need a basis with pairwise frequencies")
         for (i, j, wij) in self.interactions:
@@ -277,6 +283,8 @@ def save(model: GPNAMModel, path) -> None:
         },
         "bandwidth_scale": model.bandwidth_scale,
     }
+    if model.target_classes is not None:
+        doc["target_classes"] = model.target_classes
     _atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
@@ -366,7 +374,7 @@ def load(path) -> GPNAMModel:
                           w0=w0, W=W, b=b, standardization=(means, scales),
                           centering_offsets=offsets, interactions=interactions,
                           encodings=doc.get("encodings"), feature_ranges=ranges,
-                          bandwidth_scale=bw)
+                          bandwidth_scale=bw, target_classes=doc.get("target_classes"))
     except ModelInvariantError as exc:
         raise ModelInvariantError(f"{path}: {exc}") from None
 

@@ -46,7 +46,6 @@ class FitConfig:
     sgd_epochs: int = 100
     sgd_lr_decay: float = 0.99
     sgd_tol: float = 1e-6
-    regularize_bias: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -107,7 +106,6 @@ class StackedFeatures:
     phi: np.ndarray
     S: int
     d: int
-    pairs: tuple = ()
 
     @property
     def n(self) -> int:
@@ -126,10 +124,10 @@ class StackedFeatures:
         return slice(base + k * self.S, base + (k + 1) * self.S)
 
 
-def _penalty_mask(dim, cfg):
-    """1 on each coordinate lam penalizes; the bias's is 0 unless regularize_bias."""
+def _penalty_mask(dim):
+    """1 on each coordinate lam penalizes: all but the bias."""
     mask = np.ones(dim)
-    mask[0] = float(cfg.regularize_bias)
+    mask[0] = 0.0
     return mask
 
 
@@ -151,12 +149,12 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite entries")
     n, d = X.shape
-    pairs = tuple((int(i), int(j)) for i, j in pairs) if pairs else ()
+    pairs = [(int(i), int(j)) for i, j in pairs or ()]
     for (i, j) in pairs:
         if not (0 <= i < d and 0 <= j < d) or i == j:
             raise ValueError(f"invalid interaction pair ({i}, {j}) for d={d}")
     feats = StackedFeatures(phi=np.empty((n, 1 + basis.S * (d + len(pairs)))),
-                            S=basis.S, d=d, pairs=pairs)
+                            S=basis.S, d=d)
     _kernels.featurize(X, basis.z, basis.c, widths, out=feats.phi[:, :1 + basis.S * d])
     if pairs:
         from .rff import pair_feature_map  # local import to avoid a cycle
@@ -209,7 +207,7 @@ def solve_ridge_cg(features: StackedFeatures, y, cfg: FitConfig | None = None):
     """Solve (lam*I + Phi^T Phi) w = Phi^T y exactly on the formed Gram matrix.
 
     G = Phi^T Phi (D^2 * 8 bytes) is built once, lam goes onto its diagonal
-    (not the bias coordinate's unless regularize_bias), and one np.linalg.solve,
+    (not the bias coordinate's), and one np.linalg.solve,
     which copies the D x D system, gives w. lam > 0 and the bias column of ones
     make the system positive definite. The report holds ||A w - v|| / ||v|| and
     a wall_time that includes building G and Phi^T y. Returns (w, SolverReport).
@@ -226,7 +224,7 @@ def solve_ridge_cg(features: StackedFeatures, y, cfg: FitConfig | None = None):
 
     t0 = time.perf_counter()
     gram = phi.T @ phi
-    gram[np.diag_indices_from(gram)] += cfg.lam * _penalty_mask(phi.shape[1], cfg)
+    gram[np.diag_indices_from(gram)] += cfg.lam * _penalty_mask(phi.shape[1])
     v = phi.T @ y
     w = np.linalg.solve(gram, v)
     rel = float(np.linalg.norm(gram @ w - v) / np.linalg.norm(v)) if v.any() else 0.0
@@ -248,16 +246,15 @@ def sigmoid(t):
     return out if out.ndim else float(out)
 
 
-def logistic_objective(w, phi, y_pm, lam, regularize_bias=False):
+def logistic_objective(w, phi, y_pm, lam):
     """Regularized logistic loss and its gradient.
 
     loss = mean(log(1 + exp(-y * phi w))) + lam/(2n) * ||w_reg||^2 with
-    y in {-1, +1}; the bias coordinate is excluded from the penalty unless
-    regularize_bias is set.
+    y in {-1, +1}; w_reg is w with the bias coordinate, never penalized, at 0.
     """
     n = phi.shape[0]
     margins = y_pm * (phi @ w)
-    w_reg = w if regularize_bias else np.concatenate(([0.0], w[1:]))
+    w_reg = np.concatenate(([0.0], w[1:]))
     loss = float(np.mean(np.logaddexp(0.0, -margins)))
     loss += 0.5 * lam / n * float(w_reg @ w_reg)
     grad = -(phi.T @ (y_pm * sigmoid(-margins))) / n
@@ -306,17 +303,16 @@ def fit_logistic_newton(features: StackedFeatures, y, cfg: FitConfig | None = No
     except for rounding-level moves at the end. The fit stops once
     ||grad|| <= NEWTON_TOL (converged), after NEWTON_MAX_ITER steps, or when
     no step length lowers the loss (both not converged). A non-finite Newton
-    step raises NumericBreakdownError. Only cfg.lam and cfg.regularize_bias
-    are read. Returns (w, SolverReport).
+    step raises NumericBreakdownError. Only cfg.lam is read. Returns (w, SolverReport).
     """
     cfg = cfg or FitConfig()
     phi = features.phi
     n, dim = phi.shape
     y_pm, degenerate = _pm_labels(y, n)
-    mask = _penalty_mask(dim, cfg)
+    mask = _penalty_mask(dim)
 
     def objective(wv):
-        return logistic_objective(wv, phi, y_pm, cfg.lam, cfg.regularize_bias)
+        return logistic_objective(wv, phi, y_pm, cfg.lam)
 
     t0 = time.perf_counter()
     w = np.zeros(dim)
@@ -373,11 +369,11 @@ def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,
         w = np.array(w_init, dtype=np.float64, copy=True)
         if w.shape != (dim,):
             raise ValueError("w_init has the wrong dimension")
-    mask = _penalty_mask(dim, cfg)
+    mask = _penalty_mask(dim)
     batch = min(cfg.sgd_batch, n)
 
     def full_loss(wv):
-        return logistic_objective(wv, phi, y_pm, cfg.lam, cfg.regularize_bias)[0]
+        return logistic_objective(wv, phi, y_pm, cfg.lam)[0]
 
     t0 = time.perf_counter()
     trace = [full_loss(w)]

@@ -35,6 +35,12 @@ def test_every_traced_target_exists():
     assert callable(gpnam.model.predict_raw)
 
 
+def test_package_root_exports_only_backend_and_version():
+    # the package is used through its modules; the benchmark reads BACKEND
+    assert gpnam.__all__ == ["BACKEND", "__version__"]
+    assert isinstance(gpnam.BACKEND, str)
+
+
 def test_every_workload_flag_is_read_by_its_command(tmp_path):
     workloads = load_perfbench("workloads")
     parser = cli.build_parser()

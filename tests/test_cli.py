@@ -80,7 +80,6 @@ class TestTrain:
         doc = json.loads(out)
         assert doc["solver"]["converged"]
         assert doc["validation"][0]["metric"] == "rmse"
-        assert doc["config"]["backend"] in ("numba", "numpy")
         assert mpath.exists()
 
     def test_classification_end_to_end(self, tmp_path, clf_csv, capsys):
@@ -95,9 +94,10 @@ class TestTrain:
         assert 0.6 <= metrics_by_name["auc"] <= 1.0
         m = model.load(mpath)
         assert m.task == "binary_classification"
+        assert m.target_classes == ["0", "1"]
 
-    def test_diverged_sgd_is_numeric_breakdown(self, tmp_path, clf_csv, capsys,
-                                               monkeypatch):
+    def test_newton_breakdown_is_numeric_breakdown(self, tmp_path, clf_csv, capsys,
+                                                   monkeypatch):
         def breakdown(*args, **kwargs):
             raise NumericBreakdownError("non-finite Newton step at iteration 0")
 
@@ -384,7 +384,7 @@ class TestCommandTable:
         code, out, _ = run(capsys, command, *argv)
         assert code == 0
         _, _, required, other = cli._COMMANDS[command]
-        assert set(json.loads(out)["config"]) == {*required, *other, "command", "backend"}
+        assert set(json.loads(out)["config"]) == {*required, *other, "command"}
 
     def test_each_command_takes_exactly_its_flags(self):
         parser = cli.build_parser()
@@ -527,6 +527,54 @@ class TestEvaluate:
                            "--model", str(mpath))
         assert code == 2
         assert "repeated" in err
+
+    @staticmethod
+    def relabel(clf_csv, tmp_path, name, labels):
+        """``clf_csv`` with its 0/1 labels written as ``labels[0]``/``labels[1]``."""
+        lines = Path(clf_csv).read_text().splitlines()
+        rows = [line.rsplit(",", 1) for line in lines[1:]]
+        path = tmp_path / name
+        path.write_text("\n".join([lines[0]] + [f"{x},{labels[int(y)]}" for x, y in rows]) + "\n")
+        return str(path)
+
+    def train_no_yes(self, clf_csv, tmp_path, capsys):
+        data_path = self.relabel(clf_csv, tmp_path, "no_yes.csv", ("no", "yes"))
+        mpath = tmp_path / "m.json"
+        code, _, _ = run(capsys, "train", "--data", data_path, "--target", "y",
+                         "--task", "clf", "--model", str(mpath), "--S", "8")
+        assert code == 0
+        return data_path, mpath
+
+    def test_label_unseen_at_training_is_data_error(self, tmp_path, clf_csv, capsys):
+        _, mpath = self.train_no_yes(clf_csv, tmp_path, capsys)
+        # the rows labelled "yes" at training are labelled "no" here
+        other = self.relabel(clf_csv, tmp_path, "maybe_no.csv", ("maybe", "no"))
+        out = tmp_path / "e.json"
+        code, _, err = run(capsys, "evaluate", "--data", other, "--target", "y",
+                           "--model", str(mpath), "--out", str(out))
+        assert code == 2
+        assert "'maybe'" in err and "unseen" in err
+        assert not out.exists()
+
+    def test_model_file_without_target_classes_evaluates_as_before(self, tmp_path, clf_csv,
+                                                                   capsys):
+        data_path, mpath = self.train_no_yes(clf_csv, tmp_path, capsys)
+        doc = json.loads(mpath.read_text())
+        assert doc.pop("target_classes") == ["no", "yes"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc, indent=1) + "\n")
+        metrics = []
+        for path in (mpath, bare):
+            code, out, _ = run(capsys, "evaluate", "--data", data_path, "--target", "y",
+                               "--model", str(path))
+            assert code == 0
+            metrics.append([(r["metric"], r["value"], r["n"]) for r in json.loads(out)["metrics"]])
+        assert metrics[0] == metrics[1]
+        # without the key, the evaluation file's own sorted labels map to 0/1
+        other = self.relabel(clf_csv, tmp_path, "maybe_no.csv", ("maybe", "no"))
+        code, _, _ = run(capsys, "evaluate", "--data", other, "--target", "y",
+                         "--model", str(bare))
+        assert code == 0
 
 
 class TestMetricTable:

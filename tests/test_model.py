@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,14 @@ class TestPersistence:
         X = rng.uniform(-1, 1, (5, 2))
         assert np.array_equal(model.predict(back, X), model.predict(m, X))
 
+    def test_round_trip_keeps_target_classes(self, tmp_path):
+        m, path = self.trained(tmp_path)
+        assert "target_classes" not in json.loads(path.read_text())
+        clf = replace(m, task="binary_classification", target_classes=["no", "yes"])
+        model.save(clf, path)
+        assert json.loads(path.read_text())["target_classes"] == ["no", "yes"]
+        assert model.load(path).target_classes == ["no", "yes"]
+
     def test_truncated_file(self, tmp_path):
         m, path = self.trained(tmp_path)
         text = path.read_text()
@@ -527,6 +536,12 @@ class TestInvariants:
         {"task": "multiclass"},
         {"interactions": [(0, 1, np.zeros(4))]},
         {"feature_names": ["a", "a"]},
+        {"target_classes": ["no", "yes"]},
+        {"task": "binary_classification", "target_classes": ["no", "no"]},
+        {"task": "binary_classification", "target_classes": ["no"]},
+        {"task": "binary_classification", "target_classes": ["no", 1]},
+        {"task": "binary_classification", "target_classes": [["no"], ["yes"]]},
+        {"task": "binary_classification", "target_classes": "ny"},
     ])
     def test_violation_raises(self, overrides):
         with pytest.raises(ModelInvariantError):

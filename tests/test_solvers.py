@@ -18,12 +18,11 @@ def make_features(phi, S=1, d=None):
     return solvers.StackedFeatures(phi=phi, S=S, d=d if d is not None else 0)
 
 
-def dense_ridge_solve(phi, y, lam, regularize_bias):
+def dense_ridge_solve(phi, y, lam):
     """Oracle: explicit normal-equations matrix + direct factorization."""
     D = phi.shape[1]
     reg = np.eye(D) * lam
-    if not regularize_bias:
-        reg[0, 0] = 0.0
+    reg[0, 0] = 0.0
     return np.linalg.solve(reg + phi.T @ phi, phi.T @ y)
 
 
@@ -128,9 +127,10 @@ class TestSolveRidgeCg:
 
     def test_unit_vector_analytic(self):
         feats = make_features(np.array([[1.0, 0.0, 0.0]]))
-        cfg = solvers.FitConfig(lam=1.0, regularize_bias=True)
+        cfg = solvers.FitConfig(lam=1.0)
         w, report = solvers.solve_ridge_cg(feats, np.array([1.0]), cfg)
-        assert w == pytest.approx([0.5, 0.0, 0.0], abs=1e-10)
+        # the bias is not penalized, so it fits y exactly
+        assert w == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
         assert report.converged
 
     def test_matches_dense_oracle(self):
@@ -140,13 +140,12 @@ class TestSolveRidgeCg:
             phi = np.hstack([np.ones((n, 1)), rng.normal(size=(n, D - 1)) * 0.2])
             y = rng.normal(size=n)
             feats = make_features(phi)
-            for reg_bias in (False, True):
-                cfg = solvers.FitConfig(lam=1.0, cg_tol=1e-12, regularize_bias=reg_bias)
-                w, report = solvers.solve_ridge_cg(feats, y, cfg)
-                want = dense_ridge_solve(phi, y, 1.0, reg_bias)
-                rel = np.max(np.abs(w - want)) / np.max(np.abs(want))
-                assert rel < 1e-8
-                assert report.converged
+            cfg = solvers.FitConfig(lam=1.0, cg_tol=1e-12)
+            w, report = solvers.solve_ridge_cg(feats, y, cfg)
+            want = dense_ridge_solve(phi, y, 1.0)
+            rel = np.max(np.abs(w - want)) / np.max(np.abs(want))
+            assert rel < 1e-8
+            assert report.converged
 
     def test_normal_equation_residual_bound(self):
         rng = np.random.default_rng(5)
@@ -176,21 +175,19 @@ class TestSolveRidgeCg:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(S=st.integers(1, 40), mode=st.sampled_from(rff.MODES),
-           seed=st.integers(0, 2**16), lam=st.floats(0.1, 10.0),
-           regularize_bias=st.booleans())
-    def test_rff_design_matches_direct_solve(self, S, mode, seed, lam, regularize_bias):
+           seed=st.integers(0, 2**16), lam=st.floats(0.1, 10.0))
+    def test_rff_design_matches_direct_solve(self, S, mode, seed, lam):
         rng = np.random.default_rng(seed)
         n, d = 60, 3
         X = rng.normal(size=(n, d))
         y = np.sin(X).sum(axis=1) + 0.1 * rng.normal(size=n)
         basis = rff.build_basis(S, mode, seed)
         feats = solvers.stack_features(basis, rng.uniform(0.3, 2.0, d), X)
-        cfg = solvers.FitConfig(lam=lam, regularize_bias=regularize_bias)
+        cfg = solvers.FitConfig(lam=lam)
         w, report = solvers.solve_ridge_cg(feats, y, cfg)
         phi = feats.phi
         reg = lam * np.eye(phi.shape[1])
-        if not regularize_bias:
-            reg[0, 0] = 0.0
+        reg[0, 0] = 0.0
         A, v = reg + phi.T @ phi, phi.T @ y
         want = np.linalg.solve(A, v)
         assert report.converged
@@ -291,14 +288,13 @@ class TestLogisticSgd:
         assert np.array_equal(w1, w2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("regularize_bias", [False, True])
-    def test_diverged_loss_is_numeric_breakdown(self, regularize_bias):
+    def test_diverged_loss_is_numeric_breakdown(self):
         """A diverging fit raises its one error and prints no numpy warning."""
         rng = np.random.default_rng(37)
         phi = np.hstack([np.ones((50, 1)), rng.normal(size=(50, 3))])
         y = (rng.uniform(size=50) < 0.5).astype(float)
         feats = make_features(phi)
-        cfg = solvers.FitConfig(sgd_lr=1e308, sgd_epochs=5, regularize_bias=regularize_bias)
+        cfg = solvers.FitConfig(sgd_lr=1e308, sgd_epochs=5)
         with pytest.raises(NumericBreakdownError, match="diverged"):
             solvers.fit_logistic_sgd(feats, y, cfg)
 
@@ -359,16 +355,15 @@ class TestLogisticNewton:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), n=st.integers(20, 120), D=st.integers(2, 12),
-           lam=st.floats(0.05, 20.0), regularize_bias=st.booleans())
-    def test_converges_below_sgd_and_reruns_bit_identically(self, seed, n, D, lam,
-                                                            regularize_bias):
+           lam=st.floats(0.05, 20.0))
+    def test_converges_below_sgd_and_reruns_bit_identically(self, seed, n, D, lam):
         rng = np.random.default_rng(seed)
         phi = np.hstack([np.ones((n, 1)), rng.normal(size=(n, D - 1))])
         y = (rng.uniform(size=n) < 0.5).astype(float)
         y[:2] = (0.0, 1.0)
         feats = make_features(phi)
-        cfg = solvers.FitConfig(lam=lam, regularize_bias=regularize_bias, sgd_lr=0.5,
-                                sgd_batch=n, sgd_epochs=2000, sgd_lr_decay=1.0, sgd_tol=0.0)
+        cfg = solvers.FitConfig(lam=lam, sgd_lr=0.5, sgd_batch=n, sgd_epochs=2000,
+                                sgd_lr_decay=1.0, sgd_tol=0.0)
         w, report = solvers.fit_logistic_newton(feats, y, cfg)
         assert report.converged and report.gradient_norm <= solvers.NEWTON_TOL
         assert np.all(np.diff(report.loss_trace) <= 1e-15)
@@ -438,7 +433,7 @@ class TestGridSeed:
     def predictions(self, mode, seed, S):
         basis = rff.build_basis(S, mode, seed)
         phi = solvers.stack_features(basis, self.widths, self.X).phi
-        w = dense_ridge_solve(phi, self.y, 0.1, regularize_bias=False)
+        w = dense_ridge_solve(phi, self.y, 0.1)
         return solvers.stack_features(basis, self.widths, self.X_new).phi @ w
 
     @pytest.mark.parametrize("S", [15, 16])
