@@ -75,10 +75,6 @@ class _Setting(NamedTuple):
     choices: list | None = None
 
 
-# config keys that go to solvers.FitConfig; their defaults are its field defaults
-_FIT_KEYS = ("lam", "seed")
-_FIT = solvers.FitConfig()
-
 # Every setting a command can read, in --help order; "config" is the flag of
 # the config file, which every command takes.
 _SETTINGS = {
@@ -87,11 +83,11 @@ _SETTINGS = {
     "task": _Setting("--task", "reg or clf", choices=sorted(_TASK_ALIASES)),
     "S": _Setting("--S", "basis size", 100, int),
     "mode": _Setting("--mode", "mc or grid", "grid", choices=sorted(_MODE_ALIASES)),
-    "seed": _Setting("--seed", "random seed", _FIT.seed, int),
+    "seed": _Setting("--seed", "random seed", 0, int),
     "bandwidth_scale": _Setting(
         "--bandwidth-scale", "kernel width factor, or 'auto' for a validation grid search",
         "1.0"),
-    "lam": _Setting("--lambda", "L2 strength", _FIT.lam, float),
+    "lam": _Setting("--lambda", "L2 strength", solvers.FitConfig.lam, float),
     "split": _Setting("--split", "train,val,test fractions", "0.8,0.1,0.1"),
     "model": _Setting("--model", "model file path"),
     "out": _Setting("--out", "output file path"),
@@ -136,7 +132,8 @@ def _check_file_value(key, value):
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """The command's settings: defaults, then the config file, then the flags."""
+    """The command's settings, sorted by key: defaults, then the config file,
+    then the flags. Each value leaves here typed and bounded."""
     _, _, required, other = _COMMANDS[args.command]
     keys = required + other
     cfg = {key: _SETTINGS[key].default for key in keys}
@@ -165,15 +162,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["task"] = _TASK_ALIASES[cfg["task"]]
     if "mode" in cfg:
         cfg["mode"] = _MODE_ALIASES[cfg["mode"]]
-    for key, low in (("S", 1), ("grid_points", 2), ("density_bins", 1)):
+    for key, low in (("S", 1), ("seed", 0), ("grid_points", 2), ("density_bins", 1)):
         if cfg.get(key, low) < low:
             raise UsageError(f"{_SETTINGS[key].flag} must be >= {low}")
-    return cfg
+    return dict(sorted(cfg.items()))
 
 
 def _parse_split(text):
     try:
-        fractions = [float(p) for p in str(text).split(",")]
+        fractions = [float(p) for p in text.split(",")]
     except ValueError:
         raise UsageError(f"bad split fractions {text!r}") from None
     return data_mod.split_fractions(fractions)
@@ -181,7 +178,7 @@ def _parse_split(text):
 
 def _candidate_scales(text):
     """The bandwidth scales train fits: the grid for 'auto', else the one given."""
-    text = str(text).strip().lower()
+    text = text.strip().lower()
     if text == "auto":
         return BANDWIDTH_GRID
     try:
@@ -196,7 +193,7 @@ def _candidate_scales(text):
 def _parse_interactions(text):
     """Sorted distinct (i, j) pairs with 0 <= i < j; stack_features checks j against d."""
     pairs = set()
-    for item in str(text).split(",") if text else ():
+    for item in text.split(",") if text else ():
         try:
             i, j = (int(v) for v in item.split(":"))
         except ValueError:
@@ -205,10 +202,6 @@ def _parse_interactions(text):
             raise UsageError(f"bad interaction pair {item!r}; need two distinct indices >= 0")
         pairs.add((min(i, j), max(i, j)))
     return sorted(pairs)
-
-
-def _echo_config(cfg) -> dict:
-    return {k: cfg[k] for k in sorted(cfg)}
 
 
 def _emit_text(text, out_path=None):
@@ -222,11 +215,6 @@ def _emit_json(doc, out_path=None):
     _emit_text(json.dumps(doc, indent=1, sort_keys=False) + "\n", out_path)
 
 
-def _fit_config(cfg):
-    # each value takes its setting's type (a config file may give lam 2)
-    return solvers.FitConfig(**{key: _SETTINGS[key].type(cfg[key]) for key in _FIT_KEYS})
-
-
 def _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs):
     d, S = ds.d, basis.S
     w0 = float(w[0])
@@ -236,7 +224,7 @@ def _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs):
                         for i in range(d)])
     return model_mod.GPNAMModel(
         basis=basis, feature_names=ds.feature_names, task=ds.task, w0=w0, W=W,
-        b=np.asarray(widths, dtype=np.float64), standardization=ds.standardization,
+        b=widths, standardization=ds.standardization,
         centering_offsets=offsets, interactions=interactions, encodings=ds.encodings,
         feature_ranges=ranges, bandwidth_scale=factor, target_classes=ds.target_classes)
 
@@ -245,7 +233,7 @@ def _metric_rows(task, preds, y, data_path, model_path):
     """One ``{metric, value, n, dataset, model}`` row per metric of the task."""
     # looked up by name at call time, so a wrapper installed on metrics_mod sees the call
     return [{"metric": name, "value": getattr(metrics_mod, name)(preds, y), "n": int(y.shape[0]),
-             "dataset": str(data_path), "model": str(model_path)}
+             "dataset": data_path, "model": model_path}
             for name in _TASK_METRICS[task][0]]
 
 
@@ -253,16 +241,15 @@ def cmd_train(cfg) -> int:
     # every setting that does not depend on the data is checked before reading it
     fractions = _parse_split(cfg["split"])
     scales = _candidate_scales(cfg["bandwidth_scale"])
-    fit_cfg = _fit_config(cfg)
+    fit_cfg = solvers.FitConfig(lam=cfg["lam"])
     pairs = _parse_interactions(cfg["interactions"])
     task = cfg["task"]
     ds = data_mod.load_csv(cfg["data"], cfg["target"], task)
     # split raw rows first: every fitted statistic comes from the training rows
-    train, val, test = data_mod.split(ds, fractions, seed=int(cfg["seed"]))
+    train, val, test = data_mod.split(ds, fractions, seed=cfg["seed"])
     ranges = model_mod.training_ranges(train.X)
     train = data_mod.standardize(train)
-    basis = rff.build_basis(int(cfg["S"]), cfg["mode"], int(cfg["seed"]),
-                            with_pairs=bool(pairs))
+    basis = rff.build_basis(cfg["S"], cfg["mode"], cfg["seed"], with_pairs=bool(pairs))
 
     def fit(factor):
         # the design matrices are local, so only one scale's is held at a time
@@ -285,7 +272,7 @@ def cmd_train(cfg) -> int:
 
     doc = {
         "command": "train",
-        "model": str(cfg["model"]),
+        "model": cfg["model"],
         "task": task,
         "chosen_bandwidth_scale": mdl.bandwidth_scale,
         "bandwidth_search": None if len(scales) == 1 else [
@@ -295,7 +282,7 @@ def cmd_train(cfg) -> int:
         "split_sizes": {"train": int(train.n), "val": int(val.n), "test": int(test.n)},
         "solver": report.to_dict(),
         "validation": val_rows,
-        "config": _echo_config(cfg),
+        "config": cfg,
     }
     _emit_json(doc, cfg["out"])
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
@@ -305,11 +292,11 @@ def _model_encodings(mdl):
     return mdl.encodings or [{"kind": "numeric"} for _ in range(mdl.d)]
 
 
-def _load_model_rows(cfg, mdl, **target):
-    """``load_features`` on ``cfg["data"]`` with the model's encodings. When
+def _load_model_rows(path, mdl, **target):
+    """``load_features`` on ``path`` with the model's encodings. When
     the model stores its training ranges, the report also counts the rows
     outside them: extrapolation is allowed but flagged."""
-    X, y, row_ids, report = data_mod.load_features(cfg["data"], mdl.feature_names,
+    X, y, row_ids, report = data_mod.load_features(path, mdl.feature_names,
                                                    _model_encodings(mdl), **target)
     if mdl.feature_ranges is not None:
         mins, maxs = mdl.feature_ranges
@@ -320,7 +307,7 @@ def _load_model_rows(cfg, mdl, **target):
 
 def cmd_predict(cfg) -> int:
     mdl = model_mod.load(cfg["model"])
-    X, _, row_ids, report = _load_model_rows(cfg, mdl)
+    X, _, row_ids, report = _load_model_rows(cfg["data"], mdl)
     print(json.dumps(report), file=sys.stderr)
     preds = model_mod.predict(mdl, X)
     lines = ["row_id,prediction"]
@@ -332,20 +319,20 @@ def cmd_predict(cfg) -> int:
 def cmd_evaluate(cfg) -> int:
     mdl = model_mod.load(cfg["model"])
     # a model file without target_classes maps this file's sorted labels to 0/1
-    X, y, _, report = _load_model_rows(cfg, mdl, target_column=cfg["target"], task=mdl.task,
-                                       target_classes=mdl.target_classes)
+    X, y, _, report = _load_model_rows(cfg["data"], mdl, target_column=cfg["target"],
+                                       task=mdl.task, target_classes=mdl.target_classes)
     rows = _metric_rows(mdl.task, model_mod.predict(mdl, X), y, cfg["data"], cfg["model"])
     _emit_json({"command": "evaluate", "ingest": report, "metrics": rows,
-                "config": _echo_config(cfg)}, cfg["out"])
+                "config": cfg}, cfg["out"])
     return EXIT_OK
 
 
 def cmd_shapes(cfg) -> int:
     mdl = model_mod.load(cfg["model"])
-    points = int(cfg["grid_points"])
+    points = cfg["grid_points"]
     X_data = None
     if cfg["data"]:
-        X_data, _, _, report = _load_model_rows(cfg, mdl)
+        X_data, _, _, report = _load_model_rows(cfg["data"], mdl)
         print(json.dumps(report), file=sys.stderr)
     if mdl.feature_ranges is not None:
         mins, maxs = mdl.feature_ranges
@@ -361,7 +348,7 @@ def cmd_shapes(cfg) -> int:
     model_mod.write_shape_csv(tables, cfg["out"])
 
     if X_data is not None:
-        bins = int(cfg["density_bins"])
+        bins = cfg["density_bins"]
         lines = ["feature,bin_left,bin_right,count"]
         for i, name in enumerate(map(model_mod.csv_field, mdl.feature_names)):
             counts, edges = np.histogram(X_data[:, i], bins=bins)
@@ -377,8 +364,7 @@ def _density_path(out_path: str) -> Path:
 
 
 def cmd_synth(cfg) -> int:
-    ds = data_mod.synth_additive(int(cfg["n"]), int(cfg["d"]),
-                                 float(cfg["noise_sd"]), seed=int(cfg["seed"]))
+    ds = data_mod.synth_additive(cfg["n"], cfg["d"], cfg["noise_sd"], seed=cfg["seed"])
     lines = [",".join(ds.feature_names + ["y"])]
     for i in range(ds.n):
         cells = [repr(float(v)) for v in ds.X[i]] + [repr(float(ds.y[i]))]
@@ -394,8 +380,7 @@ def cmd_synth(cfg) -> int:
 _COMMANDS = {
     "train": (cmd_train, "fit a model on a CSV file and save it",
               ("data", "target", "task", "model"),
-              ("S", "mode", "bandwidth_scale", "split", "interactions", "out",
-               *_FIT_KEYS)),
+              ("S", "mode", "bandwidth_scale", "split", "interactions", "out", "lam", "seed")),
     "predict": (cmd_predict, "write predictions for a feature CSV",
                 ("data", "model"), ("out",)),
     "evaluate": (cmd_evaluate, "compute metrics of a saved model on labeled data",

@@ -274,7 +274,10 @@ def split(ds: Dataset, fractions=(0.8, 0.1, 0.1), seed=0):
     A seeded permutation is sliced contiguously. For classification the
     permutation is stratified: each class is shuffled separately and the
     classes are interleaved by within-class position, so any contiguous slice
-    preserves class proportions to within one element per class.
+    preserves class proportions to within one element per class. AUC scores
+    the validation part, so when a validation part of two or more rows lacks
+    a class of which training holds two or more rows, training's last row of
+    that class trades places with the validation part's last row.
     """
     fractions = split_fractions(fractions)
     n = ds.n
@@ -288,8 +291,13 @@ def split(ds: Dataset, fractions=(0.8, 0.1, 0.1), seed=0):
     n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(f"split of {n} rows by {fractions} leaves an empty part")
-    parts = (order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:])
-    return tuple(_take(ds, idx) for idx in parts)
+    train, val, test = order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
+    if ds.task == TASK_CLASSIFICATION and n_val > 1:
+        for cls in np.unique(ds.y):
+            rows = np.flatnonzero(ds.y[train] == cls)
+            if rows.size > 1 and not np.any(ds.y[val] == cls):
+                train[rows[-1]], val[-1] = val[-1], train[rows[-1]]
+    return tuple(_take(ds, idx) for idx in (train, val, test))
 
 
 def _stratified_order(y, rng):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, rff
 from .errors import NumericBreakdownError
 
 # Newton stops once ||grad|| <= NEWTON_TOL, or after NEWTON_MAX_ITER steps
@@ -157,11 +157,9 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
                             S=basis.S, d=d)
     _kernels.featurize(X, basis.z, basis.c, widths, out=feats.phi[:, :1 + basis.S * d])
     if pairs:
-        from .rff import pair_feature_map  # local import to avoid a cycle
-
         for k, (i, j) in enumerate(pairs):
             b_ij = math.sqrt(widths[i] * widths[j])
-            feats.phi[:, feats.pair_block(k)] = pair_feature_map(basis, X[:, i], X[:, j], b_ij)
+            feats.phi[:, feats.pair_block(k)] = rff.pair_feature_map(basis, X[:, i], X[:, j], b_ij)
     return feats
 
 

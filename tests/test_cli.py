@@ -203,6 +203,24 @@ class TestTrain:
             models.append(mpath.read_bytes())
         assert models[0] == models[1]
 
+    @pytest.mark.parametrize("scale", ["1.0", "auto"])
+    def test_validation_part_with_one_class_is_refilled(self, tmp_path, capsys, scale):
+        # 5 positives in 100 rows: the stratified slices leave none for validation
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(100, 2))
+        y = np.zeros(100, dtype=int)
+        y[rng.choice(100, 5, replace=False)] = 1
+        path = tmp_path / "rare.csv"
+        path.write_text("x1,x2,y\n" + "".join(f"{a!r},{b!r},{t}\n"
+                                                for (a, b), t in zip(X.tolist(), y)))
+        mpath = tmp_path / "m.json"
+        code, out, err = run(capsys, "train", "--data", str(path), "--target", "y",
+                             "--task", "clf", "--model", str(mpath), "--S", "8",
+                             "--bandwidth-scale", scale)
+        assert code == 0, err
+        assert model.load(mpath).task == data.TASK_CLASSIFICATION
+        assert json.loads(out)["validation"][0]["metric"] == "auc"
+
     def test_byte_order_mark_is_skipped(self, tmp_path, synth_csv, capsys):
         # Excel's "CSV UTF-8" starts the file with a byte-order mark
         bom = tmp_path / "bom.csv"
@@ -332,7 +350,26 @@ class TestSettingsCheckedBeforeReading:
 
     def test_solver_defaults_are_fit_config_defaults(self):
         cfg = cli.resolve_config(cli.build_parser().parse_args(["train"]))
-        assert cli._fit_config(cfg) == solvers.FitConfig()
+        assert cfg["lam"] == solvers.FitConfig().lam
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_negative_seed_is_usage_error(self, tmp_path, synth_csv, capsys, monkeypatch,
+                                          command, source):
+        calls = []
+        for name in ("load_csv", "synth_additive"):
+            monkeypatch.setattr(data, name, lambda *args, **kwargs: calls.append(1))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        seed = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+        inputs = (["--data", synth_csv, "--target", "y", "--task", "reg",
+                   "--model", str(tmp_path / "m.json")] if command == "train" else [])
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, *inputs, "--out", str(out), *seed)
+        assert code == 1
+        assert "--seed must be >= 0" in err
+        assert calls == []
+        assert not out.exists() and not (tmp_path / "m.json").exists()
 
 
 def _flag(key):
@@ -828,6 +865,19 @@ class TestConfigFile:
         assert code == 0
         assert err == ""
         assert json.loads(out)["config"]["lam"] == 2
+
+    def test_integer_lambda_fits_as_the_real_one(self, tmp_path, synth_csv, capsys):
+        # nothing casts lam to float: a JSON 2 reaches the solver as the int 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": 2}))
+        models = []
+        for name, lam in (("flag", ["--lambda", "2"]), ("file", ["--config", str(cfg)])):
+            mpath = tmp_path / f"{name}.json"
+            code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                             "--task", "reg", "--model", str(mpath), "--S", "8", *lam)
+            assert code == 0
+            models.append(mpath.read_bytes())
+        assert models[0] == models[1]
 
     @pytest.mark.parametrize("text", ["5", '"S"', '[["S", 8]]'])
     def test_non_object_rejected(self, tmp_path, capsys, text):

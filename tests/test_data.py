@@ -358,6 +358,38 @@ class TestSplit:
         for part in data.split(ds, (0.8, 0.1, 0.1), seed=0):
             assert abs(part.y.mean() - global_rate) < 0.05
 
+    @staticmethod
+    def _clf_ds(y):
+        rng = np.random.default_rng(1)
+        return data.Dataset(X=rng.normal(size=(y.size, 2)), y=y.astype(float),
+                            feature_names=["a", "b"], task=data.TASK_CLASSIFICATION,
+                            encodings=[{"kind": "numeric"}] * 2)
+
+    def test_validation_part_gets_a_missing_class(self):
+        # 5 positives in 100 rows: the stratified slices give validation none
+        rng = np.random.default_rng(0)
+        y = np.zeros(100)
+        y[rng.choice(100, 5, replace=False)] = 1
+        ds = self._clf_ds(y)
+        order = data._stratified_order(ds.y, np.random.default_rng(0))
+        assert not np.any(ds.y[order[80:90]] == 1)
+        tr, va, te = data.split(ds, (0.8, 0.1, 0.1), seed=0)
+        assert (tr.n, va.n, te.n) == (80, 10, 10)
+        assert np.unique(va.y).tolist() == np.unique(tr.y).tolist() == [0.0, 1.0]
+        all_X = np.concatenate([tr.X, va.X, te.X])
+        assert np.array_equal(np.sort(all_X, axis=0), np.sort(ds.X, axis=0))
+
+    @pytest.mark.parametrize("seed, n", [(0, 300), (1, 300), (2, 300), (3, 10)])
+    def test_split_keeps_the_stratified_slices(self, seed, n):
+        # at n = 300 every part holds both classes; at n = 10 validation has one row
+        rng = np.random.default_rng(seed)
+        ds = self._clf_ds((rng.uniform(size=n) < 0.3).astype(float))
+        order = data._stratified_order(ds.y, np.random.default_rng(seed))
+        n_train, n_val = int(0.8 * n), int(0.1 * n)
+        for part, idx in zip(data.split(ds, (0.8, 0.1, 0.1), seed=seed),
+                             np.split(order, [n_train, n_train + n_val])):
+            assert np.array_equal(part.X, ds.X[idx])
+
     def test_empty_part_rejected(self):
         with pytest.raises(ValueError):
             data.split(self._reg_ds(5), (0.9, 0.05, 0.05), seed=0)
