@@ -9,7 +9,10 @@ predict and shapes --data write it, and synth a summary of its data, as one
 JSON line on stderr.
 
 train fits regression by one exact ridge solve and classification by damped
-Newton on the logistic loss; neither has a setting beyond lambda.
+Newton on the logistic loss; neither has a setting beyond lambda. Its
+--bandwidth-scale auto search fits the scales widest first; with a grid basis
+each narrower scale's design matrix is the last one halved in place
+(_kernels.halve_width), so the search computes its cosines once.
 
 Exit codes: 0 success, 1 usage error, 2 data/model-file error,
 3 solver did not converge (model still saved), 4 numeric breakdown.
@@ -29,7 +32,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from . import rff, solvers
+from . import _kernels, rff, solvers
 from .errors import DataError, ModelFileError, NumericBreakdownError, UndefinedMetricError
 from .model import _atomic_write_text
 
@@ -251,20 +254,31 @@ def cmd_train(cfg) -> int:
     train = data_mod.standardize(train)
     basis = rff.build_basis(cfg["S"], cfg["mode"], cfg["seed"], with_pairs=bool(pairs))
 
-    def fit(factor):
-        # the design matrices are local, so only one scale's is held at a time
-        widths = data_mod.kernel_widths(train, factor)
-        feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
+    def fit(factor, widths, feats):
         if task == data_mod.TASK_REGRESSION:
             w, report = solvers.solve_ridge_cg(feats, train.y, fit_cfg)
         else:
             w, report = solvers.fit_logistic_newton(feats, train.y, fit_cfg)
+        # reads feats before the next, narrower scale halves them
         mdl = _assemble_model(basis, w, feats, widths, train, ranges, factor, pairs)
         rows = _metric_rows(task, model_mod.predict(mdl, val.X), val.y,
                             cfg["data"], cfg["model"])
         return mdl, report, rows
 
-    fits = [fit(factor) for factor in scales]
+    # Widest scale first (BANDWIDTH_GRID ascends): when a grid basis's widths
+    # are exactly half the last ones, halve_width derives this design matrix
+    # from the last one in place, so the auto search computes cosines once.
+    halvable = basis.mode == rff.MODE_GRID and basis.S >= 2
+    fits, feats, widths = [], None, None
+    for factor in reversed(scales):
+        previous, widths = widths, data_mod.kernel_widths(train, factor)
+        if halvable and previous is not None and np.array_equal(widths, previous / 2):
+            _kernels.halve_width(feats.phi, basis.c)
+        else:
+            feats = None  # hold one design matrix at a time
+            feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
+        fits.append(fit(factor, widths, feats))
+    fits.reverse()  # back to the order of scales, for the search list and ties
     # the first metric scores each scale; min and max keep the first of a tie
     pick = max if _TASK_METRICS[task][1] else min
     mdl, report, val_rows = pick(fits, key=lambda f: f[2][0]["value"])

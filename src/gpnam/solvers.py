@@ -137,6 +137,11 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     ``pairs`` is an optional list of (i, j) feature-index tuples; each adds an
     S-column block of two-dimensional RFF features with kernel width
     sqrt(b_i * b_j), and requires a basis built with pairwise frequencies.
+    A width so narrow that an angle z * x / b overflows is a ValueError that
+    names it (an O(n*d) check, before any cosine). The matrix is C-contiguous,
+    so ``_kernels.halve_width`` can take it to half the widths in place; a
+    grid-basis ``train --bandwidth-scale auto`` calls this once, at its widest
+    scale.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -153,14 +158,30 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     for (i, j) in pairs:
         if not (0 <= i < d and 0 <= j < d) or i == j:
             raise ValueError(f"invalid interaction pair ({i}, {j}) for d={d}")
+    x_max = np.maximum(X.max(axis=0, initial=0.0), -X.min(axis=0, initial=0.0))
+    for j in range(d):
+        _check_angles(basis.z[:, None], x_max[j:j + 1], widths[j], f"feature {j}")
+    pair_widths = [math.sqrt(widths[i] * widths[j]) for i, j in pairs]
+    if basis.pair_z is not None:  # else pair_feature_map says what is missing
+        for (i, j), b_ij in zip(pairs, pair_widths):
+            _check_angles(basis.pair_z, x_max[[i, j]], b_ij, f"pair ({i}, {j})")
     feats = StackedFeatures(phi=np.empty((n, 1 + basis.S * (d + len(pairs)))),
                             S=basis.S, d=d)
     _kernels.featurize(X, basis.z, basis.c, widths, out=feats.phi[:, :1 + basis.S * d])
-    if pairs:
-        for k, (i, j) in enumerate(pairs):
-            b_ij = math.sqrt(widths[i] * widths[j])
-            feats.phi[:, feats.pair_block(k)] = rff.pair_feature_map(basis, X[:, i], X[:, j], b_ij)
+    for k, ((i, j), b_ij) in enumerate(zip(pairs, pair_widths)):
+        feats.phi[:, feats.pair_block(k)] = rff.pair_feature_map(basis, X[:, i], X[:, j], b_ij)
     return feats
+
+
+def _check_angles(F, x_max, b, where):
+    """Raise ValueError unless max_s |F[s]| . (x_max / b), which bounds the
+    cosine angles |F[s] . x / b| of inputs with |x| <= x_max, is finite; an
+    infinite angle would make the features NaN."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bound = np.max(np.abs(F) @ (x_max / b))
+    if not np.isfinite(bound):
+        raise ValueError(f"kernel width {float(b)!r} of {where} is too narrow for the "
+                         "inputs: the cosine angles overflow")
 
 
 def conjugate_gradients(apply_A, v, tol=1e-8, max_iter=None):

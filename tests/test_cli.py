@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpnam import cli, data, model, rff, solvers
+from gpnam import _kernels, cli, data, model, rff, solvers
 from gpnam.errors import NumericBreakdownError
 from gpnam.solvers import sigmoid
 
@@ -157,26 +157,88 @@ class TestTrain:
 
     def test_auto_bandwidth_keeps_winning_fit(self, tmp_path, synth_csv, capsys,
                                               monkeypatch):
-        calls = []
+        solved = []
         solve = solvers.solve_ridge_cg
 
-        def counting_solve(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def spying_solve(*args, **kwargs):
+            w, report = solve(*args, **kwargs)
+            solved.append(w.copy())
+            return w, report
 
-        monkeypatch.setattr(solvers, "solve_ridge_cg", counting_solve)
-        auto, fixed = tmp_path / "auto.json", tmp_path / "fixed.json"
+        monkeypatch.setattr(solvers, "solve_ridge_cg", spying_solve)
+        for mode in ("grid", "mc"):
+            solved.clear()
+            auto, fixed = tmp_path / f"auto_{mode}.json", tmp_path / f"fixed_{mode}.json"
+            code, out, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                               "--task", "reg", "--model", str(auto), "--S", "32",
+                               "--mode", mode, "--bandwidth-scale", "auto")
+            assert code == 0
+            assert len(solved) == len(cli.BANDWIDTH_GRID)
+            chosen = json.loads(out)["chosen_bandwidth_scale"]
+            # the scales are fitted widest first; the saved weights are the
+            # chosen fit's as solved, not a refit
+            w = solved[sorted(cli.BANDWIDTH_GRID, reverse=True).index(chosen)]
+            kept = model.load(auto)
+            assert kept.w0 == w[0] and np.array_equal(kept.W.ravel(), w[1:])
+            code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                             "--task", "reg", "--model", str(fixed), "--S", "32",
+                             "--mode", mode, "--bandwidth-scale", repr(chosen))
+            assert code == 0
+            if mode == "mc":
+                assert auto.read_bytes() == fixed.read_bytes()
+                continue
+            # a grid search halves the widest scale's cosines, so its features,
+            # and the weights, differ from a fixed-scale train's by rounding
+            # (measured on this file: 9.0e-14 * max|W|)
+            refit = model.load(fixed)
+            tol = 1e-9 * np.max(np.abs(refit.W))
+            assert np.max(np.abs(kept.W - refit.W)) <= tol
+            assert abs(kept.w0 - refit.w0) <= tol
+            assert np.max(np.abs(kept.centering_offsets - refit.centering_offsets)) <= tol
+
+    def test_auto_bandwidth_lists_grid_order_and_keeps_first_tie(self, tmp_path, synth_csv,
+                                                                  capsys, monkeypatch):
+        monkeypatch.setattr(cli.metrics_mod, "rmse", lambda preds, y: 1.0)
         code, out, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
-                           "--task", "reg", "--model", str(auto), "--S", "32",
+                           "--task", "reg", "--model", str(tmp_path / "m.json"), "--S", "8",
                            "--bandwidth-scale", "auto")
         assert code == 0
-        assert len(calls) == len(cli.BANDWIDTH_GRID)
-        chosen = json.loads(out)["chosen_bandwidth_scale"]
+        doc = json.loads(out)
+        assert doc["chosen_bandwidth_scale"] == 0.25
+        assert [row["bandwidth_scale"] for row in doc["bandwidth_search"]] == \
+            list(cli.BANDWIDTH_GRID)
+
+    @pytest.mark.parametrize("mode, calls", [("grid", 1), ("mc", len(cli.BANDWIDTH_GRID))])
+    def test_auto_bandwidth_cosine_passes(self, tmp_path, synth_csv, capsys, monkeypatch,
+                                          mode, calls):
+        featurized = []
+        featurize = _kernels.featurize
+
+        def counting_featurize(*args, **kwargs):
+            featurized.append(1)
+            return featurize(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "featurize", counting_featurize)
         code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
-                         "--task", "reg", "--model", str(fixed), "--S", "32",
-                         "--bandwidth-scale", repr(chosen))
+                         "--task", "reg", "--model", str(tmp_path / "m.json"), "--S", "8",
+                         "--mode", mode, "--bandwidth-scale", "auto")
         assert code == 0
-        assert auto.read_bytes() == fixed.read_bytes()
+        assert len(featurized) == calls
+
+    def test_overflowing_kernel_width_is_usage_error(self, tmp_path, capsys, recwarn):
+        path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "synth", "--out", str(path), "--n", "300", "--d", "3",
+                         "--seed", "1")
+        assert code == 0
+        mpath = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", str(path), "--target", "y",
+                           "--task", "reg", "--model", str(mpath),
+                           "--bandwidth-scale", "1e-320")
+        assert code == 1
+        assert err == ("gpnam: invalid argument: kernel width 1e-320 of feature 0 is too "
+                       "narrow for the inputs: the cosine angles overflow\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not mpath.exists()
 
     @pytest.mark.parametrize("task", ["reg", "clf"])
     def test_fit_reads_only_the_training_rows(self, tmp_path, synth_csv, clf_csv, capsys,

@@ -1,6 +1,7 @@
 """Stacked features, conjugate gradients, ridge and logistic fits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,54 @@ class TestStackFeatures:
         basis = rff.build_basis(4, "grid", 0)
         with pytest.raises(ValueError, match="positive and finite"):
             solvers.stack_features(basis, [1.0, width], np.zeros((5, 2)))
+
+
+    @pytest.mark.parametrize("pairs", [None, [(0, 1)]])
+    def test_rejects_overflowing_angles(self, pairs):
+        basis = rff.build_basis(4, "grid", 0, with_pairs=True)
+        X = np.full((3, 2), 2.0)
+        # z * (x / b) overflows at the first width, and at the pair's
+        # sqrt(1e-200 * 1e-200), which underflows to 0
+        widths = [1e-320, 1.0] if pairs is None else [1e-200, 1e-200]
+        where = "feature 0" if pairs is None else "pair (0, 1)"
+        with pytest.raises(ValueError, match=f"kernel width .* of {re.escape(where)} "
+                                             "is too narrow"):
+            solvers.stack_features(basis, widths, X, pairs=pairs)
+
+
+class TestHalveWidth:
+    """halve_width against stack_features at half the width. Both round the
+    angle z * x / b + c once, so they differ by about an ulp of the angle
+    (|angle| <= 2 * 3.5 * 2 / (1 / 16) = 224 here, ulp 2.8e-14) plus k
+    rounding steps of the recurrence, each doubled by the halvings after it."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(S=st.integers(2, 64), d=st.integers(1, 3), with_pairs=st.booleans(),
+           k=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_matches_direct_cosines(self, S, d, with_pairs, k, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(0, d - 1)] if with_pairs and d > 1 else None
+        basis = rff.build_basis(S, "grid", seed, with_pairs=bool(pairs))
+        X = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 600)), d))
+        widths = rng.uniform(1.0, 4.0, d)
+        runs = []
+        for _ in range(2):
+            phi = solvers.stack_features(basis, widths, X, pairs=pairs).phi
+            for _ in range(k):
+                assert _kernels.halve_width(phi, basis.c) is phi
+            runs.append(phi)
+        assert runs[0].tobytes() == runs[1].tobytes()
+        want = solvers.stack_features(basis, widths / 2 ** k, X, pairs=pairs).phi
+        assert np.max(np.abs(runs[0] - want)) <= 1e-13
+        assert np.all(runs[0][:, 0] == 1.0)
+
+    def test_rejects_what_it_cannot_halve(self):
+        basis = rff.build_basis(4, "grid", 0)
+        phi = solvers.stack_features(basis, [1.0, 1.0], np.zeros((3, 2))).phi
+        with pytest.raises(ValueError, match="S >= 2"):
+            _kernels.halve_width(phi, basis.c[:3])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kernels.halve_width(np.asfortranarray(phi), basis.c)
 
 
 class TestConjugateGradients:
