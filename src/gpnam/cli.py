@@ -8,8 +8,11 @@ evaluate put their ingest report (rows read and dropped) into their JSON,
 predict and shapes --data write it, and synth a summary of its data, as one
 JSON line on stderr.
 
-train fits regression by one exact ridge solve and classification by damped
-Newton on the logistic loss; neither has a setting beyond lambda. Its
+train fits both tasks with solvers.fit_reduced, in each feature and pair
+block's eigenbasis: regression by one R x R ridge solve, classification by
+damped Newton on the n x R reduced matrix, each followed by a complement step
+on the full problem; neither has a setting beyond lambda. Its report gives R
+(reduced_rank) and judges the weights on the full D-coordinate problem. Its
 --bandwidth-scale auto search fits the scales widest first; with a grid basis
 each narrower scale's design matrix is the last one halved in place
 (_kernels.halve_width), so the search computes its cosines once.
@@ -255,10 +258,7 @@ def cmd_train(cfg) -> int:
     basis = rff.build_basis(cfg["S"], cfg["mode"], cfg["seed"], with_pairs=bool(pairs))
 
     def fit(factor, widths, feats):
-        if task == data_mod.TASK_REGRESSION:
-            w, report = solvers.solve_ridge_cg(feats, train.y, fit_cfg)
-        else:
-            w, report = solvers.fit_logistic_newton(feats, train.y, fit_cfg)
+        w, report = solvers.fit_reduced(feats, train.y, task, fit_cfg)
         # reads feats before the next, narrower scale halves them
         mdl = _assemble_model(basis, w, feats, widths, train, ranges, factor, pairs)
         rows = _metric_rows(task, model_mod.predict(mdl, val.X), val.y,
@@ -290,8 +290,9 @@ def cmd_train(cfg) -> int:
         "task": task,
         "chosen_bandwidth_scale": mdl.bandwidth_scale,
         "bandwidth_search": None if len(scales) == 1 else [
-            {"bandwidth_scale": m.bandwidth_scale, rows[0]["metric"]: rows[0]["value"]}
-            for m, _, rows in fits],
+            {"bandwidth_scale": m.bandwidth_scale, rows[0]["metric"]: rows[0]["value"],
+             "reduced_rank": rep.reduced_rank}
+            for m, rep, rows in fits],
         "ingest": ds.ingest_report,
         "split_sizes": {"train": int(train.n), "val": int(val.n), "test": int(test.n)},
         "solver": report.to_dict(),

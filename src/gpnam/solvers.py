@@ -1,13 +1,27 @@
 """Convex fitting on stacked RFF features.
 
-Regression solves the regularized normal equations
-(lambda*I + sum_n phi_n phi_n^T) w = sum_n y_n phi_n exactly: the Gram matrix
-G = Phi^T Phi is formed once per fit (one pass over the n x D design matrix,
-D^2 * 8 bytes: 5 MB at D = 801) and one np.linalg.solve factors G + lambda*I.
-Binary classification minimizes the L2-regularized logistic loss, which is
-strictly convex for lambda > 0, by damped Newton steps on the D x D Hessian,
-stopping once the gradient norm is at most NEWTON_TOL. Seeded mini-batch SGD
-(fit_logistic_sgd) stays in the library; no command calls it.
+``train`` fits through ``fit_reduced``, in each block's eigenbasis. A
+feature's S cosine columns see one scalar input, and the Gaussian kernel's
+one-dimensional spectrum decays faster than exponentially, so each S-column
+block B_j (every feature block and every interaction-pair block) has only a
+few Gram eigenvalues above rounding. ``fit_reduced`` takes ``eigh`` of each
+S x S block Gram B_j^T B_j, keeps the eigenvectors U_j whose eigenvalue
+exceeds RANK_CUTOFF times the block's largest, fits on the n x R matrix
+P = [1, B_1 U_1, ...] and lifts the weights back, W_j = U_j a_j. The penalty
+is isotropic, so the optimum lies in the row space of Phi and the reduced
+problem is the full one up to the dropped directions. A complement step on
+the full D-space gradient then removes what those carry (more corrections
+follow only while the full problem is unconverged). Regression sums P^T P
+over REDUCED_CHUNK-row chunks and solves one R x R system, so no n x R or
+D x D matrix is formed. Classification builds P and runs damped Newton on
+it. The report judges the lifted weights on the full D-space problem.
+
+``solve_ridge_cg`` (one exact solve on the D x D Gram) and
+``fit_logistic_newton`` (damped Newton on the D x D Hessian, stopping once
+the gradient norm is at most NEWTON_TOL) stay as the exact references the
+tests and the benchmark's tracer name; ``fit_reduced`` runs the latter on P.
+Seeded mini-batch SGD (fit_logistic_sgd) stays in the library; no command
+calls it.
 """
 
 from __future__ import annotations
@@ -15,11 +29,12 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels, rff
+from .data import TASK_CLASSIFICATION, TASK_REGRESSION
 from .errors import NumericBreakdownError
 
 # Newton stops once ||grad|| <= NEWTON_TOL, or after NEWTON_MAX_ITER steps
@@ -29,6 +44,18 @@ NEWTON_MAX_ITER = 50
 # Rows per Hessian chunk: BLAS workspace grows with the chunk, and a fixed
 # chunk order keeps the summed Hessian bit-identical across reruns.
 HESSIAN_CHUNK = 256
+# fit_reduced keeps a block's Gram eigenvectors whose eigenvalue exceeds
+# RANK_CUTOFF times the block's largest. The summed Gram's own rounding
+# reaches a few 1e-15 times the largest, so a kept direction may be rounding;
+# a cutoff of 1e-14 drops those, but then a lam = 1e-6 classification fit
+# needs a second correction.
+RANK_CUTOFF = 1e-15
+# Rows per chunk of the reduced ridge statistics P^T P: no n x R matrix is
+# formed, and a fixed chunk order keeps the sum bit-identical across reruns.
+REDUCED_CHUNK = 1024
+# fit_reduced's corrections on the full problem: the first, the complement
+# step, always runs; the others only while the full problem is unconverged.
+COMPLEMENT_STEPS = 3
 
 
 @dataclass
@@ -79,6 +106,7 @@ class SolverReport:
     degenerate: bool = False
     loss_trace: list[float] = field(default_factory=list)
     gradient_norm: float | None = None
+    reduced_rank: int | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -95,6 +123,9 @@ class SolverReport:
             out["loss_last"] = self.loss_trace[-1]
         if self.gradient_norm is not None:
             out["gradient_norm"] = self.gradient_norm
+        if self.reduced_rank is not None:
+            out["reduced_rank"] = self.reduced_rank
+            out["rank_cutoff"] = RANK_CUTOFF
         return out
 
 
@@ -122,6 +153,12 @@ class StackedFeatures:
     def pair_block(self, k: int) -> slice:
         base = 1 + self.d * self.S
         return slice(base + k * self.S, base + (k + 1) * self.S)
+
+    def blocks(self) -> list[slice]:
+        """Column slices of the bias, each feature block and each pair block."""
+        pairs = (self.dim - 1) // self.S - self.d
+        return ([slice(0, 1)] + [self.feature_block(i) for i in range(self.d)]
+                + [self.pair_block(k) for k in range(pairs)])
 
 
 def _penalty_mask(dim):
@@ -233,13 +270,7 @@ def solve_ridge_cg(features: StackedFeatures, y, cfg: FitConfig | None = None):
     """
     cfg = cfg or FitConfig()
     phi = features.phi
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != phi.shape[0]:
-        raise ValueError("y must be a vector with one entry per feature row")
-    if y.shape[0] < 1:
-        raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y contains non-finite entries")
+    y = _ridge_targets(y, phi.shape[0])
 
     t0 = time.perf_counter()
     gram = phi.T @ phi
@@ -252,6 +283,18 @@ def solve_ridge_cg(features: StackedFeatures, y, cfg: FitConfig | None = None):
                           tolerance=cfg.cg_tol, converged=rel <= cfg.cg_tol,
                           wall_time=wall)
     return w, report
+
+
+def _ridge_targets(y, n):
+    """y as a finite float vector with one entry per feature row, n >= 1."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or y.shape[0] != n:
+        raise ValueError("y must be a vector with one entry per feature row")
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite entries")
+    return y
 
 
 def sigmoid(t):
@@ -363,6 +406,131 @@ def fit_logistic_newton(features: StackedFeatures, y, cfg: FitConfig | None = No
                           wall_time=wall, degenerate=degenerate, loss_trace=trace,
                           gradient_norm=gnorm)
     return w, report
+
+
+def _eigenbases(features: StackedFeatures):
+    """(columns, U) for each block of ``features.blocks()``: U holds the
+    orthonormal eigenvectors of the block's Gram B^T B whose eigenvalue
+    exceeds RANK_CUTOFF times the largest. The bias block keeps its column."""
+    bases = []
+    for cols in features.blocks():
+        block = features.phi[:, cols]
+        vals, vecs = np.linalg.eigh(block.T @ block)
+        bases.append((cols, vecs[:, vals > RANK_CUTOFF * vals[-1]]))
+    return bases
+
+
+def _project(rows, bases, out):
+    """Fill ``out`` with the reduced coordinates [B_1 U_1, B_2 U_2, ...] of
+    the Phi ``rows`` and return it. Callers pass at most REDUCED_CHUNK rows:
+    a product over all n rows touches more of BLAS's buffers, which showed as
+    about 6 MB more peak RSS at n = 8,000."""
+    k = 0
+    for cols, U in bases:
+        out[:, k:k + U.shape[1]] = rows[:, cols] @ U
+        k += U.shape[1]
+    return out
+
+
+def _reduce(v, bases):
+    """The reduced coordinates U^T v of a D-vector v; _lift is its adjoint."""
+    return np.concatenate([U.T @ v[cols] for cols, U in bases])
+
+
+def _lift(a, bases, dim):
+    """The D-space weights of reduced weights a: W_j = U_j a_j."""
+    w = np.zeros(dim)
+    k = 0
+    for cols, U in bases:
+        w[cols] = U @ a[k:k + U.shape[1]]
+        k += U.shape[1]
+    return w
+
+
+def _correct(w, objective, bases, hessian, curvature, tol):
+    """Newton-type corrections of the lifted weights w on the full problem, in
+    place: w -= U H^-1 U^T g + (I - U U^T) g / curvature, with g the full
+    gradient, H the reduced Hessian and U the kept eigenvectors of each block.
+    In the dropped directions the Hessian is the penalty's curvature plus
+    rounding. At the lifted reduced optimum U^T g is rounding, so the first
+    correction is the complement step; more follow, up to COMPLEMENT_STEPS,
+    while the convergence measure exceeds tol (a small lam lets the rounding
+    in the dropped directions matter). ``objective(w)`` returns (value,
+    gradient, measure); the last value and measure are returned."""
+    value, grad, measure = objective(w)
+    for _ in range(COMPLEMENT_STEPS):
+        step = _lift(np.linalg.solve(hessian, _reduce(grad, bases)), bases, w.shape[0])
+        for cols, U in bases:
+            g = grad[cols]
+            step[cols] += (g - U @ (U.T @ g)) / curvature
+        w -= step
+        value, grad, measure = objective(w)
+        if measure <= tol:
+            break
+    return value, measure
+
+
+def fit_reduced(features: StackedFeatures, y, task, cfg: FitConfig | None = None):
+    """Fit ``task`` (regression or binary classification) on ``features`` in
+    each block's eigenbasis, as the module docstring says, and return
+    (w, SolverReport).
+
+    The report is the one solve_ridge_cg or fit_logistic_newton would give
+    for w on the full problem: its relative residual, or its loss and
+    gradient norm, each from two n x D matvecs. Its iterations and loss trace
+    are the reduced Newton's, ``reduced_rank`` is R, and wall_time includes
+    the eigenbases, the projection and the corrections. Only cfg.lam and
+    cfg.cg_tol are read.
+    """
+    cfg = cfg or FitConfig()
+    phi = features.phi
+    n, dim = phi.shape
+    if task not in (TASK_REGRESSION, TASK_CLASSIFICATION):
+        raise ValueError(f"unknown task {task!r}")
+    t0 = time.perf_counter()
+    bases = _eigenbases(features)
+    rank = sum(U.shape[1] for _, U in bases)
+    if task == TASK_REGRESSION:
+        y = _ridge_targets(y, n)
+        mask = cfg.lam * _penalty_mask(dim)
+        v = phi.T @ y
+        v_norm = float(np.linalg.norm(v))
+        gram = np.zeros((rank, rank))
+        chunk = np.empty((min(n, REDUCED_CHUNK), rank))
+        for start in range(0, n, REDUCED_CHUNK):
+            rows = phi[start:start + REDUCED_CHUNK]
+            P = _project(rows, bases, chunk[:rows.shape[0]])
+            gram += P.T @ P
+        gram[np.diag_indices(rank)] += cfg.lam * _penalty_mask(rank)
+        w = _lift(np.linalg.solve(gram, _reduce(v, bases)), bases, dim)
+
+        def residual(wv):
+            g = phi.T @ (phi @ wv) + mask * wv - v
+            rel = float(np.linalg.norm(g)) / v_norm if v_norm else 0.0
+            return rel, g, rel
+
+        rel, _ = _correct(w, residual, bases, gram, cfg.lam, cfg.cg_tol)
+        report = SolverReport(method="direct", iterations=0, final_residual_or_loss=rel,
+                              tolerance=cfg.cg_tol, converged=rel <= cfg.cg_tol,
+                              wall_time=0.0)
+    else:
+        P = np.empty((n, rank))
+        for start in range(0, n, REDUCED_CHUNK):
+            _project(phi[start:start + REDUCED_CHUNK], bases, P[start:start + REDUCED_CHUNK])
+        a, report = fit_logistic_newton(StackedFeatures(phi=P, S=features.S, d=features.d),
+                                        y, cfg)
+        w = _lift(a, bases, dim)
+        y_pm = 2.0 * np.asarray(y, dtype=np.float64) - 1.0  # labels checked by Newton
+
+        def loss_and_gradient(wv):
+            loss, g = logistic_objective(wv, phi, y_pm, cfg.lam)
+            return loss, g, float(np.linalg.norm(g))
+
+        hessian = _logistic_hessian(P, a, cfg.lam, _penalty_mask(rank))
+        loss, gnorm = _correct(w, loss_and_gradient, bases, hessian, cfg.lam / n, NEWTON_TOL)
+        report = replace(report, final_residual_or_loss=loss, gradient_norm=gnorm,
+                         converged=gnorm <= NEWTON_TOL)
+    return w, replace(report, reduced_rank=rank, wall_time=time.perf_counter() - t0)
 
 
 def fit_logistic_sgd(features: StackedFeatures, y, cfg: FitConfig | None = None,

@@ -131,6 +131,31 @@ class TestTrain:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("csv, args", [
+        ("synth_csv", ["--task", "reg", "--bandwidth-scale", "auto"]),
+        ("clf_csv", ["--task", "clf", "--interactions", "0:1"]),
+    ])
+    def test_byte_identical_reruns_of_search_and_pair_fits(self, tmp_path, capsys, request,
+                                                          csv, args):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for p in (a, b):
+            code, _, _ = run(capsys, "train", "--data", request.getfixturevalue(csv),
+                             "--target", "y", "--model", str(p), "--S", "16", *args)
+            assert code == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_pair_fit_converges_on_the_full_problem(self, tmp_path, clf_csv, capsys):
+        # without the complement step after the reduced fit, this fit ends at
+        # a full gradient norm of 1.3e-10 and exits 3
+        code, out, _ = run(capsys, "train", "--data", clf_csv, "--target", "y",
+                           "--task", "clf", "--model", str(tmp_path / "m.json"), "--S", "16",
+                           "--interactions", "0:1")
+        assert code == 0
+        solver = json.loads(out)["solver"]
+        assert solver["converged"] and solver["gradient_norm"] <= solvers.NEWTON_TOL
+        assert solver["rank_cutoff"] == solvers.RANK_CUTOFF
+        assert 1 < solver["reduced_rank"] < 1 + 3 * 16
+
     def test_auto_bandwidth_reaches_noise_floor(self, tmp_path, capsys):
         csv = tmp_path / "nf.csv"
         code, _, _ = run(capsys, "synth", "--out", str(csv), "--n", "5000",
@@ -153,19 +178,23 @@ class TestTrain:
         doc = json.loads(out)
         assert doc["chosen_bandwidth_scale"] in cli.BANDWIDTH_GRID
         assert len(doc["bandwidth_search"]) == len(cli.BANDWIDTH_GRID)
+        chosen = next(row for row in doc["bandwidth_search"]
+                      if row["bandwidth_scale"] == doc["chosen_bandwidth_scale"])
+        assert chosen["reduced_rank"] == doc["solver"]["reduced_rank"]
+        assert all(1 < row["reduced_rank"] <= 1 + 2 * 32 for row in doc["bandwidth_search"])
         assert model.load(mpath).bandwidth_scale == doc["chosen_bandwidth_scale"]
 
     def test_auto_bandwidth_keeps_winning_fit(self, tmp_path, synth_csv, capsys,
                                               monkeypatch):
         solved = []
-        solve = solvers.solve_ridge_cg
+        solve = solvers.fit_reduced
 
         def spying_solve(*args, **kwargs):
             w, report = solve(*args, **kwargs)
             solved.append(w.copy())
             return w, report
 
-        monkeypatch.setattr(solvers, "solve_ridge_cg", spying_solve)
+        monkeypatch.setattr(solvers, "fit_reduced", spying_solve)
         for mode in ("grid", "mc"):
             solved.clear()
             auto, fixed = tmp_path / f"auto_{mode}.json", tmp_path / f"fixed_{mode}.json"

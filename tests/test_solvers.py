@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpnam import _kernels, rff, solvers
+from gpnam.data import TASK_CLASSIFICATION, TASK_REGRESSION, TASKS
 from gpnam.errors import NumericBreakdownError
 
 SQRT2 = math.sqrt(2.0)
@@ -420,6 +421,90 @@ class TestLogisticNewton:
         assert report.final_residual_or_loss <= sgd.final_residual_or_loss + 1e-15
         w_again, _ = solvers.fit_logistic_newton(feats, y, cfg)
         assert np.array_equal(w, w_again)
+
+
+class TestFitReduced:
+    """fit_reduced against the exact solvers, which stay as its oracles."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(20, 300), S=st.integers(2, 40), d=st.integers(1, 4),
+           mode=st.sampled_from(rff.MODES), with_pair=st.booleans(),
+           lam=st.floats(1e-3, 100.0), task=st.sampled_from(TASKS),
+           seed=st.integers(0, 2**16))
+    def test_matches_exact_solvers(self, n, S, d, mode, with_pair, lam, task, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(0, d - 1)] if with_pair and d > 1 else None
+        basis = rff.build_basis(S, mode, seed, with_pairs=bool(pairs))
+        X = rng.normal(size=(n, d))
+        feats = solvers.stack_features(basis, rng.uniform(0.5, 2.0, d), X, pairs=pairs)
+        phi, cfg = feats.phi, solvers.FitConfig(lam=lam)
+        mask = np.ones(feats.dim)
+        mask[0] = 0.0
+        if task == TASK_REGRESSION:
+            y = np.sin(X).sum(axis=1) + 0.1 * rng.normal(size=n)
+            exact, _ = solvers.solve_ridge_cg(feats, y, cfg)
+        else:
+            y = (rng.uniform(size=n) < solvers.sigmoid(np.sin(2 * X).sum(axis=1))).astype(float)
+            y[:2] = (0.0, 1.0)
+            exact, _ = solvers.fit_logistic_newton(feats, y, cfg)
+        w, report = solvers.fit_reduced(feats, y, task, cfg)
+        assert report.converged
+        assert 1 < report.reduced_rank <= feats.dim
+        scale = max(1.0, np.max(np.abs(phi @ exact)))
+        assert np.max(np.abs(phi @ (w - exact))) <= 1e-9 * scale
+        # the report judges w on the full D-space problem
+        if task == TASK_REGRESSION:
+            v = phi.T @ y
+            residual = np.linalg.norm(phi.T @ (phi @ w) + lam * mask * w - v)
+            assert report.final_residual_or_loss == pytest.approx(
+                residual / np.linalg.norm(v), rel=1e-12)
+        else:
+            p = solvers.sigmoid(phi @ w)
+            grad = phi.T @ (p - y) / n + lam / n * mask * w
+            assert report.gradient_norm == pytest.approx(np.linalg.norm(grad), abs=1e-14)
+            loss = np.mean(np.logaddexp(0.0, -(2 * y - 1) * (phi @ w)))
+            loss += 0.5 * lam / n * float(w[1:] @ w[1:])
+            assert report.final_residual_or_loss == pytest.approx(loss, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", rff.MODES)
+    @pytest.mark.parametrize("S", [8, 40, 100])
+    def test_block_of_k_distinct_values_keeps_rank_k_and_rounding(self, mode, S):
+        """A column with k distinct values gives a block B of rank <= k. Its
+        summed Gram's rounding can put eigenvalues of a few 1e-15 * max into
+        the null space (4.3e-15 measured), over RANK_CUTOFF, so a kept
+        direction past the k-th is allowed, but ||B u||^2 must be rounding."""
+        rng = np.random.default_rng(S)
+        basis = rff.build_basis(S, mode, 1, with_pairs=True)
+        for k in (1, 2, 3, 5):
+            column = rng.choice(rng.normal(size=k), size=500)
+            X = np.column_stack([column, rng.normal(size=500)])
+            feats = solvers.stack_features(basis, [1.0, 1.0], X, pairs=[(0, 1)])
+            bases = solvers._eigenbases(feats)
+            assert [cols for cols, _ in bases] == feats.blocks()
+            assert bases[0][1].shape == (1, 1)  # the bias column
+            U = bases[1][1]
+            energy = np.sort(np.sum((feats.phi[:, bases[1][0]] @ U) ** 2, axis=0))[::-1]
+            assert energy.size >= 1
+            assert np.all(energy[k:] <= 1e-14 * energy[0])
+
+    def test_report_gives_rank_and_cutoff(self):
+        basis = rff.build_basis(16, "grid", 0)
+        X = np.column_stack([np.full(50, 0.3), np.linspace(-1.0, 1.0, 50)])
+        feats = solvers.stack_features(basis, [1.0, 1.0], X)
+        _, report = solvers.fit_reduced(feats, np.linspace(0.0, 1.0, 50), TASK_REGRESSION)
+        doc = report.to_dict()
+        assert doc["reduced_rank"] == report.reduced_rank == sum(
+            U.shape[1] for _, U in solvers._eigenbases(feats))
+        assert doc["rank_cutoff"] == solvers.RANK_CUTOFF == 1e-15
+
+    def test_rejects_unknown_task_and_bad_targets(self):
+        feats = make_features(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="unknown task"):
+            solvers.fit_reduced(feats, np.ones(2), "ranking")
+        with pytest.raises(ValueError):
+            solvers.fit_reduced(feats, np.array([1.0, math.inf]), TASK_REGRESSION)
+        with pytest.raises(ValueError):
+            solvers.fit_reduced(feats, np.array([0.0, 2.0]), TASK_CLASSIFICATION)
 
 
 class TestGradientCheck:
