@@ -326,7 +326,7 @@ def cmd_predict(cfg) -> int:
     print(json.dumps(report), file=sys.stderr)
     preds = model_mod.predict(mdl, X)
     lines = ["row_id,prediction"]
-    lines.extend(f"{rid},{float(p)!r}" for rid, p in zip(row_ids, preds))
+    lines.extend(f"{rid},{p!r}" for rid, p in zip(row_ids.tolist(), preds.tolist()))
     _emit_text("\n".join(lines) + "\n", cfg["out"])
     return EXIT_OK
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,14 @@ from .solvers import sigmoid
 
 SCHEMA_VERSION = 1
 
-# Rows evaluated at once by predict and shape_function.
+# Rows evaluated at once by predict and shape_function, across all threads.
 PREDICT_CHUNK = 4096
+
+
+# Threads that share _sum_terms's row chunks: one per CPU this process may
+# run on (os.cpu_count() where the OS has no affinity call), at most 8.
+WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1, 8)
 
 
 @dataclass
@@ -173,23 +180,62 @@ def predict_raw(model: GPNAMModel, x) -> float:
 
 def _sum_terms(terms, xs) -> np.ndarray:
     """Each row of the standardized matrix ``xs`` summed over the folded
-    ``terms`` of :func:`_folded_terms`, PREDICT_CHUNK rows at a time, so
-    memory is O(PREDICT_CHUNK * terms) whatever n is. A row's weighted
-    cosines are added one by one in one fixed order: a BLAS product
-    amp @ block would round each row differently with the block's row count.
+    ``terms`` of :func:`_folded_terms`.
+
+    Rows go in chunks: an input of at most PREDICT_CHUNK rows is one chunk,
+    summed in the calling thread. A longer one is split into chunks of
+    PREDICT_CHUNK // WORKERS rows, and WORKERS threads (the caller and
+    WORKERS - 1 started here) take every WORKERS-th chunk each. Each thread
+    has its own cosine block and writes only its chunks' slices of the
+    result, and numpy's cosine and add loops release the GIL, so the threads
+    run on separate cores. At most PREDICT_CHUNK rows are in flight, so
+    memory is O(PREDICT_CHUNK * terms) whatever n and the thread count are.
+    A row's weighted cosines are added one by one in one fixed order (a BLAS
+    product amp @ block would round each row differently with the block's
+    row count), so a row's sum does not depend on the other rows, the chunk
+    size or the thread count. The first exception of any thread stops the
+    others at their next chunk and is raised here.
     """
     amp = np.concatenate([t[4] for t in terms])
     bounds = np.cumsum([0] + [len(t[4]) for t in terms])
-    total = np.zeros(xs.shape[0])
-    term = np.empty(min(PREDICT_CHUNK, xs.shape[0]))
-    for start in range(0, xs.shape[0], PREDICT_CHUNK):
-        rows = xs[start:start + PREDICT_CHUNK]
-        block = np.empty((amp.shape[0], rows.shape[0]))
-        for (cols, width, F, phase, _), lo, hi in zip(terms, bounds, bounds[1:]):
-            _kernels.cosines([rows[:, k] for k in cols], width, F, phase, block[lo:hi])
-        chunk = total[start:start + PREDICT_CHUNK]
-        for a, cosines in zip(amp, block):
-            chunk += np.multiply(cosines, a, out=term[:rows.shape[0]])
+    n = xs.shape[0]
+    total = np.zeros(n)
+    workers = WORKERS if n > PREDICT_CHUNK else 1
+    chunk = PREDICT_CHUNK // workers
+    errors = []
+
+    def fill(starts):
+        try:
+            scratch = np.empty(len(amp) * min(chunk, n))
+            term = np.empty(min(chunk, n))
+            for start in starts:
+                if errors:
+                    return
+                rows = xs[start:start + chunk]
+                m = rows.shape[0]
+                block = scratch[:len(amp) * m].reshape(len(amp), m)
+                for (cols, width, F, phase, _), lo, hi in zip(terms, bounds, bounds[1:]):
+                    _kernels.cosines([rows[:, k] for k in cols], width, F, phase, block[lo:hi])
+                part, out = total[start:start + m], term[:m]
+                for a, cosines in zip(amp, block):
+                    part += np.multiply(cosines, a, out=out)
+        except BaseException as exc:
+            errors.append(exc)
+
+    step = workers * chunk
+    threads = []
+    try:
+        for first in range(chunk, step, chunk):
+            thread = threading.Thread(target=fill, args=(range(first, n, step),))
+            thread.start()
+            threads.append(thread)
+        fill(range(0, n, step))
+    except BaseException as exc:  # a thread that would not start, or Ctrl-C
+        errors.append(exc)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return total
 
 
@@ -200,9 +246,10 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
     Those whose frequencies agree up to sign are folded into one cosine
     (:func:`rff.fold_mirrored`), so a grid basis costs S//2 + S%2 cosines per
     term and a Monte-Carlo basis S. :func:`_sum_terms` adds them in chunks
-    of rows and in one fixed order, so a row's prediction does not depend on
-    the other rows of ``X``. Regression returns g(x); classification returns
-    sigmoid(g(x)).
+    of rows, on WORKERS threads for more than PREDICT_CHUNK rows, and in one
+    fixed order, so a row's prediction does not depend on the other rows of
+    ``X`` or on the thread count. Regression returns g(x); classification
+    returns sigmoid(g(x)).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -906,6 +907,66 @@ class TestBlasThreads:
         scale = np.max(np.abs(a.W))
         assert abs(a.w0 - b.w0) <= 1e-12 * scale
         assert np.max(np.abs(a.W - b.W)) <= 1e-12 * scale
+
+
+class TestPredictThreads:
+    """Over model.PREDICT_CHUNK rows, predict's cosines run on one thread per
+    usable CPU; smaller inputs run in the calling thread."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity call on this platform")
+    def test_outputs_do_not_depend_on_the_cpu_set(self, tmp_path, capsys):
+        rows = tmp_path / "big.csv"
+        run(capsys, "synth", "--out", str(rows), "--n", str(2 * model.PREDICT_CHUNK + 1),
+            "--d", "2", "--noise-sd", "0.1", "--seed", "4")
+        mpath = tmp_path / "m.json"
+        code, _, _ = run(capsys, "train", "--data", str(rows), "--target", "y", "--task", "reg",
+                         "--model", str(mpath), "--S", "32", "--interactions", "0:1")
+        assert code == 0
+        cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for name, preexec in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+            out = tmp_path / name
+            out.mkdir()
+            printed = []
+            for argv in (("predict", "--data", rows, "--out", out / "p.csv"),
+                         ("evaluate", "--data", rows, "--target", "y"),
+                         ("shapes", "--data", rows, "--out", out / "s.csv")):
+                proc = subprocess.run([sys.executable, "-m", "gpnam.cli", *map(str, argv),
+                                       "--model", str(mpath)],
+                                      capture_output=True, preexec_fn=preexec)
+                assert proc.returncode == 0, proc.stderr
+                printed.append(proc.stdout)
+            outputs.append(printed + [(out / f).read_bytes()
+                                      for f in ("p.csv", "s.csv", "s_density.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_small_inputs_start_no_thread(self, tmp_path, capsys, monkeypatch):
+        """Train's 1,000-row validation part, a 1-row predict and the
+        256-point shape grids are one chunk each."""
+        rng = np.random.default_rng(9)
+        X = rng.uniform(-2, 2, (10_000, 2))
+        y = (rng.uniform(size=10_000) < sigmoid(X[:, 0] - X[:, 1])).astype(int)
+        lines = ["a,b,y"] + [f"{a!r},{b!r},{t}" for (a, b), t in zip(X.tolist(), y.tolist())]
+        train = tmp_path / "clf.csv"
+        train.write_text("\n".join(lines) + "\n")
+        one_row = tmp_path / "one.csv"
+        one_row.write_text("\n".join(lines[:2]) + "\n")
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(model, "WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        mpath = tmp_path / "m.json"
+        code, out, err = run(capsys, "train", "--data", str(train), "--target", "y",
+                             "--task", "clf", "--model", str(mpath), "--S", "8")
+        assert code == 0, err
+        assert json.loads(out)["split_sizes"]["val"] == 1000
+        for argv in (("predict", "--data", str(one_row), "--out", str(tmp_path / "p.csv")),
+                     ("shapes", "--out", str(tmp_path / "s.csv"))):
+            code, _, err = run(capsys, *argv, "--model", str(mpath))
+            assert code == 0, err
 
 
 class TestConfigFile:

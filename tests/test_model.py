@@ -1,8 +1,11 @@
 """Model behavior: prediction, shape functions, parameter count, persistence."""
 
 import csv
+import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -270,6 +273,97 @@ class TestOneEvaluator:
             for a, b in ((start, start + length), (start, start + 1),
                          (self.CHUNK - 2, self.CHUNK + 2)):
                 assert np.array_equal(model.shape_function(m, i, grid[a:b]).values, full[a:b])
+
+
+def call_within(seconds, fn, *args):
+    """fn(*args) on a daemon thread: its value, or its exception raised here;
+    fails if it has not returned within ``seconds``."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append((True, fn(*args)))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), f"no return within {seconds} s"
+    returned, value = outcome[0]
+    if not returned:
+        raise value
+    return value
+
+
+class TestThreadedSum:
+    """_sum_terms splits more than PREDICT_CHUNK rows over model.WORKERS
+    threads; the sums stay bit-identical to one thread's."""
+
+    CHUNK = model.PREDICT_CHUNK
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(start=st.integers(0, 2 * CHUNK + 2), length=st.integers(1, 2 * CHUNK + 3))
+    def test_row_does_not_depend_on_the_worker_count(self, workers, start, length):
+        m = random_pair_model(model.TASK_REGRESSION, True, d=4, S=20, mode="grid")
+        X = np.random.default_rng(15).normal(size=(2 * self.CHUNK + 3, m.d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "WORKERS", 1)
+            serial = model.predict(m, X)
+            mp.setattr(model, "WORKERS", workers)
+            assert np.array_equal(model.predict(m, X), serial)
+            assert np.array_equal(model.predict(m, X[start:start + length]),
+                                  serial[start:start + length])
+
+    def test_a_workers_error_reaches_the_caller(self, monkeypatch):
+        m = random_pair_model(model.TASK_REGRESSION, True, d=3, S=20)
+        X = np.random.default_rng(17).normal(size=(3 * self.CHUNK, m.d))
+        boom = RuntimeError("boom")
+        calls = itertools.count()
+        cosines = _kernels.cosines
+
+        def failing(*args):
+            if next(calls) == 10:  # the cosines of a later chunk, in either thread
+                raise boom
+            return cosines(*args)
+
+        monkeypatch.setattr(_kernels, "cosines", failing)
+        monkeypatch.setattr(model, "WORKERS", 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            call_within(60, model.predict, m, X)
+        assert info.value is boom
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        m = random_pair_model(model.TASK_REGRESSION, True, d=3, S=20)
+        X = np.random.default_rng(19).normal(size=(3 * self.CHUNK + 7, m.d))
+        monkeypatch.setattr(model, "WORKERS", 1)
+        serial = model.predict(m, X)
+        monkeypatch.setattr(model, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = call_within(60, model.predict, m, X)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(threaded, serial)
+
+    def test_small_inputs_start_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        m = random_pair_model(model.TASK_CLASSIFICATION, True, d=3, S=20)
+        X = np.random.default_rng(18).normal(size=(self.CHUNK + 1, m.d))
+        monkeypatch.setattr(model, "WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for n in (1, 1000, self.CHUNK):
+            assert model.predict(m, X[:n]).shape == (n,)
+        for i in range(m.d):
+            assert model.shape_function(m, i, np.linspace(-2, 2, 256)).values.shape == (256,)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            model.predict(m, X)
 
 
 class TestAdditivity:
