@@ -381,9 +381,7 @@ def _density_path(out_path: str) -> Path:
 def cmd_synth(cfg) -> int:
     ds = data_mod.synth_additive(cfg["n"], cfg["d"], cfg["noise_sd"], seed=cfg["seed"])
     lines = [",".join(ds.feature_names + ["y"])]
-    for i in range(ds.n):
-        cells = [repr(float(v)) for v in ds.X[i]] + [repr(float(ds.y[i]))]
-        lines.append(",".join(cells))
+    lines.extend(",".join(map(repr, row)) for row in np.column_stack([ds.X, ds.y]).tolist())
     _atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
     print(json.dumps({"n": ds.n, "d": ds.d, "shapes": ds.shape_names}), file=sys.stderr)
     return EXIT_OK

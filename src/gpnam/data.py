@@ -7,8 +7,16 @@ unparseable cell are dropped and counted, never imputed. Training
 reader core, ``_read_table``, and its column encoder, ``_encode_column``: a
 column whose cells all parse as floats is numeric, any other is
 ordinal-encoded by first appearance, and under a stored encoding a missing or
-unparseable cell or an unseen category encodes to NaN. No real cell gives NaN
-(non-finite numbers count as missing), so NaN is the drop sentinel.
+unparseable cell or an unseen category encodes to NaN. A cell whose float
+value is not finite (``1e309``, ``-nan``) is missing, so no real cell gives
+NaN and NaN is the drop sentinel.
+
+When every column read is numeric (a regression target or none), the reader
+takes a fast path: the lines of a file without ``"`` or CR whose cells are
+all nonempty and made of ``0-9 . + - e E`` are parsed by one ``np.loadtxt``
+call, and only the other lines go through ``csv.reader``. Its output is
+bit-identical to the ``csv.reader`` path's; a file it cannot parse so goes
+down that path whole.
 
 Training splits raw rows, then fits means, scales and widths on the training
 part. Splits and synthetic data use ``numpy.random.default_rng`` (PCG64), so
@@ -31,9 +39,9 @@ TASK_REGRESSION = "regression"
 TASK_CLASSIFICATION = "binary_classification"
 TASKS = (TASK_REGRESSION, TASK_CLASSIFICATION)
 
-# Cell values treated as missing (case-insensitive, after strip). Non-finite
-# numerics count as missing so one stray "inf" drops a row instead of turning
-# a numeric column ordinal.
+# Cell values treated as missing (case-insensitive, after strip). Any other
+# cell that float() reads as non-finite is missing too (_is_missing), so one
+# stray "1e309" drops a row instead of turning a numeric column ordinal.
 MISSING_MARKERS = frozenset({"", "na", "n/a", "nan", "null", "?",
                              "inf", "+inf", "-inf", "infinity", "-infinity"})
 
@@ -79,7 +87,17 @@ class Dataset:
 
 
 def _is_missing(cell: str) -> bool:
-    return cell.strip().lower() in MISSING_MARKERS
+    cell = cell.strip().lower()
+    if cell in MISSING_MARKERS:
+        return True
+    # float() is finite or raises unless the cell spells inf or nan (an "n")
+    # or overflows (an "e" exponent, or at least 309 digits)
+    if "n" not in cell and "e" not in cell and len(cell) < 309:
+        return False
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 def _parse_float(cell: str):
@@ -91,20 +109,87 @@ def _parse_float(cell: str):
 
 
 def _read_rows(path):
+    """The ``csv.reader`` path: the header and every non-blank row."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyDataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        repeated = sorted({h for h in header if header.count(h) > 1})
-        if repeated:
-            raise DataError(f"{path}: column name(s) {repeated} repeated in header")
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        header = _clean_header(path, header)
+        rows = [row for row in reader if not _is_blank(row)]
     if not rows:
         raise EmptyDataError(f"{path}: no data rows")
     return header, rows
+
+
+def _clean_header(path, header):
+    header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DataError(f"{path}: column name(s) {repeated} repeated in header")
+    return header
+
+
+def _is_blank(row):
+    return not any(cell.strip() for cell in row)
+
+
+def _split_numeric(path):
+    """The fast path's reading of a file: ``(header, rows, fast_lines, fast)``.
+
+    ``fast_lines`` are the data lines that hold the header's count of cells,
+    each nonempty and made of ``0-9 . + - e E`` only; ``rows`` are the
+    ``csv.reader`` rows of the other non-blank lines, and ``fast`` flags the
+    fast lines among all non-blank ones in file order. Without ``"`` or CR a
+    line is one ``csv.reader`` record, so this splits the file as
+    ``_read_rows`` does. None for a file holding either, one that is not
+    UTF-8, or one without data rows: the ``csv.reader`` path reads those.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if b'"' in raw or b"\r" in raw:
+        return None
+    counts = _cell_counts(raw)
+    try:
+        lines = raw.decode("utf-8-sig").split("\n")
+    except UnicodeDecodeError:
+        return None
+    del raw
+    header = _clean_header(path, next(csv.reader(lines[:1])))
+    del lines[0]
+    fast = counts[1:] == len(header)
+    slow = list(csv.reader(itertools.compress(lines, (~fast).tolist())))
+    present = fast.copy()
+    present[~fast] = [not _is_blank(row) for row in slow]
+    if not present.any():
+        return None
+    rows = list(itertools.compress(slow, present[~fast].tolist()))
+    return header, rows, list(itertools.compress(lines, fast.tolist())), fast[present]
+
+
+# Byte classes of the fast-path scan: 0 a character of a number, 1 any other, 2 ",", 3 LF.
+_BYTE_CLASS = bytes({44: 2, 10: 3}.get(b, 0 if chr(b) in "0123456789.+-eE" else 1)
+                    for b in range(256))
+
+
+def _cell_counts(raw):
+    """The number of cells on each LF-separated line of the bytes ``raw``, or
+    -1 where a cell is empty, longer than ``csv.field_size_limit()`` or holds
+    a byte other than ``0-9 . + - e E``. In UTF-8 no byte of a multibyte
+    character is a comma or LF, so the lines are those of the decoded text."""
+    codes = np.frombuffer((raw + b"\n").translate(_BYTE_CLASS), np.uint8)
+    seps = np.flatnonzero(codes >= 2)
+    ends = np.flatnonzero(codes[seps] == 3)  # the separator ending each line
+    other = np.flatnonzero(codes == 1)
+    del codes
+    counts = np.diff(ends, prepend=-1)
+    # separator j ends a cell of gaps[j - 1] - 1 bytes (the first one ends the header's)
+    gaps = np.diff(seps)
+    odd = np.flatnonzero((gaps == 1) | (gaps > csv.field_size_limit() + 1)) + 1
+    counts[np.searchsorted(ends, odd)] = -1
+    counts[np.searchsorted(seps[ends], other)] = -1
+    return counts
 
 
 def _encode_column(cells, enc=None):
@@ -159,11 +244,33 @@ def _class_sort_key(value: str):
 def _read_table(path, target_column, task, feature_names=None, encodings=None,
                 target_classes=None):
     """The reader core of both loaders; returns (Dataset, kept), where kept
-    holds one byte per data row of the file, 1 for a row that survived.
-    ``feature_names`` None reads every column but the target, and
-    ``encodings`` None infers each column's encoding after dropping the rows
-    with a missing feature cell; ``y`` is None without a target column."""
-    header, rows = _read_rows(path)
+    flags each data row of the file that survived. ``feature_names`` None
+    reads every column but the target, and ``encodings`` None infers each
+    column's encoding after dropping the rows with a missing feature cell;
+    ``y`` is None without a target column.
+
+    When every column read is numeric (inferred or stored so, with no target
+    or a regression one), ``_split_numeric`` picks the lines that one
+    ``np.loadtxt`` call parses; the others go through ``csv.reader`` and
+    ``_encode_column``. Whatever the fast path cannot show to give the
+    ``csv.reader`` path's result bit for bit goes to that path whole.
+    """
+    numeric = (target_column is None or task == TASK_REGRESSION) and (
+        encodings is None or all(enc["kind"] == "numeric" for enc in encodings))
+    args = (target_column, task, feature_names, encodings, target_classes)
+    split = _split_numeric(path) if numeric else None
+    table = None if split is None else _tabulate(path, *split, *args)
+    if table is None:
+        header, rows = _read_rows(path)
+        table = _tabulate(path, header, rows, [], np.zeros(len(rows), bool), *args)
+    return table
+
+
+def _tabulate(path, header, rows, fast_lines, fast, target_column, task, feature_names,
+              encodings, target_classes):
+    """Encode ``rows`` and parse ``fast_lines`` (all numeric), merging them in
+    the file order ``fast`` gives; None where the fast lines cannot be parsed
+    or would need category codes."""
     names = [h for h in header if h != target_column] if feature_names is None else feature_names
     missing = [nm for nm in names if nm not in header]
     if missing:
@@ -172,27 +279,46 @@ def _read_table(path, target_column, task, feature_names=None, encodings=None,
         raise MissingColumnError(f"target column {target_column!r} not in header {header}")
     t_idx = None if target_column is None else header.index(target_column)
     idx = [header.index(nm) for nm in names]
+    values = np.empty((0, len(idx) + (t_idx is not None)))
+    if fast_lines:
+        try:
+            values = np.loadtxt(fast_lines, delimiter=",", comments=None, ndmin=2,
+                                usecols=idx + ([] if t_idx is None else [t_idx]))
+        except ValueError:  # a cell such as "1e" or "1..2", which float() rejects too
+            return None
     infer = encodings is None
-    kept = bytearray(
+    kept = np.empty(fast.size, dtype=bool)
+    # a non-finite number is a missing cell
+    kept[fast] = np.isfinite(values).all(axis=1)
+    kept[~fast] = [
         len(row) == len(header) and (t_idx is None or _target_present(row[t_idx], task))
-        and not (infer and any(_is_missing(row[i]) for i in idx)) for row in rows)
-    X = np.empty((kept.count(1), len(idx)))
+        and not (infer and any(_is_missing(row[i]) for i in idx)) for row in rows]
+    from_fast = fast[kept]
+    X = np.empty((from_fast.size, len(idx)))
+    X[from_fast] = values[kept[fast], :len(idx)]
+    slow_kept = kept[~fast].tolist()
     encs = []
     for j, (i, enc) in enumerate(zip(idx, [None] * len(idx) if infer else encodings)):
-        X[:, j], enc = _encode_column([row[i] for row in itertools.compress(rows, kept)], enc)
+        X[~from_fast, j], enc = _encode_column(
+            [row[i] for row in itertools.compress(rows, slow_kept)], enc)
         encs.append(enc)
+    if fast_lines and any(enc["kind"] != "numeric" for enc in encs):
+        return None  # the fast lines' cells would need category codes
     nan = np.isnan(X).any(axis=1)
     if nan.any():  # an inferred encoding never gives NaN, so training rows are not copied
         X = X[~nan]
-        survived = np.frombuffer(kept, dtype=bool)  # a view: this updates kept
-        survived[survived] = ~nan
+        kept[kept] = ~nan
+        from_fast = from_fast[~nan]
     if X.shape[0] == 0:
         raise EmptyDataError(f"{path}: every row was dropped during ingestion")
     y = None
     if t_idx is not None:
-        y, target_classes = _encode_target(
-            [row[t_idx] for row in itertools.compress(rows, kept)], task, target_classes)
-    report = {"rows_read": len(rows), "rows_dropped": len(rows) - X.shape[0]}
+        y = np.empty(X.shape[0])
+        y[from_fast] = values[kept[fast], -1]
+        y[~from_fast], target_classes = _encode_target(
+            [row[t_idx] for row in itertools.compress(rows, kept[~fast].tolist())],
+            task, target_classes)
+    report = {"rows_read": fast.size, "rows_dropped": fast.size - X.shape[0]}
     return Dataset(X=X, y=y, feature_names=names, task=task, encodings=encs,
                    target_classes=target_classes, ingest_report=report), kept
 
@@ -225,7 +351,7 @@ def load_features(path, feature_names, encodings, target_column=None, task=None,
     those are known).
     """
     ds, kept = _read_table(path, target_column, task, feature_names, encodings, target_classes)
-    return ds.X, ds.y, np.flatnonzero(np.frombuffer(kept, dtype=bool)), ds.ingest_report
+    return ds.X, ds.y, np.flatnonzero(kept), ds.ingest_report
 
 
 def standardize(ds: Dataset) -> Dataset:

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,14 @@ class TestSynth:
     def test_header(self, synth_csv):
         with open(synth_csv) as fh:
             assert fh.readline().strip() == "x1,x2,y"
+
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "synth", "--out", str(path), "--n", "500", "--d", "3",
+                         "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "00f9df68d8d6d05e22a0529f99670129e8cd0497acc5adc8222806c95eabe13e")
 
 
 class TestTrain:
@@ -580,6 +589,49 @@ class TestIngestReport:
         assert code == 0 and out == ""
         (report,) = [json.loads(line) for line in err.splitlines()]
         assert (report["n"], report["d"], len(report["shapes"])) == (5, 2, 2)
+
+
+@pytest.fixture
+def csv_reader_refuses_data(monkeypatch):
+    """csv.reader raising on a row that holds a number: a data line in the
+    files below, whose headers hold none."""
+    real = csv.reader
+
+    def reader(*args, **kwargs):
+        for row in real(*args, **kwargs):
+            if any(data._parse_float(cell) is not None for cell in row):
+                raise AssertionError(f"csv.reader read the data line {row}")
+            yield row
+
+    monkeypatch.setattr(csv, "reader", reader)
+
+
+class TestIngestPath:
+    def test_numeric_regression_file_skips_csv_reader(self, tmp_path, synth_csv, capsys,
+                                                      csv_reader_refuses_data):
+        mpath, out = str(tmp_path / "m.json"), str(tmp_path / "out.csv")
+        for argv in (["train", "--data", synth_csv, "--target", "y", "--task", "reg",
+                      "--model", mpath, "--S", "8", "--bandwidth-scale", "auto"],
+                     ["predict", "--data", synth_csv, "--model", mpath, "--out", out],
+                     ["evaluate", "--data", synth_csv, "--target", "y", "--model", mpath],
+                     ["shapes", "--data", synth_csv, "--model", mpath, "--out", out]):
+            code, _, _ = run(capsys, *argv)
+            assert code == 0, argv
+
+    def test_quoted_or_classification_file_uses_csv_reader(self, tmp_path, synth_csv, clf_csv,
+                                                           csv_reader_refuses_data):
+        text = Path(synth_csv).read_text()
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('"x1",x2,y' + text[text.index("\n"):])
+        numeric = [{"kind": "numeric"}] * 2
+        reads = [lambda: data.load_csv(str(quoted), "y", data.TASK_REGRESSION),
+                 lambda: data.load_features(str(quoted), ["x1", "x2"], numeric),
+                 lambda: data.load_csv(clf_csv, "y", data.TASK_CLASSIFICATION),
+                 lambda: data.load_features(clf_csv, ["a", "b"], numeric, "y",
+                                            data.TASK_CLASSIFICATION)]
+        for read in reads:
+            with pytest.raises(AssertionError, match="csv.reader read the data line"):
+                read()
 
 
 class TestPredict:

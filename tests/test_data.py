@@ -1,7 +1,9 @@
 """CSV ingestion, standardization, widths, splits, synthetic data."""
 
+import contextlib
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,7 +200,8 @@ MARKER_CELLS = st.builds(lambda m, case, pad: pad + case(m) + pad,
 NUMERIC_CELLS = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
                           st.sampled_from(["-0.0", "1e3", " 2.5 ", "1_000", "5e-324"]))
 CATEGORY_CELLS = st.sampled_from(["low", " high ", "mid", "7"])
-BAD_CELLS = st.one_of(MARKER_CELLS, st.sampled_from(["abc", "1.2.3", "--1"]))
+BAD_CELLS = st.one_of(MARKER_CELLS, st.sampled_from(["abc", "1.2.3", "--1",
+                                                     "1e309", "+infinity", "-nan"]))
 
 
 @st.composite
@@ -249,6 +252,137 @@ class TestTrainingFileReadForPrediction:
                 and (task == data.TASK_CLASSIFICATION or data._parse_float(row[-1]) is not None)]
         assert rid.tolist() == kept
         assert report == {k: ds.ingest_report[k] for k in ("rows_read", "rows_dropped")}
+
+
+def csv_path_only():
+    """Send every read down the csv.reader path."""
+    return mock.patch.object(data, "_split_numeric", return_value=None)
+
+
+class TestNonFiniteLiterals:
+    @pytest.mark.parametrize("literal", ["1e309", "+infinity", "-nan",
+                                         pytest.param("9" * 400, id="400-digits")])
+    @pytest.mark.parametrize("csv_path", [False, True])
+    def test_cell_is_missing(self, tmp_path, literal, csv_path):
+        p = write_csv(tmp_path / "nf.csv", f"a,y\n1,2\n{literal},3\n4,{literal}\n5,6\n")
+        with csv_path_only() if csv_path else contextlib.nullcontext():
+            ds = data.load_csv(p, "y", data.TASK_REGRESSION)
+            X, _, rid, _ = data.load_features(
+                p, ["a"], [{"kind": "ordinal", "categories": ["1", literal, "5"]}])
+        # training drops both rows and keeps "a" numeric
+        assert ds.encodings == [{"kind": "numeric"}]
+        assert ds.X[:, 0].tolist() == [1.0, 5.0] and ds.y.tolist() == [2.0, 6.0]
+        assert ds.ingest_report["rows_dropped"] == 2
+        # a category spelled as the literal never matches, as for a missing marker
+        assert rid.tolist() == [0, 3] and X[:, 0].tolist() == [0.0, 2.0]
+
+
+def table_bits(result):
+    """The arrays of a loader's result as bit patterns, the rest as is."""
+    return [np.asarray(v).view(np.int64).tolist() if isinstance(v, np.ndarray) else v
+            for v in result]
+
+
+def training_table(path):
+    ds = data.load_csv(path, "t", data.TASK_REGRESSION)
+    return ds.X, ds.y, ds.ingest_report, ds.encodings
+
+
+def read_every_way(path, names):
+    """load_csv (regression) and load_features with and without the target;
+    an error is kept as its type and message."""
+    enc = [{"kind": "numeric"}] * len(names)
+    calls = [lambda: training_table(path),
+             lambda: data.load_features(path, names, enc),
+             lambda: data.load_features(path, names, enc, "t", data.TASK_REGRESSION)]
+    out = []
+    for call in calls:
+        try:
+            out.append(table_bits(call()))
+        except DataError as exc:
+            out.append([type(exc), str(exc)])
+    return out
+
+
+FAST_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-10**6, 10**6).map(str),
+                       st.sampled_from(["-0.0", "5e-324", "1e309", "-1e309", "1E5", "+.5", "5."]))
+SLOW_CELLS = st.one_of(MARKER_CELLS, st.sampled_from(
+    ["1_000", " 2.5 ", "+infinity", "-nan", "abc"] * 3 + ["1e", "1..2"]))
+
+
+@st.composite
+def numeric_csvs(draw):
+    """Numeric regression CSVs whose lines the fast path mostly takes: damaged
+    cells, blank and all-comma lines, ragged rows, an unused damaged column,
+    a byte-order mark and sometimes no newline after the last line."""
+    width = draw(st.integers(1, 3))
+    unused = draw(st.booleans())
+    header = [f"f{j}" for j in range(width)] + ["t"] + ["u"] * unused
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["fast"] * 6 + ["cell", "blank", "commas", "short", "long"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        if kind == "commas":
+            lines.append("," * draw(st.integers(1, width + 2)))
+            continue
+        row = [draw(FAST_CELLS) for _ in range(width + 1)]
+        row += [draw(st.sampled_from(["note", "7", "", "two words"]))] * unused
+        if kind == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(SLOW_CELLS)
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append(draw(FAST_CELLS))
+        lines.append(",".join(row))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return header[:width], b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()
+
+
+class TestFastPath:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=numeric_csvs())
+    def test_same_tables_as_the_csv_reader_path(self, tmp_path_factory, case):
+        names, raw = case
+        path = tmp_path_factory.mktemp("fp") / "num.csv"
+        path.write_bytes(raw)
+        fast = read_every_way(str(path), names)
+        with csv_path_only():
+            assert fast == read_every_way(str(path), names)
+
+    def test_damaged_lines_keep_their_place(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,t\n1,2,3\nNA,2,3\n\n,,\n4,1e309,6\n7,8\n"
+                         b"-0.0,5e-324,1_000\n9,10,11")
+        header, rows, fast_lines, fast = data._split_numeric(str(path))
+        assert header == ["a", "b", "t"]
+        assert fast_lines == ["1,2,3", "4,1e309,6", "9,10,11"]
+        assert rows == [["NA", "2", "3"], ["7", "8"], ["-0.0", "5e-324", "1_000"]]
+        assert fast.tolist() == [True, False, True, False, False, True]
+        enc = [{"kind": "numeric"}] * 2
+        X, y, rid, report = data.load_features(str(path), ["a", "b"], enc, "t",
+                                               data.TASK_REGRESSION)
+        assert rid.tolist() == [0, 4, 5]
+        assert report == {"rows_read": 6, "rows_dropped": 3}
+        assert X.tolist() == [[1.0, 2.0], [-0.0, 5e-324], [9.0, 10.0]]
+        assert y.tolist() == [3.0, 1000.0, 11.0]
+        with csv_path_only():
+            want = data.load_features(str(path), ["a", "b"], enc, "t", data.TASK_REGRESSION)
+        assert table_bits((X, y, rid, report)) == table_bits(want)
+
+    @pytest.mark.parametrize("text", [
+        'a,t\n1,2\n"3",4\n',        # a quote anywhere
+        "a,t\r\n1,2\r\n3,4\r\n",     # CR line ends
+        "a,t\n1,2\n1e,4\n",          # a cell loadtxt and float() both reject
+        "a,t\n1,2\nlow,4\n",         # a category: training makes "a" ordinal
+    ])
+    def test_left_to_the_csv_reader_path(self, tmp_path, text):
+        path = write_csv(tmp_path / "slow.csv", text)
+        got = table_bits(training_table(path))
+        with csv_path_only():
+            assert got == table_bits(training_table(path))
 
 
 class TestStandardize:
