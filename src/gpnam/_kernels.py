@@ -1,11 +1,15 @@
-"""Hot numeric kernels: the cosine kernel, width halving and the Gram-operator
-matvec.
+"""Hot numeric kernels: the cosine kernel, width halving, the Gram-operator
+matvec and the row-chunk thread runner.
 
 There is one backend, plain numpy, and one cosine kernel, ``cosines``. It
 fills every RFF block - ``featurize``'s per-feature blocks, the pair blocks of
 ``rff.pair_feature_map`` and the folded terms of ``model.predict`` and
 ``model.shape_function`` - in place, in one arithmetic order. It is
 elementwise, so an output element never depends on how rows are grouped.
+
+``in_row_chunks`` shares a row range's chunks among WORKERS threads. It runs
+``featurize``'s rows and the cosines of ``model.predict``; numpy's cosine and
+arithmetic loops release the GIL, so the threads run on separate cores.
 
 ``halve_width`` turns a grid basis's design matrix at kernel width b into the
 one at width b/2 in place, by trig identities and without a cosine; train's
@@ -18,6 +22,8 @@ wraps it by name.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -28,6 +34,13 @@ BACKEND = "numpy"
 # halving took about 0.05 s at 32-128 rows and 0.06-0.08 s at 256-1024 rows:
 # a small scratch stays in cache.
 HALVE_CHUNK = 64
+# Threads that share in_row_chunks's chunks: one per CPU this process may run
+# on (os.cpu_count() where the OS has no affinity call), at most 8.
+WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1, 8)
+# Cosines featurize has in flight across its threads; a smaller design matrix
+# is filled in the calling thread.
+FEATURIZE_COSINES = 2**20
 
 
 def featurize(X, z, c, widths, out=None):
@@ -56,11 +69,60 @@ def featurize(X, z, c, widths, out=None):
         raise ValueError(f"out must have shape {(n, 1 + S * d)}, got {out.shape}")
     scale = math.sqrt(2.0 / S)
     out[:, 0] = 1.0
-    for j in range(d):
-        block = out[:, 1 + j * S:1 + (j + 1) * S]
-        cosines([X[:, j]], widths[j], z[:, None], c, block.T)
-        block *= scale
+
+    def fill(chunks, _):
+        for rows in chunks:
+            for j in range(d):
+                block = out[rows, 1 + j * S:1 + (j + 1) * S]
+                cosines([X[rows, j]], widths[j], z[:, None], c, block.T)
+                block *= scale
+
+    in_row_chunks(n, max(1, FEATURIZE_COSINES // max(1, S * d)), fill)
     return out
+
+
+def in_row_chunks(n, in_flight, work):
+    """Run ``work`` over the rows range(n), in chunks.
+
+    ``work(chunks, rows)`` takes an iterator of row slices and the most rows
+    a slice holds; it must write only its slices' rows of its output. An
+    input of at most ``in_flight`` rows is one slice, worked in the calling
+    thread. A longer one is split into slices of ``in_flight // WORKERS``
+    rows, and WORKERS threads (the caller and WORKERS - 1 started here) take
+    every WORKERS-th slice each, so at most ``in_flight`` rows are in flight
+    whatever n and the thread count are. The first exception of any thread
+    stops the others at their next slice and is raised here.
+    """
+    workers = WORKERS if n > in_flight else 1
+    chunk = max(1, in_flight // workers)
+    step = workers * chunk
+    errors = []
+
+    def run(first):
+        def chunks():
+            for start in range(first, n, step):
+                if errors:
+                    return
+                yield slice(start, min(start + chunk, n))
+
+        try:
+            work(chunks(), min(chunk, n))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(chunk, step, chunk):
+            thread = threading.Thread(target=run, args=(first,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    except BaseException as exc:  # a thread that would not start, or Ctrl-C
+        errors.append(exc)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def cosines(columns, width, F, phase, out):

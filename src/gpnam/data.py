@@ -86,18 +86,20 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _is_missing(cell: str) -> bool:
-    cell = cell.strip().lower()
-    if cell in MISSING_MARKERS:
-        return True
-    # float() is finite or raises unless the cell spells inf or nan (an "n")
-    # or overflows (an "e" exponent, or at least 309 digits)
-    if "n" not in cell and "e" not in cell and len(cell) < 309:
-        return False
+def _cell_value(cell: str) -> float:
+    """A cell parsed once: its float value if finite, NaN if the cell is
+    missing (a marker, or a number float() reads as non-finite), else inf
+    (text that is not a number)."""
     try:
-        return not math.isfinite(float(cell))
+        v = float(cell)
     except ValueError:
-        return False
+        # every marker that float() reads (nan, inf, ...) is non-finite
+        return math.nan if cell.strip().lower() in MISSING_MARKERS else math.inf
+    return v if math.isfinite(v) else math.nan
+
+
+def _is_missing(cell: str) -> bool:
+    return math.isnan(_cell_value(cell))
 
 
 def _parse_float(cell: str):
@@ -192,36 +194,31 @@ def _cell_counts(raw):
     return counts
 
 
-def _encode_column(cells, enc=None):
+def _encode_column(cells, enc=None, vals=None):
     """Encode one column of string cells; returns (float64 array, encoding).
 
     ``enc`` None infers the encoding from cells already cleared of missing
-    markers. Under a given ``enc`` a cell that does not encode becomes NaN.
+    ones, given with their ``_cell_value`` values ``vals``. Under a given
+    ``enc`` a cell that does not encode becomes NaN.
     """
-    if enc is None or enc["kind"] == "numeric":
-        vals = [_parse_float(cell) for cell in cells]
-        if enc is not None or None not in vals:
-            # numpy stores None as NaN in a float64 array
-            return np.array(vals, dtype=np.float64), enc or {"kind": "numeric"}
     if enc is None:
+        if np.isfinite(vals).all():
+            return vals, {"kind": "numeric"}
         codes = {}
         vals = [codes.setdefault(cell.strip(), float(len(codes))) for cell in cells]
         return np.array(vals, dtype=np.float64), {"kind": "ordinal", "categories": list(codes)}
+    if enc["kind"] == "numeric":
+        # numpy stores None as NaN in a float64 array
+        return np.array([_parse_float(cell) for cell in cells], dtype=np.float64), enc
     # a category that is itself a missing marker never matches a cell, as at training
     codes = {cat: float(k) for k, cat in enumerate(enc["categories"]) if not _is_missing(cat)}
     return np.array([codes.get(cell.strip()) for cell in cells], dtype=np.float64), enc
 
 
-def _target_present(cell, task):
-    # _parse_float is None for every missing marker, so it also covers those
-    return _parse_float(cell) is not None if task == TASK_REGRESSION else not _is_missing(cell)
-
-
-def _encode_target(cells, task, classes=None):
-    """Encode target cells; returns (y, classes). Classification maps the two
-    classes to {0, 1}: ``classes`` when given, else the sorted distinct values."""
-    if task == TASK_REGRESSION:
-        return np.array([_parse_float(c) for c in cells], dtype=np.float64), None
+def _encode_labels(cells, classes=None):
+    """Encode classification target cells; returns (y, classes). The two
+    classes map to {0, 1}: ``classes`` when given, else the sorted distinct
+    values."""
     labels = [c.strip() for c in cells]
     if classes is None:
         classes = sorted(set(labels), key=_class_sort_key)
@@ -290,17 +287,30 @@ def _tabulate(path, header, rows, fast_lines, fast, target_column, task, feature
     kept = np.empty(fast.size, dtype=bool)
     # a non-finite number is a missing cell
     kept[fast] = np.isfinite(values).all(axis=1)
-    kept[~fast] = [
-        len(row) == len(header) and (t_idx is None or _target_present(row[t_idx], task))
-        and not (infer and any(_is_missing(row[i]) for i in idx)) for row in rows]
+    whole = [len(row) == len(header) for row in rows]
+
+    def parsed(i):  # column i's _cell_value values, NaN (missing) on a ragged row
+        return np.array([_cell_value(row[i]) if ok else math.nan
+                         for row, ok in zip(rows, whole)], dtype=np.float64)
+
+    # the cells the drop rule reads are parsed once, here
+    columns = [parsed(i) for i in idx] if infer else []
+    target = None if t_idx is None else parsed(t_idx)
+    slow = np.array(whole, dtype=bool)
+    for vals in columns:
+        slow &= ~np.isnan(vals)
+    if target is not None:  # a regression target must be a number
+        slow &= np.isfinite(target) if task == TASK_REGRESSION else ~np.isnan(target)
+    kept[~fast] = slow
     from_fast = fast[kept]
     X = np.empty((from_fast.size, len(idx)))
     X[from_fast] = values[kept[fast], :len(idx)]
-    slow_kept = kept[~fast].tolist()
+    slow_kept = slow.tolist()
     encs = []
     for j, (i, enc) in enumerate(zip(idx, [None] * len(idx) if infer else encodings)):
         X[~from_fast, j], enc = _encode_column(
-            [row[i] for row in itertools.compress(rows, slow_kept)], enc)
+            [row[i] for row in itertools.compress(rows, slow_kept)], enc,
+            columns[j][slow] if infer else None)
         encs.append(enc)
     if fast_lines and any(enc["kind"] != "numeric" for enc in encs):
         return None  # the fast lines' cells would need category codes
@@ -315,9 +325,13 @@ def _tabulate(path, header, rows, fast_lines, fast, target_column, task, feature
     if t_idx is not None:
         y = np.empty(X.shape[0])
         y[from_fast] = values[kept[fast], -1]
-        y[~from_fast], target_classes = _encode_target(
-            [row[t_idx] for row in itertools.compress(rows, kept[~fast].tolist())],
-            task, target_classes)
+        still_kept = kept[~fast]  # the slow rows left after the NaN drop
+        if task == TASK_REGRESSION:
+            y[~from_fast] = target[still_kept]
+        else:
+            y[~from_fast], target_classes = _encode_labels(
+                [row[t_idx] for row in itertools.compress(rows, still_kept.tolist())],
+                target_classes)
     report = {"rows_read": fast.size, "rows_dropped": fast.size - X.shape[0]}
     return Dataset(X=X, y=y, feature_names=names, task=task, encodings=encs,
                    target_classes=target_classes, ingest_report=report), kept

@@ -5,6 +5,14 @@ at full round-trip precision (Python repr), so save/load reproduces every
 parameter bit-exactly. The RFF basis is not stored verbatim - it is rebuilt
 from (S, mode, seed), which the basis construction guarantees to be
 bit-reproducible.
+
+Prediction is additive, g(x) = w0 + sum_i f_i(x_i) + sum_(i,j) f_ij(x_i, x_j),
+and is evaluated one term at a time: each term's value is summed from zero
+in a fixed order, the term values are added from zero in term order, then
+w0. A feature's term depends on one scalar, so it is evaluated once per
+distinct value of its column and gathered back to the rows. So a prediction
+does not depend on the other rows or on the thread count, and without pairs
+it is exactly w0 plus the uncentered shape values of its features.
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ import json
 import math
 import os
 import tempfile
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +34,9 @@ from .solvers import sigmoid
 
 SCHEMA_VERSION = 1
 
-# Rows evaluated at once by predict and shape_function, across all threads.
+# Values of one term evaluated at once by predict and shape_function, across
+# all threads.
 PREDICT_CHUNK = 4096
-
-
-# Threads that share _sum_terms's row chunks: one per CPU this process may
-# run on (os.cpu_count() where the OS has no affinity call), at most 8.
-WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1, 8)
 
 
 @dataclass
@@ -180,76 +182,66 @@ def predict_raw(model: GPNAMModel, x) -> float:
 
 def _sum_terms(terms, xs) -> np.ndarray:
     """Each row of the standardized matrix ``xs`` summed over the folded
-    ``terms`` of :func:`_folded_terms`.
+    ``terms`` of :func:`_folded_terms`: the sum from zero of each term's
+    value, in term order.
 
-    Rows go in chunks: an input of at most PREDICT_CHUNK rows is one chunk,
-    summed in the calling thread. A longer one is split into chunks of
-    PREDICT_CHUNK // WORKERS rows, and WORKERS threads (the caller and
-    WORKERS - 1 started here) take every WORKERS-th chunk each. Each thread
-    has its own cosine block and writes only its chunks' slices of the
-    result, and numpy's cosine and add loops release the GIL, so the threads
-    run on separate cores. At most PREDICT_CHUNK rows are in flight, so
-    memory is O(PREDICT_CHUNK * terms) whatever n and the thread count are.
-    A row's weighted cosines are added one by one in one fixed order (a BLAS
-    product amp @ block would round each row differently with the block's
-    row count), so a row's sum does not depend on the other rows, the chunk
-    size or the thread count. The first exception of any thread stops the
-    others at their next chunk and is raised here.
+    The terms go one at a time. A one-column term depends on one scalar, so
+    it is evaluated once per distinct value of its column (``np.unique``) and
+    gathered back to the rows; a pair term is evaluated on every row. A
+    term's value is its weighted cosines added one by one, from zero, in one
+    fixed order (a BLAS product amp @ block would round each value
+    differently with the block's row count), so it depends on its inputs
+    alone: a row's sum does not depend on the other rows, the chunk size or
+    the thread count. Values go in chunks through
+    :func:`_kernels.in_row_chunks`, so at most PREDICT_CHUNK values of one
+    term are in flight (memory is O(PREDICT_CHUNK * S) whatever n is), and
+    a term of at most PREDICT_CHUNK values starts no thread.
     """
-    amp = np.concatenate([t[4] for t in terms])
-    bounds = np.cumsum([0] + [len(t[4]) for t in terms])
-    n = xs.shape[0]
-    total = np.zeros(n)
-    workers = WORKERS if n > PREDICT_CHUNK else 1
-    chunk = PREDICT_CHUNK // workers
-    errors = []
-
-    def fill(starts):
-        try:
-            scratch = np.empty(len(amp) * min(chunk, n))
-            term = np.empty(min(chunk, n))
-            for start in starts:
-                if errors:
-                    return
-                rows = xs[start:start + chunk]
-                m = rows.shape[0]
-                block = scratch[:len(amp) * m].reshape(len(amp), m)
-                for (cols, width, F, phase, _), lo, hi in zip(terms, bounds, bounds[1:]):
-                    _kernels.cosines([rows[:, k] for k in cols], width, F, phase, block[lo:hi])
-                part, out = total[start:start + m], term[:m]
-                for a, cosines in zip(amp, block):
-                    part += np.multiply(cosines, a, out=out)
-        except BaseException as exc:
-            errors.append(exc)
-
-    step = workers * chunk
-    threads = []
-    try:
-        for first in range(chunk, step, chunk):
-            thread = threading.Thread(target=fill, args=(range(first, n, step),))
-            thread.start()
-            threads.append(thread)
-        fill(range(0, n, step))
-    except BaseException as exc:  # a thread that would not start, or Ctrl-C
-        errors.append(exc)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    total = np.zeros(xs.shape[0])
+    for cols, width, F, phase, amp in terms:
+        if len(cols) == 1:
+            points, rows = np.unique(xs[:, cols[0]], return_inverse=True)
+            total += _term_values(width, F, phase, amp, [points])[rows]
+        else:
+            total += _term_values(width, F, phase, amp, [xs[:, k] for k in cols])
     return total
+
+
+def _term_values(width, F, phase, amp, columns) -> np.ndarray:
+    """sum_t amp[t] * cos(F[t] . (u / width) + phase[t]) at each point u of
+    ``columns`` (one vector per column of F), the terms added from zero in
+    order."""
+    values = np.zeros(columns[0].shape[0])
+
+    def fill(chunks, rows):
+        scratch = np.empty(len(amp) * rows)
+        weighted = np.empty(rows)
+        for part in chunks:
+            m = part.stop - part.start
+            block = scratch[:len(amp) * m].reshape(len(amp), m)
+            _kernels.cosines([x[part] for x in columns], width, F, phase, block)
+            out, term = values[part], weighted[:m]
+            for a, cosines in zip(amp, block):
+                out += np.multiply(cosines, a, out=term)
+
+    _kernels.in_row_chunks(values.shape[0], PREDICT_CHUNK, fill)
+    return values
 
 
 def predict(model: GPNAMModel, X) -> np.ndarray:
     """Batched prediction on an n x d raw-unit matrix.
 
-    Each feature and each interaction pair is a sum of weighted cosines.
-    Those whose frequencies agree up to sign are folded into one cosine
-    (:func:`rff.fold_mirrored`), so a grid basis costs S//2 + S%2 cosines per
-    term and a Monte-Carlo basis S. :func:`_sum_terms` adds them in chunks
-    of rows, on WORKERS threads for more than PREDICT_CHUNK rows, and in one
-    fixed order, so a row's prediction does not depend on the other rows of
-    ``X`` or on the thread count. Regression returns g(x); classification
-    returns sigmoid(g(x)).
+    Each feature and each interaction pair is a term, a sum of weighted
+    cosines. Those whose frequencies agree up to sign are folded into one
+    cosine (:func:`rff.fold_mirrored`), so a grid basis costs S//2 + S%2
+    cosines per term and a Monte-Carlo basis S. :func:`_sum_terms` evaluates
+    a feature's term once per distinct value of its column and a pair's on
+    every row, in chunks, on WORKERS threads for more than PREDICT_CHUNK
+    values. g(x) is w0 plus the sum from zero of the term values in term
+    order, and a feature's term value is bit for bit what
+    ``shape_function(model, i, ..., centered=False)`` returns, so a row's
+    prediction does not depend on the other rows of ``X`` or on the thread
+    count. Regression returns g(x); classification returns sigmoid(g(x)).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
@@ -265,7 +257,8 @@ def shape_function(model: GPNAMModel, i, grid, centered=True) -> ShapeTable:
     """Evaluate shape function f_i over a grid given in original units.
 
     Values come from predict's evaluator :func:`_sum_terms`, so f_i at a
-    point does not depend on the other grid points.
+    point does not depend on the other grid points, and with ``centered``
+    False they are the term values that :func:`predict` adds, bit for bit.
     With ``centered`` the stored training-mean offset is subtracted (and
     reported), so exported curves average to zero over the training data.
     """

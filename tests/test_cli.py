@@ -1008,7 +1008,7 @@ class TestPredictThreads:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(model, "WORKERS", 2)
+        monkeypatch.setattr(_kernels, "WORKERS", 2)
         monkeypatch.setattr(threading, "Thread", no_thread)
         mpath = tmp_path / "m.json"
         code, out, err = run(capsys, "train", "--data", str(train), "--target", "y",

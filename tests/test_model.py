@@ -165,6 +165,15 @@ def random_pair_model(task, with_pair, d=3, S=16, seed=11, mode="monte_carlo"):
         centering_offsets=np.zeros(d), interactions=interactions)
 
 
+# a small pool of inputs, so columns repeat values; -0.0 and 0.0 compare equal
+POOL = np.array([-0.0, 0.0, 0.5, -1.25, 2.0, 1e-3, -3.5])
+
+
+def pooled_or_normal_rows(rng, n, d, pooled):
+    """n x d inputs: standard normal, or drawn from POOL."""
+    return rng.choice(POOL, size=(n, d)) if pooled else rng.normal(size=(n, d))
+
+
 class TestChunkedPredict:
     CHUNK = model.PREDICT_CHUNK
     SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
@@ -184,10 +193,11 @@ class TestChunkedPredict:
     @pytest.mark.parametrize("task", [model.TASK_REGRESSION, model.TASK_CLASSIFICATION])
     @pytest.mark.parametrize("mode", rff.MODES)
     @settings(max_examples=15, deadline=None, derandomize=True)
-    @given(start=st.integers(0, 2 * CHUNK + 2), length=st.integers(1, CHUNK + 3))
-    def test_row_does_not_depend_on_the_other_rows(self, task, mode, start, length):
+    @given(start=st.integers(0, 2 * CHUNK + 2), length=st.integers(1, CHUNK + 3),
+           pooled=st.booleans())
+    def test_row_does_not_depend_on_the_other_rows(self, task, mode, start, length, pooled):
         m = random_pair_model(task, True, d=8, S=100, mode=mode)
-        X = np.random.default_rng(15).normal(size=(2 * self.CHUNK + 3, m.d))
+        X = pooled_or_normal_rows(np.random.default_rng(15), 2 * self.CHUNK + 3, m.d, pooled)
         full = model.predict(m, X)
         for a, b in ((start, start + length), (start, start + 1),
                      (self.CHUNK - 2, self.CHUNK + 2)):
@@ -262,6 +272,24 @@ class TestOneEvaluator:
         shape = model.shape_function(m, 0, X[:, 0], centered=False)
         assert np.array_equal(model.predict(m, X), m.w0 + shape.values)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(S=st.integers(1, 130), d=st.integers(2, 6), mode=st.sampled_from(rff.MODES),
+           task=st.sampled_from([model.TASK_REGRESSION, model.TASK_CLASSIFICATION]),
+           pooled=st.booleans(), zero_means=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_prediction_is_bias_plus_shapes(self, S, d, mode, task, pooled, zero_means, seed):
+        """g(x) is w0 plus the uncentered shape values, added from zero in
+        feature order, bit for bit."""
+        m = random_pair_model(task, False, d=d, S=S, seed=seed, mode=mode)
+        if zero_means:  # so that -0.0 and 0.0 stay signed after standardizing
+            m = replace(m, standardization=(np.zeros(d), m.standardization[1]))
+        X = pooled_or_normal_rows(np.random.default_rng(seed), 300, d, pooled)
+        g = np.zeros(X.shape[0])
+        for i in range(d):
+            g += model.shape_function(m, i, X[:, i], centered=False).values
+        g += m.w0
+        want = solvers.sigmoid(g) if task == model.TASK_CLASSIFICATION else g
+        assert np.array_equal(model.predict(m, X), want)
+
     @pytest.mark.parametrize("mode", rff.MODES)
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(start=st.integers(0, CHUNK + 2), length=st.integers(1, CHUNK + 3))
@@ -273,6 +301,34 @@ class TestOneEvaluator:
             for a, b in ((start, start + length), (start, start + 1),
                          (self.CHUNK - 2, self.CHUNK + 2)):
                 assert np.array_equal(model.shape_function(m, i, grid[a:b]).values, full[a:b])
+
+
+class TestDistinctValues:
+    """A feature's term is evaluated once per distinct value of its column;
+    a pair's term on every row."""
+
+    @pytest.mark.parametrize("mode", rff.MODES)
+    def test_cosines_follow_the_distinct_values(self, mode, monkeypatch):
+        S = 100
+        m = random_pair_model(model.TASK_REGRESSION, True, d=3, S=S, mode=mode)
+        rng = np.random.default_rng(20)
+        n = 10_000
+        X = np.column_stack([rng.integers(0, 7, n), rng.choice(POOL, n), rng.normal(size=n)])
+        filled = []  # cosines filled by each call, in call order
+        cosines = _kernels.cosines
+
+        def counting(columns, width, F, phase, out):
+            filled.append(out.size)
+            return cosines(columns, width, F, phase, out)
+
+        monkeypatch.setattr(_kernels, "cosines", counting)
+        model.predict(m, X)
+        terms = S // 2 + S % 2 if mode == rff.MODE_GRID else S
+        # 7 levels, then POOL's 6 distinct values (-0.0 and 0.0 are one),
+        # each one chunk; then the normal column and the pair (0, 2) on every
+        # row, in chunks
+        assert filled[:2] == [7 * terms, 6 * terms]
+        assert sum(filled[2:]) == 2 * n * terms
 
 
 def call_within(seconds, fn, *args):
@@ -297,21 +353,22 @@ def call_within(seconds, fn, *args):
 
 
 class TestThreadedSum:
-    """_sum_terms splits more than PREDICT_CHUNK rows over model.WORKERS
-    threads; the sums stay bit-identical to one thread's."""
+    """_sum_terms splits a term of more than PREDICT_CHUNK values over
+    _kernels.WORKERS threads; the sums stay bit-identical to one thread's."""
 
     CHUNK = model.PREDICT_CHUNK
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(start=st.integers(0, 2 * CHUNK + 2), length=st.integers(1, 2 * CHUNK + 3))
-    def test_row_does_not_depend_on_the_worker_count(self, workers, start, length):
+    @given(start=st.integers(0, 2 * CHUNK + 2), length=st.integers(1, 2 * CHUNK + 3),
+           pooled=st.booleans())
+    def test_row_does_not_depend_on_the_worker_count(self, workers, start, length, pooled):
         m = random_pair_model(model.TASK_REGRESSION, True, d=4, S=20, mode="grid")
-        X = np.random.default_rng(15).normal(size=(2 * self.CHUNK + 3, m.d))
+        X = pooled_or_normal_rows(np.random.default_rng(15), 2 * self.CHUNK + 3, m.d, pooled)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model, "WORKERS", 1)
+            mp.setattr(_kernels, "WORKERS", 1)
             serial = model.predict(m, X)
-            mp.setattr(model, "WORKERS", workers)
+            mp.setattr(_kernels, "WORKERS", workers)
             assert np.array_equal(model.predict(m, X), serial)
             assert np.array_equal(model.predict(m, X[start:start + length]),
                                   serial[start:start + length])
@@ -329,7 +386,7 @@ class TestThreadedSum:
             return cosines(*args)
 
         monkeypatch.setattr(_kernels, "cosines", failing)
-        monkeypatch.setattr(model, "WORKERS", 2)
+        monkeypatch.setattr(_kernels, "WORKERS", 2)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             call_within(60, model.predict, m, X)
@@ -339,9 +396,9 @@ class TestThreadedSum:
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         m = random_pair_model(model.TASK_REGRESSION, True, d=3, S=20)
         X = np.random.default_rng(19).normal(size=(3 * self.CHUNK + 7, m.d))
-        monkeypatch.setattr(model, "WORKERS", 1)
+        monkeypatch.setattr(_kernels, "WORKERS", 1)
         serial = model.predict(m, X)
-        monkeypatch.setattr(model, "WORKERS", 8)
+        monkeypatch.setattr(_kernels, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -356,7 +413,7 @@ class TestThreadedSum:
 
         m = random_pair_model(model.TASK_CLASSIFICATION, True, d=3, S=20)
         X = np.random.default_rng(18).normal(size=(self.CHUNK + 1, m.d))
-        monkeypatch.setattr(model, "WORKERS", 2)
+        monkeypatch.setattr(_kernels, "WORKERS", 2)
         monkeypatch.setattr(threading, "Thread", no_thread)
         for n in (1, 1000, self.CHUNK):
             assert model.predict(m, X[:n]).shape == (n,)

@@ -100,6 +100,31 @@ class TestStackFeatures:
             solvers.stack_features(basis, widths, X, pairs=pairs)
 
 
+class TestThreadedFeaturize:
+    """featurize fills its rows through _kernels.in_row_chunks; the design
+    matrix is bit-identical to one chunk filled in the calling thread."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 700), d=st.integers(1, 4), S=st.integers(1, 40),
+           workers=st.integers(1, 4), in_flight=st.integers(1, 5000),
+           seed=st.integers(0, 2**16))
+    def test_bit_identical_at_any_thread_count(self, n, d, S, workers, in_flight, seed):
+        rng = np.random.default_rng(seed)
+        basis = rff.build_basis(S, "grid", seed)
+        X = rng.normal(size=(n, d))
+        widths = rng.uniform(0.5, 2.0, d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "WORKERS", 1)
+            mp.setattr(_kernels, "FEATURIZE_COSINES", 2**62)
+            serial = _kernels.featurize(X, basis.z, basis.c, widths)
+            mp.setattr(_kernels, "WORKERS", workers)
+            mp.setattr(_kernels, "FEATURIZE_COSINES", in_flight)
+            wide = np.zeros((n, 3 + S * d))  # out may be a column slice
+            _kernels.featurize(X, basis.z, basis.c, widths, out=wide[:, 1:-1])
+        assert wide[:, 1:-1].tobytes() == serial.tobytes()
+        assert not wide[:, [0, -1]].any()
+
+
 class TestHalveWidth:
     """halve_width against stack_features at half the width. Both round the
     angle z * x / b + c once, so they differ by about an ulp of the angle
