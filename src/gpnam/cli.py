@@ -150,6 +150,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config file {args.config} is not UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):

@@ -1,22 +1,23 @@
 """Tabular data ingestion, standardization, kernel widths, splits.
 
 CSV files are RFC-4180-style with a mandatory header row, UTF-8 (a leading
-byte-order mark is skipped), ``.`` decimal separator. Rows with a missing or
-unparseable cell are dropped and counted, never imputed. Training
-(``load_csv``) and prediction (``load_features``) ingest run through one
-reader core, ``_read_table``, and its column encoder, ``_encode_column``: a
-column whose cells all parse as floats is numeric, any other is
-ordinal-encoded by first appearance, and under a stored encoding a missing or
-unparseable cell or an unseen category encodes to NaN. A cell whose float
-value is not finite (``1e309``, ``-nan``) is missing, so no real cell gives
-NaN and NaN is the drop sentinel.
+byte-order mark is skipped; other bytes are a ``DataError``), ``.`` decimal
+separator. Training (``load_csv``) and prediction (``load_features``) ingest
+run through one reader core, ``_read_table``, which parses each cell it
+reads once into one float matrix (``_tabulate``): its number, NaN if missing
+(a marker, or a number whose float value is not finite, such as ``1e309``)
+and inf for text. Rows with a NaN are dropped and counted, never imputed. A
+column whose kept cells are all numbers is numeric, any other is
+ordinal-encoded by first appearance (``_encode_column``). Text in a
+regression target or a stored numeric column and a category unseen at
+training are missing. Classification labels are the only other text read.
 
-When every column read is numeric (a regression target or none), the reader
-takes a fast path: the lines of a file without ``"`` or CR whose cells are
-all nonempty and made of ``0-9 . + - e E`` are parsed by one ``np.loadtxt``
-call, and only the other lines go through ``csv.reader``. Its output is
-bit-identical to the ``csv.reader`` path's; a file it cannot parse so goes
-down that path whole.
+When every column read is numeric (a regression target or none), the lines
+of a file without ``"`` or CR whose cells are all nonempty and made of
+``0-9 . + - e E`` are parsed by one ``np.loadtxt`` call into the same
+matrix, and only the other lines go through ``csv.reader``. The result is
+bit-identical to the ``csv.reader`` path's; a file the fast path cannot
+parse so goes down that path whole.
 
 Training splits raw rows, then fits means, scales and widths on the training
 part. Splits and synthetic data use ``numpy.random.default_rng`` (PCG64), so
@@ -100,14 +101,6 @@ def _cell_value(cell: str) -> float:
 
 def _is_missing(cell: str) -> bool:
     return math.isnan(_cell_value(cell))
-
-
-def _parse_float(cell: str):
-    try:
-        v = float(cell)
-    except ValueError:
-        return None
-    return v if math.isfinite(v) else None
 
 
 def _read_rows(path):
@@ -194,22 +187,15 @@ def _cell_counts(raw):
     return counts
 
 
-def _encode_column(cells, enc=None, vals=None):
-    """Encode one column of string cells; returns (float64 array, encoding).
-
-    ``enc`` None infers the encoding from cells already cleared of missing
-    ones, given with their ``_cell_value`` values ``vals``. Under a given
-    ``enc`` a cell that does not encode becomes NaN.
-    """
+def _encode_column(cells, enc=None):
+    """Category codes of one column of string cells; returns (float64 array,
+    encoding). ``enc`` None numbers the categories by first appearance in
+    cells already cleared of missing ones; under a given ``enc`` a cell that
+    is not one of its categories becomes NaN."""
     if enc is None:
-        if np.isfinite(vals).all():
-            return vals, {"kind": "numeric"}
         codes = {}
         vals = [codes.setdefault(cell.strip(), float(len(codes))) for cell in cells]
         return np.array(vals, dtype=np.float64), {"kind": "ordinal", "categories": list(codes)}
-    if enc["kind"] == "numeric":
-        # numpy stores None as NaN in a float64 array
-        return np.array([_parse_float(cell) for cell in cells], dtype=np.float64), enc
     # a category that is itself a missing marker never matches a cell, as at training
     codes = {cat: float(k) for k, cat in enumerate(enc["categories"]) if not _is_missing(cat)}
     return np.array([codes.get(cell.strip()) for cell in cells], dtype=np.float64), enc
@@ -234,8 +220,8 @@ def _encode_labels(cells, classes=None):
 
 
 def _class_sort_key(value: str):
-    v = _parse_float(value)
-    return (0, v, "") if v is not None else (1, 0.0, value)
+    v = _cell_value(value)
+    return (0, v, "") if math.isfinite(v) else (1, 0.0, value)
 
 
 def _read_table(path, target_column, task, feature_names=None, encodings=None,
@@ -248,90 +234,86 @@ def _read_table(path, target_column, task, feature_names=None, encodings=None,
 
     When every column read is numeric (inferred or stored so, with no target
     or a regression one), ``_split_numeric`` picks the lines that one
-    ``np.loadtxt`` call parses; the others go through ``csv.reader`` and
-    ``_encode_column``. Whatever the fast path cannot show to give the
-    ``csv.reader`` path's result bit for bit goes to that path whole.
+    ``np.loadtxt`` call parses and ``_tabulate`` reads the others. Whatever
+    the fast path cannot show to give the ``csv.reader`` path's result bit
+    for bit goes to that path whole. Bytes that are not UTF-8 and a cell
+    longer than the csv module's field limit are a ``DataError``.
     """
     numeric = (target_column is None or task == TASK_REGRESSION) and (
         encodings is None or all(enc["kind"] == "numeric" for enc in encodings))
     args = (target_column, task, feature_names, encodings, target_classes)
-    split = _split_numeric(path) if numeric else None
-    table = None if split is None else _tabulate(path, *split, *args)
-    if table is None:
-        header, rows = _read_rows(path)
-        table = _tabulate(path, header, rows, [], np.zeros(len(rows), bool), *args)
+    try:
+        split = _split_numeric(path) if numeric else None
+        table = None if split is None else _tabulate(path, *split, *args)
+        if table is None:
+            header, rows = _read_rows(path)
+            table = _tabulate(path, header, rows, [], np.zeros(len(rows), bool), *args)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
     return table
 
 
 def _tabulate(path, header, rows, fast_lines, fast, target_column, task, feature_names,
               encodings, target_classes):
-    """Encode ``rows`` and parse ``fast_lines`` (all numeric), merging them in
-    the file order ``fast`` gives; None where the fast lines cannot be parsed
-    or would need category codes."""
+    """The table of one file, built on one float matrix ``values``; None
+    where the fast lines cannot be parsed or would need category codes.
+
+    ``values`` has one row per non-blank data line, in the file order
+    ``fast`` gives, and one column per column read (features, then the
+    target): ``np.loadtxt`` fills the ``fast_lines``, ``_cell_value`` the
+    ``rows`` and a stored category column holds codes. A row with a NaN is
+    dropped; ``X`` and a regression ``y`` are slices of ``values``.
+    """
     names = [h for h in header if h != target_column] if feature_names is None else feature_names
     missing = [nm for nm in names if nm not in header]
     if missing:
         raise MissingColumnError(f"feature column(s) {missing} not in header {header}")
     if (target_column is not None or feature_names is None) and target_column not in header:
         raise MissingColumnError(f"target column {target_column!r} not in header {header}")
+    d = len(names)
     t_idx = None if target_column is None else header.index(target_column)
-    idx = [header.index(nm) for nm in names]
-    values = np.empty((0, len(idx) + (t_idx is not None)))
+    cols = [header.index(nm) for nm in names] + ([] if t_idx is None else [t_idx])
+    values = np.empty((fast.size, len(cols)))
     if fast_lines:
         try:
-            values = np.loadtxt(fast_lines, delimiter=",", comments=None, ndmin=2,
-                                usecols=idx + ([] if t_idx is None else [t_idx]))
+            numbers = np.loadtxt(fast_lines, delimiter=",", comments=None, ndmin=2, usecols=cols)
         except ValueError:  # a cell such as "1e" or "1..2", which float() rejects too
             return None
-    infer = encodings is None
-    kept = np.empty(fast.size, dtype=bool)
-    # a non-finite number is a missing cell
-    kept[fast] = np.isfinite(values).all(axis=1)
-    whole = [len(row) == len(header) for row in rows]
-
-    def parsed(i):  # column i's _cell_value values, NaN (missing) on a ragged row
-        return np.array([_cell_value(row[i]) if ok else math.nan
-                         for row, ok in zip(rows, whole)], dtype=np.float64)
-
-    # the cells the drop rule reads are parsed once, here
-    columns = [parsed(i) for i in idx] if infer else []
-    target = None if t_idx is None else parsed(t_idx)
-    slow = np.array(whole, dtype=bool)
-    for vals in columns:
-        slow &= ~np.isnan(vals)
-    if target is not None:  # a regression target must be a number
-        slow &= np.isfinite(target) if task == TASK_REGRESSION else ~np.isnan(target)
-    kept[~fast] = slow
-    from_fast = fast[kept]
-    X = np.empty((from_fast.size, len(idx)))
-    X[from_fast] = values[kept[fast], :len(idx)]
-    slow_kept = slow.tolist()
-    encs = []
-    for j, (i, enc) in enumerate(zip(idx, [None] * len(idx) if infer else encodings)):
-        X[~from_fast, j], enc = _encode_column(
-            [row[i] for row in itertools.compress(rows, slow_kept)], enc,
-            columns[j][slow] if infer else None)
-        encs.append(enc)
-    if fast_lines and any(enc["kind"] != "numeric" for enc in encs):
-        return None  # the fast lines' cells would need category codes
-    nan = np.isnan(X).any(axis=1)
-    if nan.any():  # an inferred encoding never gives NaN, so training rows are not copied
-        X = X[~nan]
-        kept[kept] = ~nan
-        from_fast = from_fast[~nan]
-    if X.shape[0] == 0:
-        raise EmptyDataError(f"{path}: every row was dropped during ingestion")
-    y = None
-    if t_idx is not None:
-        y = np.empty(X.shape[0])
-        y[from_fast] = values[kept[fast], -1]
-        still_kept = kept[~fast]  # the slow rows left after the NaN drop
-        if task == TASK_REGRESSION:
-            y[~from_fast] = target[still_kept]
+        numbers[~np.isfinite(numbers)] = np.nan  # a non-finite number is a missing cell
+        if fast.all():  # no second copy of a file of fast lines only
+            values = numbers
         else:
-            y[~from_fast], target_classes = _encode_labels(
-                [row[t_idx] for row in itertools.compress(rows, still_kept.tolist())],
-                target_classes)
+            values[fast] = numbers
+        del numbers
+    blank = [""] * len(header)  # every cell of a ragged row is missing
+    rows = [row if len(row) == len(header) else blank for row in rows]
+    for j, (i, enc) in enumerate(zip(cols, [*(encodings or [None] * d), None])):
+        cells = [row[i] for row in rows]
+        if enc and enc["kind"] != "numeric":
+            values[~fast, j] = _encode_column(cells, enc)[0]
+            continue
+        vals = np.array([_cell_value(cell) for cell in cells], dtype=np.float64)
+        if enc or (j == d and task == TASK_REGRESSION):
+            vals[np.isinf(vals)] = np.nan  # text where a number must be is missing
+        values[~fast, j] = vals
+    kept = ~np.isnan(values).any(axis=1)
+    encs = encodings
+    if encodings is None:
+        # an inferred column is numeric iff its kept values are all finite; no fast line has text
+        text = np.flatnonzero(np.isinf(values[kept & ~fast, :d]).any(axis=0))
+        if text.size and fast_lines:
+            return None  # the fast lines' cells would need category codes
+        encs = [{"kind": "numeric"} for _ in range(d)]
+        for j in text:  # without fast lines, rows are the lines of values
+            values[kept, j], encs[j] = _encode_column(
+                [row[cols[j]] for row in itertools.compress(rows, kept.tolist())])
+    if not kept.any():
+        raise EmptyDataError(f"{path}: every row was dropped during ingestion")
+    X = values[kept, :d]
+    y = values[kept, d] if t_idx is not None and task == TASK_REGRESSION else None
+    if t_idx is not None and task != TASK_REGRESSION:  # classification reads no fast lines
+        y, target_classes = _encode_labels(
+            [row[t_idx] for row in itertools.compress(rows, kept.tolist())], target_classes)
     report = {"rows_read": fast.size, "rows_dropped": fast.size - X.shape[0]}
     return Dataset(X=X, y=y, feature_names=names, task=task, encodings=encs,
                    target_classes=target_classes, ingest_report=report), kept

@@ -357,10 +357,11 @@ def _json_reals(values) -> np.ndarray:
 
 def load(path) -> GPNAMModel:
     """Load and validate a model file saved by :func:`save`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
     try:
-        doc = json.loads(raw)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise MalformedModelError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise MalformedModelError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):

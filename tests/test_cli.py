@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -599,7 +600,7 @@ def csv_reader_refuses_data(monkeypatch):
 
     def reader(*args, **kwargs):
         for row in real(*args, **kwargs):
-            if any(data._parse_float(cell) is not None for cell in row):
+            if any(math.isfinite(data._cell_value(cell)) for cell in row):
                 raise AssertionError(f"csv.reader read the data line {row}")
             yield row
 
@@ -815,6 +816,42 @@ class TestMalformedModelFile:
                            "--out", str(tmp_path / "p.csv"))
         assert code == 2
         assert "encodings" in err
+
+
+    def test_model_file_not_utf8(self, tmp_path, synth_csv, capsys):
+        mpath = self._break(tmp_path, synth_csv, capsys, lambda doc: None)
+        Path(mpath).write_bytes(Path(mpath).read_bytes().replace(b'"x1"', b'"x\xe9"', 1))
+        code, _, err = run(capsys, "predict", "--data", synth_csv, "--model", mpath,
+                           "--out", str(tmp_path / "p.csv"))
+        assert code == 2
+        assert mpath in err
+
+
+class TestUnreadableBytes:
+    """A data file that is not UTF-8, or holds a cell longer than the csv
+    module's field limit, is a data error naming the file on every command."""
+
+    @pytest.mark.parametrize("bad_line", [
+        pytest.param(b"0.5,caf\xe9,1.0", id="latin-1"),
+        pytest.param(b"0.5," + b"9" * 200_000 + b",1.0", id="long-cell"),
+        pytest.param(b'0.5,"' + b"x" * 200_000 + b'",1.0', id="long-quoted-cell"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "shapes"])
+    def test_data_error_naming_the_file(self, tmp_path, synth_csv, capsys, command,
+                                        bad_line):
+        mpath = str(tmp_path / "m.json")
+        code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                         "--task", "reg", "--model", mpath, "--S", "8")
+        assert code == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(Path(synth_csv).read_bytes() + bad_line + b"\n")
+        argv = {"train": ["--target", "y", "--task", "reg", "--model", str(tmp_path / "n.json")],
+                "predict": ["--model", mpath, "--out", str(tmp_path / "p.csv")],
+                "evaluate": ["--target", "y", "--model", mpath],
+                "shapes": ["--model", mpath, "--out", str(tmp_path / "s.csv")]}[command]
+        code, out, err = run(capsys, command, "--data", str(bad), *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("gpnam: data error: ") and str(bad) in err
 
 
 class TestShapes:
@@ -1082,6 +1119,12 @@ class TestConfigFile:
             assert code == 0
             models.append(mpath.read_bytes())
         assert models[0] == models[1]
+
+    def test_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"data": "caf\xe9.csv"}')
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert str(cfg) in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["5", '"S"', '[["S", 8]]'])
     def test_non_object_rejected(self, tmp_path, capsys, text):

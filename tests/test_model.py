@@ -192,7 +192,7 @@ class TestChunkedPredict:
 
     @pytest.mark.parametrize("task", [model.TASK_REGRESSION, model.TASK_CLASSIFICATION])
     @pytest.mark.parametrize("mode", rff.MODES)
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=15)
     @given(start=st.integers(0, 2 * CHUNK + 2), length=st.integers(1, CHUNK + 3),
            pooled=st.booleans())
     def test_row_does_not_depend_on_the_other_rows(self, task, mode, start, length, pooled):
@@ -224,7 +224,7 @@ class TestFoldedCosines:
     """predict and shape_function fold the cosines whose frequencies agree up
     to sign; predict_raw and featurize evaluate all S and are the oracles."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(S=st.integers(1, 130), d=st.integers(1, 5), mode=st.sampled_from(rff.MODES),
            with_pair=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_matches_unfolded_oracles(self, S, d, mode, with_pair, seed):
@@ -263,7 +263,7 @@ class TestOneEvaluator:
 
     CHUNK = model.PREDICT_CHUNK
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(S=st.integers(1, 130), mode=st.sampled_from(rff.MODES),
            seed=st.integers(0, 2**32 - 1))
     def test_one_feature_prediction_is_bias_plus_shape(self, S, mode, seed):
@@ -272,7 +272,7 @@ class TestOneEvaluator:
         shape = model.shape_function(m, 0, X[:, 0], centered=False)
         assert np.array_equal(model.predict(m, X), m.w0 + shape.values)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(S=st.integers(1, 130), d=st.integers(2, 6), mode=st.sampled_from(rff.MODES),
            task=st.sampled_from([model.TASK_REGRESSION, model.TASK_CLASSIFICATION]),
            pooled=st.booleans(), zero_means=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -291,7 +291,7 @@ class TestOneEvaluator:
         assert np.array_equal(model.predict(m, X), want)
 
     @pytest.mark.parametrize("mode", rff.MODES)
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=15)
     @given(start=st.integers(0, CHUNK + 2), length=st.integers(1, CHUNK + 3))
     def test_shape_value_does_not_depend_on_the_other_grid_points(self, mode, start, length):
         m = random_pair_model(model.TASK_REGRESSION, False, d=3, S=100, mode=mode)
@@ -359,7 +359,7 @@ class TestThreadedSum:
     CHUNK = model.PREDICT_CHUNK
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @settings(max_examples=10, deadline=None, derandomize=True)
+    @settings(max_examples=10)
     @given(start=st.integers(0, 2 * CHUNK + 2), length=st.integers(1, 2 * CHUNK + 3),
            pooled=st.booleans())
     def test_row_does_not_depend_on_the_worker_count(self, workers, start, length, pooled):
@@ -711,7 +711,7 @@ class TestShapeCsv:
         assert content == "feature,x,f\nage,0.5,0.123456789\nage,1,-2\n"
         assert b"\r" not in out.read_bytes()
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(text=st.text(alphabet=st.sampled_from('ab ,"\r\n\t;\'\u00e9'), max_size=8))
     def test_field_parses_back(self, text):
         field = model.csv_field(text)

@@ -247,7 +247,7 @@ class TestPairFeatureMap:
         with pytest.raises(ValueError):
             rff.pair_feature_map(basis, np.zeros(3), np.zeros(4), 0.9)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(S=st.integers(1, 40), mode=st.sampled_from(rff.MODES),
            seed=st.integers(0, 2**16), n=st.integers(1, 50),
            widths=st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3),

@@ -104,7 +104,7 @@ class TestThreadedFeaturize:
     """featurize fills its rows through _kernels.in_row_chunks; the design
     matrix is bit-identical to one chunk filled in the calling thread."""
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(n=st.integers(1, 700), d=st.integers(1, 4), S=st.integers(1, 40),
            workers=st.integers(1, 4), in_flight=st.integers(1, 5000),
            seed=st.integers(0, 2**16))
@@ -131,7 +131,7 @@ class TestHalveWidth:
     (|angle| <= 2 * 3.5 * 2 / (1 / 16) = 224 here, ulp 2.8e-14) plus k
     rounding steps of the recurrence, each doubled by the halvings after it."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(S=st.integers(2, 64), d=st.integers(1, 3), with_pairs=st.booleans(),
            k=st.integers(1, 4), seed=st.integers(0, 2**16))
     def test_matches_direct_cosines(self, S, d, with_pairs, k, seed):
@@ -248,7 +248,7 @@ class TestSolveRidgeCg:
             got = _kernels.gram_apply(phi, p) + lam * mask * p
             assert np.max(np.abs(got - explicit @ p)) < 1e-10
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(S=st.integers(1, 40), mode=st.sampled_from(rff.MODES),
            seed=st.integers(0, 2**16), lam=st.floats(0.1, 10.0))
     def test_rff_design_matches_direct_solve(self, S, mode, seed, lam):
@@ -428,7 +428,7 @@ class TestLogisticNewton:
         with pytest.raises(ValueError):
             solvers.fit_logistic_newton(feats, np.array([0.0, 1.0, 2.0]))
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**16), n=st.integers(20, 120), D=st.integers(2, 12),
            lam=st.floats(0.05, 20.0))
     def test_converges_below_sgd_and_reruns_bit_identically(self, seed, n, D, lam):
@@ -451,7 +451,7 @@ class TestLogisticNewton:
 class TestFitReduced:
     """fit_reduced against the exact solvers, which stay as its oracles."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(n=st.integers(20, 300), S=st.integers(2, 40), d=st.integers(1, 4),
            mode=st.sampled_from(rff.MODES), with_pair=st.booleans(),
            lam=st.floats(1e-3, 100.0), task=st.sampled_from(TASKS),
