@@ -3,8 +3,8 @@
 CSV files are RFC-4180-style with a mandatory header row, UTF-8 (a leading
 byte-order mark is skipped; other bytes are a ``DataError``), ``.`` decimal
 separator. Training (``load_csv``) and prediction (``load_features``) ingest
-run through one reader core, ``_read_table``, which parses each cell it
-reads once into one float matrix (``_tabulate``): its number, NaN if missing
+run through one reader, ``_read_lines``, and parse each cell they read once
+into one float matrix (``_tabulate``): its number, NaN if missing
 (a marker, or a number whose float value is not finite, such as ``1e309``)
 and inf for text. Rows with a NaN are dropped and counted, never imputed. A
 column whose kept cells are all numbers is numeric, any other is
@@ -12,12 +12,10 @@ ordinal-encoded by first appearance (``_encode_column``). Text in a
 regression target or a stored numeric column and a category unseen at
 training are missing. Classification labels are the only other text read.
 
-When every column read is numeric (a regression target or none), the lines
-of a file without ``"`` or CR whose cells are all nonempty and made of
-``0-9 . + - e E`` are parsed by one ``np.loadtxt`` call into the same
-matrix, and only the other lines go through ``csv.reader``. The result is
-bit-identical to the ``csv.reader`` path's; a file the fast path cannot
-parse so goes down that path whole.
+In a file without ``"`` or CR a byte scan (``_scan``) marks the lines that
+one ``np.loadtxt`` call and ``str.split`` read; ``csv.reader`` reads the
+others, or the whole file when it holds ``"`` or CR. The tables are
+bit-identical to those of ``csv.reader`` reading every line.
 
 Training splits raw rows, then fits means, scales and widths on the training
 part. Splits and synthetic data use ``numpy.random.default_rng`` (PCG64), so
@@ -27,6 +25,7 @@ every operation here is bit-reproducible from its seed.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import warnings
@@ -103,19 +102,35 @@ def _is_missing(cell: str) -> bool:
     return math.isnan(_cell_value(cell))
 
 
-def _read_rows(path):
-    """The ``csv.reader`` path: the header and every non-blank row."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataError(f"{path}: file is empty") from None
-        header = _clean_header(path, header)
-        rows = [row for row in reader if not _is_blank(row)]
-    if not rows:
+def _read_lines(path, text_names, infer):
+    """The one reader of a CSV file: ``(header, lines, rows, fast, text)``:
+    the data lines ``_scan`` marks fast, the ``csv.reader`` rows of the other
+    non-blank ones, flags of the fast ones among all in file order, and flags
+    of the text columns (``text_names`` and, if ``infer``, the scan's). Without
+    ``"`` or CR a line is one ``csv.reader`` record, as ``str.split`` reads it.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw in (b"", b"\xef\xbb\xbf"):
+        raise EmptyDataError(f"{path}: file is empty")
+    if b'"' in raw or b"\r" in raw:
+        header, *rows = csv.reader(io.StringIO(raw.decode("utf-8-sig"), newline=""))
+        header, lines, fast = _clean_header(path, header), [], np.zeros(len(rows), bool)
+        text = np.isin(header, text_names)
+    else:  # the scan runs before the text is split, so their memory does not add up
+        first = raw[:raw.find(b"\n")] if b"\n" in raw else raw
+        header = _clean_header(path, next(csv.reader([first.decode("utf-8-sig")])))
+        fast, text = _scan(raw, np.isin(header, text_names), infer)
+        lines = raw.decode("utf-8-sig").split("\n")
+        del raw, lines[0]
+        rows = list(csv.reader(itertools.compress(lines, (~fast).tolist())))
+        lines = list(itertools.compress(lines, fast.tolist()))
+    present = fast.copy()
+    present[~fast] = [any(cell.strip() for cell in row) for row in rows]  # not blank
+    if not present.any():
         raise EmptyDataError(f"{path}: no data rows")
-    return header, rows
+    rows = list(itertools.compress(rows, present[~fast].tolist()))
+    return header, lines, rows, fast[present], text
 
 
 def _clean_header(path, header):
@@ -126,65 +141,50 @@ def _clean_header(path, header):
     return header
 
 
-def _is_blank(row):
-    return not any(cell.strip() for cell in row)
-
-
-def _split_numeric(path):
-    """The fast path's reading of a file: ``(header, rows, fast_lines, fast)``.
-
-    ``fast_lines`` are the data lines that hold the header's count of cells,
-    each nonempty and made of ``0-9 . + - e E`` only; ``rows`` are the
-    ``csv.reader`` rows of the other non-blank lines, and ``fast`` flags the
-    fast lines among all non-blank ones in file order. Without ``"`` or CR a
-    line is one ``csv.reader`` record, so this splits the file as
-    ``_read_rows`` does. None for a file holding either, one that is not
-    UTF-8, or one without data rows: the ``csv.reader`` path reads those.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if b'"' in raw or b"\r" in raw:
-        return None
-    counts = _cell_counts(raw)
-    try:
-        lines = raw.decode("utf-8-sig").split("\n")
-    except UnicodeDecodeError:
-        return None
-    del raw
-    header = _clean_header(path, next(csv.reader(lines[:1])))
-    del lines[0]
-    fast = counts[1:] == len(header)
-    slow = list(csv.reader(itertools.compress(lines, (~fast).tolist())))
-    present = fast.copy()
-    present[~fast] = [not _is_blank(row) for row in slow]
-    if not present.any():
-        return None
-    rows = list(itertools.compress(slow, present[~fast].tolist()))
-    return header, rows, list(itertools.compress(lines, fast.tolist())), fast[present]
-
-
-# Byte classes of the fast-path scan: 0 a character of a number, 1 any other, 2 ",", 3 LF.
+# Byte classes of the scan: 0 a character of a number, 1 any other, 2 ",", 3 LF.
 _BYTE_CLASS = bytes({44: 2, 10: 3}.get(b, 0 if chr(b) in "0123456789.+-eE" else 1)
                     for b in range(256))
 
 
-def _cell_counts(raw):
-    """The number of cells on each LF-separated line of the bytes ``raw``, or
-    -1 where a cell is empty, longer than ``csv.field_size_limit()`` or holds
-    a byte other than ``0-9 . + - e E``. In UTF-8 no byte of a multibyte
-    character is a comma or LF, so the lines are those of the decoded text."""
+def _scan(raw, text, infer):
+    """Flags the fast data lines of the bytes ``raw`` (LF-separated, the first
+    the header, ``text.size`` its cell count); returns ``(fast, text)``.
+
+    A full line has the header's cell count and no cell empty or longer
+    than ``csv.field_size_limit()``. A fast one is a full data line whose
+    bytes other than ``0-9 . + - e E`` lie in ``text`` columns only, and not
+    in each of its cells (such a line may be blank). ``infer`` adds to
+    ``text`` each column holding such a byte on a full data line in a cell
+    that is not a missing marker (a line holding a marker is dropped). No
+    byte of a UTF-8 multibyte character is a comma or LF.
+    """
     codes = np.frombuffer((raw + b"\n").translate(_BYTE_CLASS), np.uint8)
-    seps = np.flatnonzero(codes >= 2)
+    seps = np.flatnonzero(codes >= 2)  # the separator ending each cell
     ends = np.flatnonzero(codes[seps] == 3)  # the separator ending each line
-    other = np.flatnonzero(codes == 1)
+    odd = codes == 1
     del codes
-    counts = np.diff(ends, prepend=-1)
+    # a cell holds such a byte iff a run of them starts in it (a run at byte 0
+    # is the header's, whose flags go unused); one flag per cell
+    other = np.zeros(seps.size, bool)
+    other[np.searchsorted(seps, np.flatnonzero(odd[1:] > odd[:-1]) + 1)] = True
+    del odd
     # separator j ends a cell of gaps[j - 1] - 1 bytes (the first one ends the header's)
     gaps = np.diff(seps)
-    odd = np.flatnonzero((gaps == 1) | (gaps > csv.field_size_limit() + 1)) + 1
-    counts[np.searchsorted(ends, odd)] = -1
-    counts[np.searchsorted(seps[ends], other)] = -1
-    return counts
+    full = np.diff(ends, prepend=-1) == text.size
+    full[np.searchsorted(ends, np.flatnonzero(
+        (gaps == 1) | (gaps > csv.field_size_limit() + 1)) + 1)] = False
+    full[0] = False  # the header
+    cells = np.flatnonzero(other)
+    line = np.searchsorted(ends, cells)
+    cells, line = cells[full[line]], line[full[line]]  # the flagged cells of full lines
+    col = cells - ends[line - 1] - 1
+    for j in np.unique(col) if infer else ():  # a flagged cell that is not a missing marker
+        text[j] |= not all(_is_missing(raw[seps[k - 1] + 1:seps[k]].decode(errors="replace"))
+                           for k in cells[col == j])  # bad UTF-8 is reported once decoded
+    fast = full.copy()
+    fast[line[~text[col]]] = False
+    fast[np.bincount(line, minlength=fast.size) == text.size] = False  # flags in every cell
+    return fast[1:], text
 
 
 def _encode_column(cells, enc=None):
@@ -221,7 +221,7 @@ def _encode_labels(cells, classes=None):
 
 def _class_sort_key(value: str):
     v = _cell_value(value)
-    return (0, v, "") if math.isfinite(v) else (1, 0.0, value)
+    return (0, v, value) if math.isfinite(v) else (1, 0.0, value)
 
 
 def _read_table(path, target_column, task, feature_names=None, encodings=None,
@@ -230,39 +230,29 @@ def _read_table(path, target_column, task, feature_names=None, encodings=None,
     flags each data row of the file that survived. ``feature_names`` None
     reads every column but the target, and ``encodings`` None infers each
     column's encoding after dropping the rows with a missing feature cell;
-    ``y`` is None without a target column.
-
-    When every column read is numeric (inferred or stored so, with no target
-    or a regression one), ``_split_numeric`` picks the lines that one
-    ``np.loadtxt`` call parses and ``_tabulate`` reads the others. Whatever
-    the fast path cannot show to give the ``csv.reader`` path's result bit
-    for bit goes to that path whole. Bytes that are not UTF-8 and a cell
-    longer than the csv module's field limit are a ``DataError``.
-    """
-    numeric = (target_column is None or task == TASK_REGRESSION) and (
-        encodings is None or all(enc["kind"] == "numeric" for enc in encodings))
-    args = (target_column, task, feature_names, encodings, target_classes)
+    ``y`` is None without a target column. Bytes that are not UTF-8 and a
+    cell longer than the csv module's field limit are a ``DataError``."""
+    labels = [target_column] if target_column is not None and task != TASK_REGRESSION else []
+    text_names = [nm for nm, enc in zip(feature_names or [], encodings or [])
+                  if enc["kind"] != "numeric"] + labels
     try:
-        split = _split_numeric(path) if numeric else None
-        table = None if split is None else _tabulate(path, *split, *args)
-        if table is None:
-            header, rows = _read_rows(path)
-            table = _tabulate(path, header, rows, [], np.zeros(len(rows), bool), *args)
+        table = _read_lines(path, text_names, encodings is None)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
-    return table
+    return _tabulate(path, *table, target_column, task, feature_names, encodings,
+                     target_classes)
 
 
-def _tabulate(path, header, rows, fast_lines, fast, target_column, task, feature_names,
+def _tabulate(path, header, lines, rows, fast, text, target_column, task, feature_names,
               encodings, target_classes):
-    """The table of one file, built on one float matrix ``values``; None
-    where the fast lines cannot be parsed or would need category codes.
+    """The table of one file, built on one float matrix ``values``.
 
     ``values`` has one row per non-blank data line, in the file order
     ``fast`` gives, and one column per column read (features, then the
-    target): ``np.loadtxt`` fills the ``fast_lines``, ``_cell_value`` the
-    ``rows`` and a stored category column holds codes. A row with a NaN is
-    dropped; ``X`` and a regression ``y`` are slices of ``values``.
+    target). ``np.loadtxt`` reads the fast ``lines``' cells outside the
+    ``text`` columns, ``_cell_value`` the others (all of them if loadtxt
+    rejects one) and a stored category column holds codes. A row with a
+    NaN is dropped; ``X`` and a regression ``y`` are slices of ``values``.
     """
     names = [h for h in header if h != target_column] if feature_names is None else feature_names
     missing = [nm for nm in names if nm not in header]
@@ -270,50 +260,57 @@ def _tabulate(path, header, rows, fast_lines, fast, target_column, task, feature
         raise MissingColumnError(f"feature column(s) {missing} not in header {header}")
     if (target_column is not None or feature_names is None) and target_column not in header:
         raise MissingColumnError(f"target column {target_column!r} not in header {header}")
+    if not names:
+        raise DataError(f"{path}: no feature column besides the target {target_column!r}")
     d = len(names)
     t_idx = None if target_column is None else header.index(target_column)
     cols = [header.index(nm) for nm in names] + ([] if t_idx is None else [t_idx])
     values = np.empty((fast.size, len(cols)))
-    if fast_lines:
-        try:
-            numbers = np.loadtxt(fast_lines, delimiter=",", comments=None, ndmin=2, usecols=cols)
-        except ValueError:  # a cell such as "1e" or "1..2", which float() rejects too
-            return None
+    num = [j for j, i in enumerate(cols) if not text[i]] if lines else []  # loadtxt's columns
+    try:
+        numbers = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                             usecols=[cols[j] for j in num]) if num else None
+    except ValueError:  # a cell such as "1e" or "1..2", which float() rejects too
+        numbers, num = None, []
+    if numbers is not None:
         numbers[~np.isfinite(numbers)] = np.nan  # a non-finite number is a missing cell
-        if fast.all():  # no second copy of a file of fast lines only
+        if len(num) < len(cols):
+            values[np.ix_(fast, num)] = numbers
+        elif fast.all():  # no second copy of a file of fast lines only
             values = numbers
         else:
             values[fast] = numbers
         del numbers
     blank = [""] * len(header)  # every cell of a ragged row is missing
     rows = [row if len(row) == len(header) else blank for row in rows]
+    strings = {}  # the cells of each text column read, every row in file order
+    for i in {i for j, i in enumerate(cols) if j not in num}:
+        strings[i] = np.empty(fast.size, object)
+        strings[i][fast] = [line.split(",")[i] for line in lines]
+        strings[i][~fast] = [row[i] for row in rows]
     for j, (i, enc) in enumerate(zip(cols, [*(encodings or [None] * d), None])):
-        cells = [row[i] for row in rows]
+        at, cells = (~fast, [row[i] for row in rows]) if j in num else (slice(None), strings[i])
         if enc and enc["kind"] != "numeric":
-            values[~fast, j] = _encode_column(cells, enc)[0]
+            values[at, j] = _encode_column(cells, enc)[0]
             continue
         vals = np.array([_cell_value(cell) for cell in cells], dtype=np.float64)
         if enc or (j == d and task == TASK_REGRESSION):
             vals[np.isinf(vals)] = np.nan  # text where a number must be is missing
-        values[~fast, j] = vals
+        values[at, j] = vals
     kept = ~np.isnan(values).any(axis=1)
     encs = encodings
     if encodings is None:
-        # an inferred column is numeric iff its kept values are all finite; no fast line has text
-        text = np.flatnonzero(np.isinf(values[kept & ~fast, :d]).any(axis=0))
-        if text.size and fast_lines:
-            return None  # the fast lines' cells would need category codes
+        # an inferred column is numeric iff its kept values are all finite; a
+        # kept row holds text only in the scan's text columns, which strings holds
         encs = [{"kind": "numeric"} for _ in range(d)]
-        for j in text:  # without fast lines, rows are the lines of values
-            values[kept, j], encs[j] = _encode_column(
-                [row[cols[j]] for row in itertools.compress(rows, kept.tolist())])
+        for j in np.flatnonzero(np.isinf(values[kept, :d]).any(axis=0)):
+            values[kept, j], encs[j] = _encode_column(strings[cols[j]][kept])
     if not kept.any():
         raise EmptyDataError(f"{path}: every row was dropped during ingestion")
     X = values[kept, :d]
     y = values[kept, d] if t_idx is not None and task == TASK_REGRESSION else None
-    if t_idx is not None and task != TASK_REGRESSION:  # classification reads no fast lines
-        y, target_classes = _encode_labels(
-            [row[t_idx] for row in itertools.compress(rows, kept.tolist())], target_classes)
+    if t_idx is not None and task != TASK_REGRESSION:  # the target is a text column
+        y, target_classes = _encode_labels(strings[t_idx][kept], target_classes)
     report = {"rows_read": fast.size, "rows_dropped": fast.size - X.shape[0]}
     return Dataset(X=X, y=y, feature_names=names, task=task, encodings=encs,
                    target_classes=target_classes, ingest_report=report), kept

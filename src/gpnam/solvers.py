@@ -456,17 +456,19 @@ def _correct(w, objective, bases, hessian, curvature, tol):
     correction is the complement step; more follow, up to COMPLEMENT_STEPS,
     while the convergence measure exceeds tol (a small lam lets the rounding
     in the dropped directions matter). ``objective(w)`` returns (value,
-    gradient, measure); the last value and measure are returned."""
-    value, grad, measure = objective(w)
-    for _ in range(COMPLEMENT_STEPS):
-        step = _lift(np.linalg.solve(hessian, _reduce(grad, bases)), bases, w.shape[0])
-        for cols, U in bases:
-            g = grad[cols]
-            step[cols] += (g - U @ (U.T @ g)) / curvature
-        w -= step
+    gradient, measure); the last value and measure are returned. A lam too
+    small to fit overflows here; fit_reduced reports that, not numpy."""
+    with np.errstate(all="ignore"):
         value, grad, measure = objective(w)
-        if measure <= tol:
-            break
+        for _ in range(COMPLEMENT_STEPS):
+            step = _lift(np.linalg.solve(hessian, _reduce(grad, bases)), bases, w.shape[0])
+            for cols, U in bases:
+                g = grad[cols]
+                step[cols] += (g - U @ (U.T @ g)) / curvature
+            w -= step
+            value, grad, measure = objective(w)
+            if measure <= tol:
+                break
     return value, measure
 
 
@@ -480,7 +482,8 @@ def fit_reduced(features: StackedFeatures, y, task, cfg: FitConfig | None = None
     gradient norm, each from two n x D matvecs. Its iterations and loss trace
     are the reduced Newton's, ``reduced_rank`` is R, and wall_time includes
     the eigenbases, the projection and the corrections. Only cfg.lam and
-    cfg.cg_tol are read.
+    cfg.cg_tol are read. Non-finite weights or a non-finite measure raise
+    NumericBreakdownError.
     """
     cfg = cfg or FitConfig()
     phi = features.phi
@@ -530,6 +533,10 @@ def fit_reduced(features: StackedFeatures, y, task, cfg: FitConfig | None = None
         loss, gnorm = _correct(w, loss_and_gradient, bases, hessian, cfg.lam / n, NEWTON_TOL)
         report = replace(report, final_residual_or_loss=loss, gradient_norm=gnorm,
                          converged=gnorm <= NEWTON_TOL)
+    if not (np.isfinite(w).all() and math.isfinite(report.final_residual_or_loss)
+            and math.isfinite(report.gradient_norm or 0.0)):
+        raise NumericBreakdownError(
+            f"non-finite weights or convergence measure at lambda={cfg.lam:g}")
     return w, replace(report, reduced_rank=rank, wall_time=time.perf_counter() - t0)
 
 

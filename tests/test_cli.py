@@ -402,6 +402,38 @@ class TestTrain:
         assert m.basis.pair_z is not None
 
 
+    def test_file_without_a_feature_column_is_a_data_error(self, tmp_path, capsys):
+        path, mpath = tmp_path / "only_y.csv", tmp_path / "m0.json"
+        path.write_text("y\n1.5\n2.5\n3.5\n")
+        code, out, err = run(capsys, "train", "--data", str(path), "--target", "y",
+                             "--task", "reg", "--model", str(mpath), "--S", "8")
+        assert code == 2 and out == ""
+        assert f"{path}: no feature column besides the target 'y'" in err
+        assert not mpath.exists()
+
+    @pytest.mark.parametrize("lam", ["1e-100", "1e-200"])
+    @pytest.mark.parametrize("task", ["reg", "clf"])
+    def test_too_small_lambda_is_no_data_error(self, tmp_path, task, lam):
+        """A penalty too small to fit gives a finite model or a numeric
+        breakdown (exit 4), never a data error or a numpy warning."""
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-2, 2, (300, 3))
+        y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + rng.normal(0, 0.1, 300)
+        if task == "clf":
+            y = (y > np.median(y)).astype(int)
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c,y\n" + "".join(f"{r[0]!r},{r[1]!r},{r[2]!r},{t}\n"
+                                               for r, t in zip(X.tolist(), y.tolist())))
+        proc = subprocess.run([sys.executable, "-m", "gpnam.cli", "train", "--data", str(path),
+                               "--target", "y", "--task", task, "--S", "8", "--lambda", lam,
+                               "--model", str(tmp_path / "m.json")],
+                              capture_output=True, text=True)
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.returncode in (0, 3, 4), proc.stderr
+        if proc.returncode == 4:
+            assert proc.stderr.startswith("gpnam: numeric breakdown: ")
+            assert proc.stderr.count("\n") == 1
+
 class TestSettingsCheckedBeforeReading:
     """Every train setting that does not depend on the data is rejected
     before the CSV is read."""
@@ -619,20 +651,33 @@ class TestIngestPath:
             code, _, _ = run(capsys, *argv)
             assert code == 0, argv
 
-    def test_quoted_or_classification_file_uses_csv_reader(self, tmp_path, synth_csv, clf_csv,
-                                                           csv_reader_refuses_data):
+    def test_quoted_file_uses_csv_reader(self, tmp_path, synth_csv, csv_reader_refuses_data):
         text = Path(synth_csv).read_text()
         quoted = tmp_path / "quoted.csv"
         quoted.write_text('"x1",x2,y' + text[text.index("\n"):])
         numeric = [{"kind": "numeric"}] * 2
-        reads = [lambda: data.load_csv(str(quoted), "y", data.TASK_REGRESSION),
-                 lambda: data.load_features(str(quoted), ["x1", "x2"], numeric),
-                 lambda: data.load_csv(clf_csv, "y", data.TASK_CLASSIFICATION),
-                 lambda: data.load_features(clf_csv, ["a", "b"], numeric, "y",
-                                            data.TASK_CLASSIFICATION)]
-        for read in reads:
+        for read in (lambda: data.load_csv(str(quoted), "y", data.TASK_REGRESSION),
+                     lambda: data.load_features(str(quoted), ["x1", "x2"], numeric)):
             with pytest.raises(AssertionError, match="csv.reader read the data line"):
                 read()
+
+    def test_classification_and_categorical_files_skip_csv_reader(self, tmp_path, clf_csv,
+                                                                   csv_reader_refuses_data):
+        lines = Path(clf_csv).read_text().splitlines()
+        labelled = tmp_path / "labelled.csv"
+        levels, labels = ["low", "mid", "high"], {"0": "no", "1": "yes"}
+        labelled.write_text("a,b,g,y\n" + "".join(
+            f"{line[:-1]}{levels[k % 3]},{labels[line[-1]]}\n"
+            for k, line in enumerate(lines[1:])))
+        numeric = [{"kind": "numeric"}] * 2
+        for path in (clf_csv, str(labelled)):
+            ds = data.load_csv(path, "y", data.TASK_CLASSIFICATION)
+            X, y, _, _ = data.load_features(path, ds.feature_names, ds.encodings, "y",
+                                            data.TASK_CLASSIFICATION, ds.target_classes)
+            assert np.array_equal(X, ds.X) and np.array_equal(y, ds.y)
+        assert [enc["kind"] for enc in ds.encodings] == ["numeric", "numeric", "ordinal"]
+        assert ds.encodings[2]["categories"] == levels and ds.target_classes == ["no", "yes"]
+        data.load_features(clf_csv, ["a", "b"], numeric, "y", data.TASK_CLASSIFICATION)
 
 
 class TestPredict:

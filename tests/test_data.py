@@ -5,6 +5,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -26,11 +29,18 @@ def small_clf_csv(tmp_path):
     return write_csv(tmp_path / "small.csv", "a,b,y\n1,2,0\n3,4,1\n5,6,0\n")
 
 
+def read_rows(path):
+    """The header and the non-blank rows of a file, all read by csv.reader."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return [h.strip() for h in header], [row for row in rows if any(c.strip() for c in row)]
+
+
 def reference_load_features(path, feature_names, encodings):
     """The drop rules of load_features written out cell by cell: a row is
     kept only if it has the header's length and every feature cell is neither
     a missing marker nor unparseable (numeric) or unseen (ordinal)."""
-    header, rows = data._read_rows(path)
+    header, rows = read_rows(path)
     idx = [header.index(nm) for nm in feature_names]
     X_rows, row_ids = [], []
     for rid, row in enumerate(rows):
@@ -57,6 +67,17 @@ def reference_load_features(path, feature_names, encodings):
 
 
 class TestLoadCsv:
+    def test_labels_of_one_number_order_by_their_text(self, tmp_path):
+        """'1' and '1.0' parse to one number, so their text orders them, under
+        every hash seed: the positive class must not change between runs."""
+        path = write_csv(tmp_path / "tie.csv", "a,y\n1,1.0\n2,1\n3,1.0\n")
+        code = ("from gpnam import data; print(data.load_csv("
+                f"{path!r}, 'y', data.TASK_CLASSIFICATION).target_classes)")
+        for seed in "0123":
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONHASHSEED=seed), check=True)
+            assert proc.stdout == "['1', '1.0']\n"
+
     def test_small_classification(self, small_clf_csv):
         ds = data.load_csv(small_clf_csv, "y", data.TASK_CLASSIFICATION)
         assert ds.n == 3 and ds.d == 2
@@ -261,7 +282,7 @@ class TestTrainingFileReadForPrediction:
         assert np.array_equal(X, ds.X) and X.dtype == ds.X.dtype
         assert np.array_equal(y, ds.y)
         # the rows load_csv keeps, indexed as the reader returns them
-        _, read = data._read_rows(str(path))
+        _, read = read_rows(str(path))
         kept = [i for i, row in enumerate(read) if len(row) == len(header)
                 and not any(data._is_missing(cell) for cell in row)
                 and (task == data.TASK_CLASSIFICATION or math.isfinite(data._cell_value(row[-1])))]
@@ -270,8 +291,13 @@ class TestTrainingFileReadForPrediction:
 
 
 def csv_path_only():
-    """Send every read down the csv.reader path."""
-    return mock.patch.object(data, "_split_numeric", return_value=None)
+    """Send every line through csv.reader: the byte scan marks no line fast."""
+    scan = data._scan
+
+    def no_fast_line(*args):
+        fast, text = scan(*args)
+        return np.zeros_like(fast), text
+    return mock.patch.object(data, "_scan", no_fast_line)
 
 
 class TestNonFiniteLiterals:
@@ -298,9 +324,9 @@ def table_bits(result):
             for v in result]
 
 
-def training_table(path):
-    ds = data.load_csv(path, "t", data.TASK_REGRESSION)
-    return ds.X, ds.y, ds.ingest_report, ds.encodings
+def training_table(path, target="t", task=data.TASK_REGRESSION):
+    ds = data.load_csv(path, target, task)
+    return ds.X, ds.y, ds.ingest_report, ds.encodings, ds.target_classes
 
 
 def read_every_way(path, names):
@@ -356,6 +382,74 @@ def numeric_csvs(draw):
     return header[:width], b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()
 
 
+TEXT_CELLS = st.sampled_from(["low", "café", "日本", "1", " low ", "mid", "x y", "2.5", "NA", "?"])
+LABEL_PAIRS = [("0", "1"), ("1", "1.0"), (" yes", "no"), ("yes", "NA")]
+STORED_CATEGORIES = ["low", "café", "日本", "1", "NA"]
+
+
+@st.composite
+def text_csvs(draw):
+    """CSVs with category columns and a label column, beside numeric ones or
+    alone: multibyte, marker and padded categories, labels spelled as numbers
+    or words, blank and whitespace-only lines, empty cells, ragged rows and
+    ``1e`` cells, which loadtxt and float() both reject."""
+    n_num, n_cat = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    numeric = [f"f{j}" for j in range(n_num)] + ["t"] * draw(st.booleans())
+    header = numeric[:n_num] + [f"c{j}" for j in range(n_cat)] + numeric[n_num:] + ["lab"]
+    labels = draw(st.sampled_from(LABEL_PAIRS))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["row"] * 9 + ["blank", "spaces", "empty", "cell", "1e",
+                                                   "short", "long"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        if kind == "spaces":  # a blank line with the header's count of cells
+            lines.append(",".join(draw(st.sampled_from([" ", "  ", "\t"])) for _ in header))
+            continue
+        row = [draw(TEXT_CELLS if h[0] == "c" else FAST_CELLS) for h in header[:-1]]
+        row.append(draw(st.sampled_from(labels)))
+        if kind == "empty":
+            row[draw(st.integers(0, len(row) - 1))] = ""
+        elif kind == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(SLOW_CELLS)
+        elif kind == "1e" and numeric:
+            row[header.index(draw(st.sampled_from(numeric)))] = "1e"
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append(draw(TEXT_CELLS))
+        lines.append(",".join(row))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return header, labels, b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()
+
+
+def read_text_file(path, header, labels):
+    """Training (regression and classification) and load_features under
+    stored numeric and ordinal encodings, with and without a target; an
+    error is kept as its type and message."""
+    names = [h for h in header if h[0] in "fc"]
+    numeric = [{"kind": "numeric"}] * len(names)
+    ordinal = [{"kind": "ordinal", "categories": STORED_CATEGORIES} if h[0] == "c"
+               else {"kind": "numeric"} for h in names]
+    classes = [label.strip() for label in labels]
+    calls = [lambda: training_table(path),
+             lambda: training_table(path, "lab", data.TASK_CLASSIFICATION),
+             lambda: data.load_features(path, names, numeric),
+             lambda: data.load_features(path, names, ordinal),
+             lambda: data.load_features(path, names, ordinal, "t", data.TASK_REGRESSION),
+             lambda: data.load_features(path, names, numeric, "lab", data.TASK_CLASSIFICATION,
+                                        classes),
+             lambda: data.load_features(path, names, ordinal, "lab", data.TASK_CLASSIFICATION)]
+    out = []
+    for call in calls:
+        try:
+            out.append(table_bits(call()))
+        except DataError as exc:
+            out.append([type(exc), str(exc)])
+    return out
+
+
 class TestFastPath:
     @settings(max_examples=150)
     @given(case=numeric_csvs())
@@ -367,12 +461,22 @@ class TestFastPath:
         with csv_path_only():
             assert fast == read_every_way(str(path), names)
 
+    @settings(max_examples=150)
+    @given(case=text_csvs())
+    def test_text_columns_read_as_the_csv_reader_path_reads_them(self, tmp_path_factory, case):
+        header, labels, raw = case
+        path = tmp_path_factory.mktemp("tc") / "text.csv"
+        path.write_bytes(raw)
+        fast = read_text_file(str(path), header, labels)
+        with csv_path_only():
+            assert fast == read_text_file(str(path), header, labels)
+
     def test_damaged_lines_keep_their_place(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_bytes(b"\xef\xbb\xbfa,b,t\n1,2,3\nNA,2,3\n\n,,\n4,1e309,6\n7,8\n"
                          b"-0.0,5e-324,1_000\n9,10,11")
-        header, rows, fast_lines, fast = data._split_numeric(str(path))
-        assert header == ["a", "b", "t"]
+        header, fast_lines, rows, fast, text = data._read_lines(str(path), [], False)
+        assert header == ["a", "b", "t"] and text.tolist() == [False] * 3
         assert fast_lines == ["1,2,3", "4,1e309,6", "9,10,11"]
         assert rows == [["NA", "2", "3"], ["7", "8"], ["-0.0", "5e-324", "1_000"]]
         assert fast.tolist() == [True, False, True, False, False, True]
@@ -390,8 +494,8 @@ class TestFastPath:
     @pytest.mark.parametrize("text", [
         'a,t\n1,2\n"3",4\n',        # a quote anywhere
         "a,t\r\n1,2\r\n3,4\r\n",     # CR line ends
-        "a,t\n1,2\n1e,4\n",          # a cell loadtxt and float() both reject
-        "a,t\n1,2\nlow,4\n",         # a category: training makes "a" ordinal
+        "a,t\n1,2\n1e,4\n",          # a cell loadtxt and float() both reject: read cell by cell
+        "a,t\n1,2\nlow,4\n",         # a category: "a" is a text column, made ordinal
     ])
     def test_left_to_the_csv_reader_path(self, tmp_path, text):
         path = write_csv(tmp_path / "slow.csv", text)
