@@ -2,14 +2,14 @@
 matvec and the row-chunk thread runner.
 
 There is one backend, plain numpy, and one cosine kernel, ``cosines``. It
-fills every RFF block - ``featurize``'s per-feature blocks, the pair blocks of
-``rff.pair_feature_map`` and the folded terms of ``model.predict`` and
+fills every RFF block - the feature and pair blocks of ``featurize``'s design
+matrix, ``rff.pair_feature_map`` and the folded terms of ``model.predict`` and
 ``model.shape_function`` - in place, in one arithmetic order. It is
 elementwise, so an output element never depends on how rows are grouped.
 
 ``in_row_chunks`` shares a row range's chunks among WORKERS threads. It runs
-``featurize``'s rows and the cosines of ``model.predict``; numpy's cosine and
-arithmetic loops release the GIL, so the threads run on separate cores.
+``featurize``'s rows, all blocks, and ``model.predict``'s cosines; numpy's
+cosine and arithmetic loops release the GIL, so the threads use separate cores.
 
 ``halve_width`` turns a grid basis's design matrix at kernel width b into the
 one at width b/2 in place, by trig identities and without a cosine; train's
@@ -38,46 +38,37 @@ HALVE_CHUNK = 64
 # on (os.cpu_count() where the OS has no affinity call), at most 8.
 WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 8)
-# Cosines featurize has in flight across its threads; a smaller design matrix
-# is filled in the calling thread.
+# Cosines featurize has in flight across its threads, S per feature or pair
+# block of a row; a smaller design matrix is filled in the calling thread.
 FEATURIZE_COSINES = 2**20
 
 
-def featurize(X, z, c, widths, out=None):
-    """Stacked design matrix: row i is [1, phi(X[i,0]), ..., phi(X[i,d-1])].
+def featurize(X, z, c, widths, pairs=(), pair_z=None):
+    """Stacked design matrix: row i is [1, phi(X[i,0]), ..., phi(X[i,d-1]),
+    psi(X[i,p], X[i,q]) for each (p, q) in ``pairs``].
 
-    phi(x) = sqrt(2/S) * cos(z * x / width + c) per feature, so the output has
-    1 + S*d columns with the constant-1 bias first. ``out``, if given, is an
-    n x (1 + S*d) array (a column slice of a wider matrix is fine) that
-    receives the result instead of a new allocation.
+    phi(x) = sqrt(2/S) * cos(z * x / width + c) per feature, and a pair's
+    psi(u, v) = sqrt(2/S) * cos(pair_z[:, 0] * u / w + pair_z[:, 1] * v / w + c)
+    with w = sqrt(width_p * width_q), so the output has 1 + S*(d + len(pairs))
+    columns with the constant-1 bias first. The inputs are float64 arrays
+    that the callers have checked; nothing is checked here.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    widths = np.ascontiguousarray(widths, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-D matrix")
-    if z.shape != c.shape:
-        raise ValueError("z and c must have equal length")
-    if widths.shape[0] != X.shape[1]:
-        raise ValueError("one kernel width per feature column is required")
     n, d = X.shape
     S = z.shape[0]
-    if out is None:
-        out = np.empty((n, 1 + S * d))
-    elif out.shape != (n, 1 + S * d):
-        raise ValueError(f"out must have shape {(n, 1 + S * d)}, got {out.shape}")
+    terms = [([j], widths[j], z[:, None]) for j in range(d)]
+    terms += [([p, q], math.sqrt(widths[p] * widths[q]), pair_z) for p, q in pairs]
+    out = np.empty((n, 1 + S * len(terms)))
     scale = math.sqrt(2.0 / S)
     out[:, 0] = 1.0
 
     def fill(chunks, _):
         for rows in chunks:
-            for j in range(d):
-                block = out[rows, 1 + j * S:1 + (j + 1) * S]
-                cosines([X[rows, j]], widths[j], z[:, None], c, block.T)
+            for k, (cols, width, F) in enumerate(terms):
+                block = out[rows, 1 + k * S:1 + (k + 1) * S]
+                cosines([X[rows, j] for j in cols], width, F, c, block.T)
                 block *= scale
 
-    in_row_chunks(n, max(1, FEATURIZE_COSINES // max(1, S * d)), fill)
+    in_row_chunks(n, max(1, FEATURIZE_COSINES // max(1, S * len(terms))), fill)
     return out
 
 
@@ -142,7 +133,7 @@ def halve_width(phi, c):
 
     ``phi`` is a C-contiguous n x (1 + k*S) matrix: a bias column, left as it
     is, then k blocks of S columns sqrt(2/S) * cos(t_s + c_s), as
-    ``featurize`` and ``rff.pair_feature_map`` fill them for a grid basis with
+    ``featurize`` fills its feature and pair blocks for a grid basis with
     phases ``c``. There, column S-1-s has a frequency z > 0 and phase c, and
     its mirror, column s, has -z and pi/2 - c, so with u = t + c the pair holds
     cos u and sin u. Afterwards every angle t is 2t, which is the features at

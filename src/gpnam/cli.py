@@ -36,7 +36,8 @@ from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
 from . import _kernels, rff, solvers
-from .errors import DataError, ModelFileError, NumericBreakdownError, UndefinedMetricError
+from .errors import (DataError, EmptyDataError, ModelFileError, NumericBreakdownError,
+                     UndefinedMetricError)
 from .model import _atomic_write_text
 
 EXIT_OK = 0
@@ -310,11 +311,19 @@ def _model_encodings(mdl):
 
 
 def _load_model_rows(path, mdl, **target):
-    """``load_features`` on ``path`` with the model's encodings. When
-    the model stores its training ranges, the report also counts the rows
-    outside them: extrapolation is allowed but flagged."""
+    """``load_features`` on ``path`` with the model's encodings. A row with
+    a cell so large that its cosine angles overflow (``model.usable_rows``)
+    is dropped and counted too. When the model stores its training ranges,
+    the report also counts the rows outside them: extrapolation is allowed
+    but flagged."""
     X, y, row_ids, report = data_mod.load_features(path, mdl.feature_names,
                                                    _model_encodings(mdl), **target)
+    usable = model_mod.usable_rows(mdl, X)
+    if not usable.all():
+        if not usable.any():
+            raise EmptyDataError(f"{path}: every row was dropped during ingestion")
+        X, y, row_ids = X[usable], None if y is None else y[usable], row_ids[usable]
+        report["rows_dropped"] += int(usable.size - usable.sum())
     if mdl.feature_ranges is not None:
         mins, maxs = mdl.feature_ranges
         outside = np.any((X < mins) | (X > maxs), axis=1)

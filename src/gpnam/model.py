@@ -28,8 +28,8 @@ import numpy as np
 from . import _kernels
 from .data import TASK_CLASSIFICATION, TASK_REGRESSION
 from .errors import MalformedModelError, ModelInvariantError, SchemaVersionError
-from .rff import (MODES, FeatureBasis, build_basis, feature_map, fold_mirrored,
-                  pair_feature_map)
+from .rff import (MODES, FeatureBasis, angle_bound, build_basis, feature_map,
+                  fold_mirrored, pair_feature_map)
 from .solvers import sigmoid
 
 SCHEMA_VERSION = 1
@@ -226,6 +226,19 @@ def _term_values(width, F, phase, amp, columns) -> np.ndarray:
 
     _kernels.in_row_chunks(values.shape[0], PREDICT_CHUNK, fill)
     return values
+
+
+def usable_rows(model: GPNAMModel, X) -> np.ndarray:
+    """Flags the rows of the finite raw n x d matrix ``X`` that ``predict``
+    scores without overflow: those whose standardized values and every
+    term's ``rff.angle_bound`` are finite. A huge cell, such as -1.7e308,
+    fails it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.abs(_standardize_rows(model, X))
+    usable = np.ones(xs.shape[0], bool)
+    for cols, width, F, *_ in _folded_terms(model):
+        usable &= np.isfinite(angle_bound(F, xs[:, list(cols)], width))
+    return usable
 
 
 def predict(model: GPNAMModel, X) -> np.ndarray:

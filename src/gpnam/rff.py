@@ -139,6 +139,15 @@ def _check_width(b):
         raise ValueError("kernel width b must be positive and finite")
 
 
+def angle_bound(F, x_abs, b):
+    """(x_abs / b) @ max_s |F[s]|: for each row of ``x_abs`` (a value per
+    column of F), a bound on the cosine angles |F[s] . x / b| of inputs with
+    |x| <= x_abs. Where it is not finite an angle may overflow, and the
+    features would be NaN."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return (x_abs / b) @ np.abs(F).max(axis=0)
+
+
 def rbf_kernel(x, x_prime, b):
     """Exact RBF kernel exp(-||x - x'||^2 / (2 b^2)); the oracle the RFF
     features approximate."""

@@ -1,5 +1,8 @@
 """Convex fitting on stacked RFF features.
 
+``stack_features`` checks its inputs, then builds the whole design matrix,
+bias, feature and interaction-pair blocks, in one ``_kernels.featurize`` call.
+
 ``train`` fits through ``fit_reduced``, in each block's eigenbasis. A
 feature's S cosine columns see one scalar input, and the Gaussian kernel's
 one-dimensional spectrum decays faster than exponentially, so each S-column
@@ -33,9 +36,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _kernels, rff
+from . import _kernels
 from .data import TASK_CLASSIFICATION, TASK_REGRESSION
-from .errors import NumericBreakdownError
+from .errors import ConfigurationError, NumericBreakdownError
+from .rff import angle_bound
 
 # Newton stops once ||grad|| <= NEWTON_TOL, or after NEWTON_MAX_ITER steps
 # (then its report says converged: false).
@@ -175,10 +179,11 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     S-column block of two-dimensional RFF features with kernel width
     sqrt(b_i * b_j), and requires a basis built with pairwise frequencies.
     A width so narrow that an angle z * x / b overflows is a ValueError that
-    names it (an O(n*d) check, before any cosine). The matrix is C-contiguous,
-    so ``_kernels.halve_width`` can take it to half the widths in place; a
-    grid-basis ``train --bandwidth-scale auto`` calls this once, at its widest
-    scale.
+    names it (an O(n*d) check, before any cosine). After the checks one
+    ``_kernels.featurize`` call fills every block, pairs included. The matrix
+    is C-contiguous, so ``_kernels.halve_width`` can take it to half the
+    widths in place; a grid-basis ``train --bandwidth-scale auto`` calls this
+    once, at its widest scale.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -190,33 +195,26 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
         raise ValueError("one kernel width per feature is required")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite entries")
-    n, d = X.shape
+    d = X.shape[1]
     pairs = [(int(i), int(j)) for i, j in pairs or ()]
     for (i, j) in pairs:
         if not (0 <= i < d and 0 <= j < d) or i == j:
             raise ValueError(f"invalid interaction pair ({i}, {j}) for d={d}")
+    if pairs and basis.pair_z is None:
+        raise ConfigurationError("basis has no pairwise frequencies; "
+                                 "build it with with_pairs=True")
     x_max = np.maximum(X.max(axis=0, initial=0.0), -X.min(axis=0, initial=0.0))
     for j in range(d):
         _check_angles(basis.z[:, None], x_max[j:j + 1], widths[j], f"feature {j}")
-    pair_widths = [math.sqrt(widths[i] * widths[j]) for i, j in pairs]
-    if basis.pair_z is not None:  # else pair_feature_map says what is missing
-        for (i, j), b_ij in zip(pairs, pair_widths):
-            _check_angles(basis.pair_z, x_max[[i, j]], b_ij, f"pair ({i}, {j})")
-    feats = StackedFeatures(phi=np.empty((n, 1 + basis.S * (d + len(pairs)))),
-                            S=basis.S, d=d)
-    _kernels.featurize(X, basis.z, basis.c, widths, out=feats.phi[:, :1 + basis.S * d])
-    for k, ((i, j), b_ij) in enumerate(zip(pairs, pair_widths)):
-        feats.phi[:, feats.pair_block(k)] = rff.pair_feature_map(basis, X[:, i], X[:, j], b_ij)
-    return feats
+    for (i, j) in pairs:
+        _check_angles(basis.pair_z, x_max[[i, j]], math.sqrt(widths[i] * widths[j]),
+                      f"pair ({i}, {j})")
+    phi = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
+    return StackedFeatures(phi=phi, S=basis.S, d=d)
 
 
 def _check_angles(F, x_max, b, where):
-    """Raise ValueError unless max_s |F[s]| . (x_max / b), which bounds the
-    cosine angles |F[s] . x / b| of inputs with |x| <= x_max, is finite; an
-    infinite angle would make the features NaN."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        bound = np.max(np.abs(F) @ (x_max / b))
-    if not np.isfinite(bound):
+    if not np.isfinite(angle_bound(F, x_max, b)):
         raise ValueError(f"kernel width {float(b)!r} of {where} is too narrow for the "
                          "inputs: the cosine angles overflow")
 

@@ -8,6 +8,7 @@ read ``perfbench/`` without editing it.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -51,6 +52,23 @@ def test_every_workload_flag_is_read_by_its_command(tmp_path):
             assert parser.parse_args(command.argv).command == command.name
 
 
+def run_traced(*argvs):
+    """Run each gpnam command line under perfbench's tracer, then restore
+    every gpnam module's namespace; returns the tracer."""
+    spans = load_perfbench("spans")
+    saved = {m: dict(vars(sys.modules[m])) for m in list(sys.modules)
+             if m == "gpnam" or m.startswith("gpnam.")}
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        for argv in argvs:
+            assert cli.main(argv) == 0
+    finally:
+        for name, namespace in saved.items():
+            vars(sys.modules[name]).update(namespace)
+    return tracer
+
+
 def test_traced_train_and_evaluate_see_every_layer(tmp_path, capsys):
     rng = np.random.default_rng(0)
     X = rng.uniform(-2, 2, (300, 2))
@@ -61,19 +79,10 @@ def test_traced_train_and_evaluate_see_every_layer(tmp_path, capsys):
     holdout.write_text("\n".join(lines[:121]) + "\n")
     mpath = tmp_path / "m.json"
 
-    spans = load_perfbench("spans")
-    saved = {m: dict(vars(sys.modules[m])) for m in list(sys.modules)
-             if m == "gpnam" or m.startswith("gpnam.")}
-    tracer = spans.Tracer()
-    try:
-        spans.install(tracer)
-        assert cli.main(["train", "--data", str(train), "--target", "y", "--task", "reg",
-                         "--S", "8", "--model", str(mpath)]) == 0
-        assert cli.main(["evaluate", "--data", str(holdout), "--target", "y",
-                         "--model", str(mpath)]) == 0
-    finally:
-        for name, namespace in saved.items():
-            vars(sys.modules[name]).update(namespace)
+    tracer = run_traced(["train", "--data", str(train), "--target", "y", "--task", "reg",
+                         "--S", "8", "--model", str(mpath)],
+                        ["evaluate", "--data", str(holdout), "--target", "y",
+                         "--model", str(mpath)])
     capsys.readouterr()
     stats = dict(tracer.stats)
     assert stats["metrics.rmse"]["calls"] == 2  # train validation, then evaluate
@@ -81,3 +90,21 @@ def test_traced_train_and_evaluate_see_every_layer(tmp_path, capsys):
     assert stats["data.load_features"]["calls"] == 1
     assert tracer.counts["data.load_features.rows"] == 120
     assert tracer.counts["data.load_csv.rows"] == 300
+
+
+def test_traced_train_fills_pair_blocks_in_one_featurize_call(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    X = rng.uniform(-2, 2, (200, 3))
+    lines = ["a,b,c,y"] + [f"{a:.6f},{b:.6f},{c:.6f},{a * b + c:.6f}" for a, b, c in X]
+    train = tmp_path / "train.csv"
+    train.write_text("\n".join(lines) + "\n")
+
+    tracer = run_traced(["train", "--data", str(train), "--target", "y", "--task", "reg",
+                         "--S", "8", "--interactions", "0:1",
+                         "--model", str(tmp_path / "m.json")])
+    n = json.loads(capsys.readouterr().out)["split_sizes"]["train"]
+    stats = dict(tracer.stats)
+    assert stats["kernels.featurize"]["calls"] == 1
+    # the counter reads featurize's (X, z): n*d*S, the pair block not counted
+    assert tracer.counts["kernels.featurize.cos_evals"] == n * 3 * 8
+    assert "rff.pair_feature_map" not in stats

@@ -280,6 +280,22 @@ class TestTrain:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not mpath.exists()
 
+    def test_column_too_large_to_standardize_is_data_error(self, tmp_path, capsys, recwarn):
+        path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "synth", "--out", str(path), "--n", "400", "--d", "3",
+                         "--seed", "1")
+        assert code == 0
+        header, *lines = path.read_text().splitlines()
+        lines = [f"1e200,{line.split(',', 1)[1]}" if k % 10 == 0 else line
+                 for k, line in enumerate(lines)]
+        path.write_text("\n".join([header] + lines) + "\n")
+        code, _, err = run(capsys, "train", "--data", str(path), "--target", "y",
+                           "--task", "reg", "--model", str(tmp_path / "m.json"), "--S", "8")
+        assert code == 2
+        assert err == ("gpnam: data error: feature column(s) ['x1'] too large to standardize: "
+                       "their mean or standard deviation overflows\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("task", ["reg", "clf"])
     def test_fit_reads_only_the_training_rows(self, tmp_path, synth_csv, clf_csv, capsys,
                                               task):
@@ -624,6 +640,51 @@ class TestIngestReport:
         assert (report["n"], report["d"], len(report["shapes"])) == (5, 2, 2)
 
 
+class TestHugeCells:
+    """A finite cell so large that its cosine angles overflow drops its row
+    in predict, evaluate and shapes, as a missing cell does."""
+
+    def test_row_dropped_and_counted(self, tmp_path, capsys, recwarn):
+        train = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "synth", "--out", str(train), "--n", "400", "--d", "3",
+                         "--seed", "1")
+        assert code == 0
+        mpath = str(tmp_path / "m.json")
+        code, _, _ = run(capsys, "train", "--data", str(train), "--target", "y",
+                         "--task", "reg", "--model", mpath, "--S", "8")
+        assert code == 0
+        header, *lines = train.read_text().splitlines()
+        huge = tmp_path / "huge.csv"
+        lines[7] = "-1.7e308," + lines[7].split(",", 1)[1]
+        huge.write_text("\n".join([header] + lines) + "\n")
+
+        def strict_json(text):
+            return json.loads(text, parse_constant=lambda name: pytest.fail(name))
+
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--data", str(huge), "--model", mpath,
+                           "--out", str(out))
+        assert code == 0
+        assert strict_json(err)["rows_dropped"] == 1
+        ids, preds = zip(*(row.split(",") for row in out.read_text().splitlines()[1:]))
+        assert [int(i) for i in ids] == [k for k in range(400) if k != 7]
+        assert all(math.isfinite(float(p)) for p in preds)
+        code, text, _ = run(capsys, "evaluate", "--data", str(huge), "--target", "y",
+                            "--model", mpath)
+        assert code == 0
+        doc = strict_json(text)
+        assert doc["ingest"]["rows_dropped"] == 1
+        assert all(math.isfinite(row["value"]) and row["n"] == 399 for row in doc["metrics"])
+        code, _, err = run(capsys, "shapes", "--data", str(huge), "--model", mpath,
+                           "--out", str(tmp_path / "shapes.csv"))
+        assert code == 0 and strict_json(err)["rows_dropped"] == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        huge.write_text("\n".join([header, lines[7], lines[7]]) + "\n")
+        code, _, err = run(capsys, "predict", "--data", str(huge), "--model", mpath)
+        assert code == 2
+        assert err == f"gpnam: data error: {huge}: every row was dropped during ingestion\n"
+
+
 @pytest.fixture
 def csv_reader_refuses_data(monkeypatch):
     """csv.reader raising on a row that holds a number: a data line in the
@@ -650,6 +711,24 @@ class TestIngestPath:
                      ["shapes", "--data", synth_csv, "--model", mpath, "--out", out]):
             code, _, _ = run(capsys, *argv)
             assert code == 0, argv
+
+    def test_unread_id_column_skips_csv_reader(self, tmp_path, synth_csv, capsys,
+                                               csv_reader_refuses_data):
+        mpath, out = str(tmp_path / "m.json"), tmp_path / "out.csv"
+        code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y", "--task", "reg",
+                         "--model", mpath, "--S", "8")
+        assert code == 0
+        header, *lines = Path(synth_csv).read_text().splitlines()
+        with_id = tmp_path / "with_id.csv"
+        with_id.write_text("\n".join([f"id,{header}"] + [f"r{k},{line}"
+                                                        for k, line in enumerate(lines)]) + "\n")
+        code, _, _ = run(capsys, "predict", "--data", str(with_id), "--model", mpath,
+                         "--out", str(out))
+        assert code == 0
+        want = tmp_path / "want.csv"
+        code, _, _ = run(capsys, "predict", "--data", synth_csv, "--model", mpath,
+                         "--out", str(want))
+        assert code == 0 and out.read_bytes() == want.read_bytes()
 
     def test_quoted_file_uses_csv_reader(self, tmp_path, synth_csv, csv_reader_refuses_data):
         text = Path(synth_csv).read_text()

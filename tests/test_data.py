@@ -385,17 +385,22 @@ def numeric_csvs(draw):
 TEXT_CELLS = st.sampled_from(["low", "café", "日本", "1", " low ", "mid", "x y", "2.5", "NA", "?"])
 LABEL_PAIRS = [("0", "1"), ("1", "1.0"), (" yes", "no"), ("yes", "NA")]
 STORED_CATEGORIES = ["low", "café", "日本", "1", "NA"]
+ID_CELLS = st.one_of(st.integers(0, 99).map(lambda k: f"r{k}"), TEXT_CELLS, FAST_CELLS)
 
 
 @st.composite
 def text_csvs(draw):
     """CSVs with category columns and a label column, beside numeric ones or
-    alone: multibyte, marker and padded categories, labels spelled as numbers
-    or words, blank and whitespace-only lines, empty cells, ragged rows and
+    alone, and sometimes an ``id`` column that load_features does not read:
+    multibyte, marker and padded categories, labels spelled as numbers or
+    words, blank and whitespace-only lines, empty cells, ragged rows and
     ``1e`` cells, which loadtxt and float() both reject."""
     n_num, n_cat = draw(st.integers(0, 2)), draw(st.integers(1, 2))
     numeric = [f"f{j}" for j in range(n_num)] + ["t"] * draw(st.booleans())
-    header = numeric[:n_num] + [f"c{j}" for j in range(n_cat)] + numeric[n_num:] + ["lab"]
+    header = numeric[:n_num] + [f"c{j}" for j in range(n_cat)] + numeric[n_num:]
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "id")
+    header.append("lab")
     labels = draw(st.sampled_from(LABEL_PAIRS))
     lines = [",".join(header)]
     for _ in range(draw(st.integers(1, 16))):
@@ -407,7 +412,8 @@ def text_csvs(draw):
         if kind == "spaces":  # a blank line with the header's count of cells
             lines.append(",".join(draw(st.sampled_from([" ", "  ", "\t"])) for _ in header))
             continue
-        row = [draw(TEXT_CELLS if h[0] == "c" else FAST_CELLS) for h in header[:-1]]
+        row = [draw(ID_CELLS if h == "id" else TEXT_CELLS if h[0] == "c" else FAST_CELLS)
+               for h in header[:-1]]
         row.append(draw(st.sampled_from(labels)))
         if kind == "empty":
             row[draw(st.integers(0, len(row) - 1))] = ""
@@ -593,6 +599,15 @@ class TestStandardize:
         out = data.standardize(ds)
         assert np.max(np.abs(out.X.mean(axis=0))) < 1e-8
         assert np.max(np.abs(out.X.std(axis=0) - 1.0)) < 1e-8
+
+    def test_column_too_large_is_data_error(self):
+        X = np.zeros((20, 3))
+        X[::10, 1] = 1e200  # the std's squares overflow
+        X[:, 2] = 1.7e308  # the mean's sum overflows
+        ds = data.Dataset(X=X, y=np.zeros(20), feature_names=list("abc"),
+                          task=data.TASK_REGRESSION, encodings=[{"kind": "numeric"}] * 3)
+        with pytest.raises(DataError, match=r"\['b', 'c'\] too large to standardize"):
+            data.standardize(ds)
 
     def test_rejects_double_standardization(self):
         ds = data.Dataset(X=np.array([[0.0], [2.0]]), y=np.zeros(2),

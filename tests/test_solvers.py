@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gpnam import _kernels, rff, solvers
 from gpnam.data import TASK_CLASSIFICATION, TASK_REGRESSION, TASKS
-from gpnam.errors import NumericBreakdownError
+from gpnam.errors import ConfigurationError, NumericBreakdownError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -69,7 +69,12 @@ class TestStackFeatures:
         b_pair = math.sqrt(widths[0] * widths[2])
         for r in range(5):
             want = rff.pair_feature_map(basis, X[r, 0], X[r, 2], b_pair)
-            assert np.allclose(feats.phi[r, feats.pair_block(0)], want, atol=1e-14)
+            assert np.array_equal(feats.phi[r, feats.pair_block(0)], want)
+
+    def test_pairs_need_pairwise_frequencies(self):
+        basis = rff.build_basis(4, "grid", 0)
+        with pytest.raises(ConfigurationError, match="with_pairs=True"):
+            solvers.stack_features(basis, [1.0, 1.0], np.zeros((3, 2)), pairs=[(0, 1)])
 
     def test_rejects_bad_inputs(self):
         basis = rff.build_basis(4, "grid", 0)
@@ -101,28 +106,35 @@ class TestStackFeatures:
 
 
 class TestThreadedFeaturize:
-    """featurize fills its rows through _kernels.in_row_chunks; the design
-    matrix is bit-identical to one chunk filled in the calling thread."""
+    """featurize fills every block, pairs included, through
+    _kernels.in_row_chunks; the design matrix is bit-identical to one chunk
+    filled in the calling thread, and each pair block to rff.pair_feature_map."""
 
     @settings(max_examples=30)
-    @given(n=st.integers(1, 700), d=st.integers(1, 4), S=st.integers(1, 40),
+    @given(n=st.integers(1, 700), d=st.integers(2, 4), S=st.integers(1, 40),
            workers=st.integers(1, 4), in_flight=st.integers(1, 5000),
-           seed=st.integers(0, 2**16))
-    def test_bit_identical_at_any_thread_count(self, n, d, S, workers, in_flight, seed):
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_bit_identical_at_any_thread_count(self, n, d, S, workers, in_flight, seed,
+                                               data):
         rng = np.random.default_rng(seed)
-        basis = rff.build_basis(S, "grid", seed)
+        basis = rff.build_basis(S, "grid", seed, with_pairs=True)
         X = rng.normal(size=(n, d))
         widths = rng.uniform(0.5, 2.0, d)
+        pairs = data.draw(st.lists(st.permutations(range(d)).map(lambda p: tuple(p[:2])),
+                                   max_size=3))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "WORKERS", 1)
             mp.setattr(_kernels, "FEATURIZE_COSINES", 2**62)
-            serial = _kernels.featurize(X, basis.z, basis.c, widths)
+            serial = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
             mp.setattr(_kernels, "WORKERS", workers)
             mp.setattr(_kernels, "FEATURIZE_COSINES", in_flight)
-            wide = np.zeros((n, 3 + S * d))  # out may be a column slice
-            _kernels.featurize(X, basis.z, basis.c, widths, out=wide[:, 1:-1])
-        assert wide[:, 1:-1].tobytes() == serial.tobytes()
-        assert not wide[:, [0, -1]].any()
+            threaded = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
+        assert threaded.shape == (n, 1 + S * (d + len(pairs)))
+        assert threaded.tobytes() == serial.tobytes()
+        for k, (i, j) in enumerate(pairs):
+            block = threaded[:, 1 + (d + k) * S:1 + (d + k + 1) * S]
+            want = rff.pair_feature_map(basis, X[:, i], X[:, j], math.sqrt(widths[i] * widths[j]))
+            assert block.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestHalveWidth:
