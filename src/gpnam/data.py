@@ -102,14 +102,12 @@ def _is_missing(cell: str) -> bool:
     return math.isnan(_cell_value(cell))
 
 
-def _read_lines(path, text_names, infer, read=None):
+def _read_lines(path, text_names, infer):
     """The one reader of a CSV file: ``(header, lines, rows, fast, text)``:
     the data lines ``_scan`` marks fast, the ``csv.reader`` rows of the other
     non-blank ones, flags of the fast ones among all in file order, and flags
-    of the text columns (``text_names`` and, if ``infer``, the scan's). The
-    scan counts the columns not in ``read`` (None reads all) as text too.
-    Without ``"`` or CR a line is one ``csv.reader`` record, as ``str.split``
-    reads it.
+    of the text columns (``text_names`` and, if ``infer``, the scan's). Without
+    ``"`` or CR a line is one ``csv.reader`` record, as ``str.split`` reads it.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -122,8 +120,7 @@ def _read_lines(path, text_names, infer, read=None):
     else:  # the scan runs before the text is split, so their memory does not add up
         first = raw[:raw.find(b"\n")] if b"\n" in raw else raw
         header = _clean_header(path, next(csv.reader([first.decode("utf-8-sig")])))
-        unread = ~np.isin(header, header if read is None else read)
-        fast, text = _scan(raw, np.isin(header, text_names) | unread, infer)
+        fast, text = _scan(raw, np.isin(header, text_names), infer)
         lines = raw.decode("utf-8-sig").split("\n")
         del raw, lines[0]
         rows = list(csv.reader(itertools.compress(lines, (~fast).tolist())))
@@ -238,9 +235,8 @@ def _read_table(path, target_column, task, feature_names=None, encodings=None,
     labels = [target_column] if target_column is not None and task != TASK_REGRESSION else []
     text_names = [nm for nm, enc in zip(feature_names or [], encodings or [])
                   if enc["kind"] != "numeric"] + labels
-    read = None if feature_names is None else [*feature_names, target_column]
     try:
-        table = _read_lines(path, text_names, encodings is None, read)
+        table = _read_lines(path, text_names, encodings is None)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
     return _tabulate(path, *table, target_column, task, feature_names, encodings,

@@ -712,24 +712,6 @@ class TestIngestPath:
             code, _, _ = run(capsys, *argv)
             assert code == 0, argv
 
-    def test_unread_id_column_skips_csv_reader(self, tmp_path, synth_csv, capsys,
-                                               csv_reader_refuses_data):
-        mpath, out = str(tmp_path / "m.json"), tmp_path / "out.csv"
-        code, _, _ = run(capsys, "train", "--data", synth_csv, "--target", "y", "--task", "reg",
-                         "--model", mpath, "--S", "8")
-        assert code == 0
-        header, *lines = Path(synth_csv).read_text().splitlines()
-        with_id = tmp_path / "with_id.csv"
-        with_id.write_text("\n".join([f"id,{header}"] + [f"r{k},{line}"
-                                                        for k, line in enumerate(lines)]) + "\n")
-        code, _, _ = run(capsys, "predict", "--data", str(with_id), "--model", mpath,
-                         "--out", str(out))
-        assert code == 0
-        want = tmp_path / "want.csv"
-        code, _, _ = run(capsys, "predict", "--data", synth_csv, "--model", mpath,
-                         "--out", str(want))
-        assert code == 0 and out.read_bytes() == want.read_bytes()
-
     def test_quoted_file_uses_csv_reader(self, tmp_path, synth_csv, csv_reader_refuses_data):
         text = Path(synth_csv).read_text()
         quoted = tmp_path / "quoted.csv"

@@ -385,22 +385,17 @@ def numeric_csvs(draw):
 TEXT_CELLS = st.sampled_from(["low", "café", "日本", "1", " low ", "mid", "x y", "2.5", "NA", "?"])
 LABEL_PAIRS = [("0", "1"), ("1", "1.0"), (" yes", "no"), ("yes", "NA")]
 STORED_CATEGORIES = ["low", "café", "日本", "1", "NA"]
-ID_CELLS = st.one_of(st.integers(0, 99).map(lambda k: f"r{k}"), TEXT_CELLS, FAST_CELLS)
 
 
 @st.composite
 def text_csvs(draw):
     """CSVs with category columns and a label column, beside numeric ones or
-    alone, and sometimes an ``id`` column that load_features does not read:
-    multibyte, marker and padded categories, labels spelled as numbers or
-    words, blank and whitespace-only lines, empty cells, ragged rows and
+    alone: multibyte, marker and padded categories, labels spelled as numbers
+    or words, blank and whitespace-only lines, empty cells, ragged rows and
     ``1e`` cells, which loadtxt and float() both reject."""
     n_num, n_cat = draw(st.integers(0, 2)), draw(st.integers(1, 2))
     numeric = [f"f{j}" for j in range(n_num)] + ["t"] * draw(st.booleans())
-    header = numeric[:n_num] + [f"c{j}" for j in range(n_cat)] + numeric[n_num:]
-    if draw(st.booleans()):
-        header.insert(draw(st.integers(0, len(header))), "id")
-    header.append("lab")
+    header = numeric[:n_num] + [f"c{j}" for j in range(n_cat)] + numeric[n_num:] + ["lab"]
     labels = draw(st.sampled_from(LABEL_PAIRS))
     lines = [",".join(header)]
     for _ in range(draw(st.integers(1, 16))):
@@ -412,8 +407,7 @@ def text_csvs(draw):
         if kind == "spaces":  # a blank line with the header's count of cells
             lines.append(",".join(draw(st.sampled_from([" ", "  ", "\t"])) for _ in header))
             continue
-        row = [draw(ID_CELLS if h == "id" else TEXT_CELLS if h[0] == "c" else FAST_CELLS)
-               for h in header[:-1]]
+        row = [draw(TEXT_CELLS if h[0] == "c" else FAST_CELLS) for h in header[:-1]]
         row.append(draw(st.sampled_from(labels)))
         if kind == "empty":
             row[draw(st.integers(0, len(row) - 1))] = ""
