@@ -1,5 +1,8 @@
-"""Hot numeric kernels: the cosine kernel, width halving, the Gram-operator
-matvec and the row-chunk thread runner.
+"""Hot numeric kernels: the term list, the cosine kernel, width halving, the
+Gram-operator matvec and the row-chunk thread runner.
+
+``terms`` lists the additive terms that ``featurize``, ``solvers.stack_features``
+and ``model._folded_terms`` all read.
 
 There is one backend, plain numpy, and one cosine kernel, ``cosines``. It
 fills every RFF block - the feature and pair blocks of ``featurize``'s design
@@ -43,32 +46,34 @@ WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 FEATURIZE_COSINES = 2**20
 
 
-def featurize(X, z, c, widths, pairs=(), pair_z=None):
-    """Stacked design matrix: row i is [1, phi(X[i,0]), ..., phi(X[i,d-1]),
-    psi(X[i,p], X[i,q]) for each (p, q) in ``pairs``].
+def terms(z, pair_z, widths, pairs):
+    """Every additive term in design-matrix column order, as (input columns,
+    kernel width, frequencies): each feature j, ((j,), widths[j], z[:, None]),
+    then each pair, ((p, q), sqrt(widths[p] * widths[q]), pair_z)."""
+    return ([((j,), widths[j], z[:, None]) for j in range(len(widths))]
+            + [((p, q), math.sqrt(widths[p] * widths[q]), pair_z) for p, q in pairs])
 
-    phi(x) = sqrt(2/S) * cos(z * x / width + c) per feature, and a pair's
-    psi(u, v) = sqrt(2/S) * cos(pair_z[:, 0] * u / w + pair_z[:, 1] * v / w + c)
-    with w = sqrt(width_p * width_q), so the output has 1 + S*(d + len(pairs))
-    columns with the constant-1 bias first. The inputs are float64 arrays
-    that the callers have checked; nothing is checked here.
-    """
-    n, d = X.shape
+
+def featurize(X, z, c, widths, pairs=(), pair_z=None):
+    """Stacked design matrix: the constant-1 bias column, then one S-column
+    block sqrt(2/S) * cos(F . (x / width) + c) per term of :func:`terms`, in
+    its order, 1 + S*(d + len(pairs)) columns. The inputs are float64 arrays
+    that the callers have checked; nothing is checked here."""
+    n = X.shape[0]
     S = z.shape[0]
-    terms = [([j], widths[j], z[:, None]) for j in range(d)]
-    terms += [([p, q], math.sqrt(widths[p] * widths[q]), pair_z) for p, q in pairs]
-    out = np.empty((n, 1 + S * len(terms)))
+    blocks = terms(z, pair_z, widths, pairs)
+    out = np.empty((n, 1 + S * len(blocks)))
     scale = math.sqrt(2.0 / S)
     out[:, 0] = 1.0
 
     def fill(chunks, _):
         for rows in chunks:
-            for k, (cols, width, F) in enumerate(terms):
+            for k, (cols, width, F) in enumerate(blocks):
                 block = out[rows, 1 + k * S:1 + (k + 1) * S]
                 cosines([X[rows, j] for j in cols], width, F, c, block.T)
                 block *= scale
 
-    in_row_chunks(n, max(1, FEATURIZE_COSINES // max(1, S * len(terms))), fill)
+    in_row_chunks(n, max(1, FEATURIZE_COSINES // max(1, S * len(blocks))), fill)
     return out
 
 

@@ -221,7 +221,11 @@ def _emit_text(text, out_path=None):
 
 
 def _emit_json(doc, out_path=None):
-    _emit_text(json.dumps(doc, indent=1, sort_keys=False) + "\n", out_path)
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity: no strict JSON reader takes it
+        raise NumericBreakdownError(f"report holds a non-finite value ({exc})") from None
+    _emit_text(text + "\n", out_path)
 
 
 def _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs):
@@ -264,6 +268,10 @@ def cmd_train(cfg) -> int:
         w, report = solvers.fit_reduced(feats, train.y, task, fit_cfg)
         # reads feats before the next, narrower scale halves them
         mdl = _assemble_model(basis, w, feats, widths, train, ranges, factor, pairs)
+        unusable = int(np.sum(~model_mod.usable_rows(mdl, val.X)))
+        if unusable:
+            raise DataError(f"{cfg['data']}: {unusable} validation row(s) hold a cell so "
+                            "large that the cosine angles overflow")
         rows = _metric_rows(task, model_mod.predict(mdl, val.X), val.y,
                             cfg["data"], cfg["model"])
         return mdl, report, rows

@@ -106,6 +106,11 @@ class GPNAMModel:
                 raise ModelInvariantError(f"interaction pair ({i}, {j}) out of range")
             if np.asarray(wij).shape != (self.basis.S,):
                 raise ModelInvariantError("interaction weights must have length S")
+        weights = [self.w0, self.W, self.bandwidth_scale or 0.0]
+        weights += [wij for (_, _, wij) in self.interactions]
+        if not all(np.all(np.isfinite(w)) for w in weights):
+            raise ModelInvariantError("w0, W, interaction weights and bandwidth_scale "
+                                      "must be finite")
 
     @property
     def d(self) -> int:
@@ -147,29 +152,28 @@ class ShapeTable:
 
 def _standardize_rows(model: GPNAMModel, X):
     means, scales = model.standardization
-    return (np.asarray(X, dtype=np.float64) - means) / scales
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.asarray(X, dtype=np.float64) - means) / scales
 
 
 def _folded_terms(model: GPNAMModel):
-    """Each additive term as (input columns, kernel width, frequencies, phases,
-    amplitudes), its cosines folded by :func:`rff.fold_mirrored`."""
-    F, phase, amp = fold_mirrored(model.basis.z, model.basis.c, model.W)
-    terms = [((i,), model.b[i], F, phase[i], amp[i]) for i in range(model.d)]
-    if model.interactions:
-        w = np.array([wij for (_, _, wij) in model.interactions])
-        F, phase, amp = fold_mirrored(model.basis.pair_z, model.basis.c, w)
-        terms += [((i, j), math.sqrt(model.b[i] * model.b[j]), F, phase[k], amp[k])
-                  for k, (i, j, _) in enumerate(model.interactions)]
-    return terms
+    """Each term of :func:`_kernels.terms` as (input columns, kernel width,
+    frequencies, phases, amplitudes), folded by :func:`rff.fold_mirrored`."""
+    pairs = [(i, j) for (i, j, _) in model.interactions]
+    weights = list(model.W) + [wij for (_, _, wij) in model.interactions]
+    terms = _kernels.terms(model.basis.z, model.basis.pair_z, model.b, pairs)
+    return [(cols, width) + fold_mirrored(F, model.basis.c, w)
+            for (cols, width, F), w in zip(terms, weights)]
 
 
 def predict_raw(model: GPNAMModel, x) -> float:
-    """Additive score g(x) for one raw-unit input vector."""
+    """Additive score g(x) for one raw-unit input vector, term by term from
+    the basis; an input :func:`usable_rows` rejects is a ValueError."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.d,):
         raise ValueError(f"expected a vector of length {model.d}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite entries")
+    if not usable_rows(model, x[None, :])[0]:
+        raise ValueError("input is not finite or overflows the cosine angles")
     xs = _standardize_rows(model, x)
     g = model.w0
     for i in range(model.d):
@@ -187,23 +191,28 @@ def _sum_terms(terms, xs) -> np.ndarray:
 
     The terms go one at a time. A one-column term depends on one scalar, so
     it is evaluated once per distinct value of its column (``np.unique``) and
-    gathered back to the rows; a pair term is evaluated on every row. A
-    term's value is its weighted cosines added one by one, from zero, in one
-    fixed order (a BLAS product amp @ block would round each value
-    differently with the block's row count), so it depends on its inputs
-    alone: a row's sum does not depend on the other rows, the chunk size or
-    the thread count. Values go in chunks through
-    :func:`_kernels.in_row_chunks`, so at most PREDICT_CHUNK values of one
-    term are in flight (memory is O(PREDICT_CHUNK * S) whatever n is), and
-    a term of at most PREDICT_CHUNK values starts no thread.
+    gathered back to the rows; a pair term is evaluated on every row. A term
+    whose ``rff.angle_bound`` on those values is not finite (a NaN, an
+    infinity, an overflowing angle) is a ValueError instead. A term's value
+    is its weighted cosines added one by one, from zero, in one fixed order
+    (a BLAS product amp @ block would round each value differently with the
+    block's row count), so it depends on its inputs alone: a row's sum does
+    not depend on the other rows, the chunk size or the thread count. Values
+    go in chunks through :func:`_kernels.in_row_chunks`, so at most
+    PREDICT_CHUNK values of one term are in flight (memory is
+    O(PREDICT_CHUNK * S) whatever n is), and a term of at most PREDICT_CHUNK
+    values starts no thread.
     """
     total = np.zeros(xs.shape[0])
     for cols, width, F, phase, amp in terms:
         if len(cols) == 1:
             points, rows = np.unique(xs[:, cols[0]], return_inverse=True)
-            total += _term_values(width, F, phase, amp, [points])[rows]
+            inputs = points[:, None]
         else:
-            total += _term_values(width, F, phase, amp, [xs[:, k] for k in cols])
+            rows, inputs = slice(None), xs[:, list(cols)]
+        if not np.all(np.isfinite(angle_bound(F, np.abs(inputs), width))):
+            raise ValueError("input is not finite or overflows the cosine angles")
+        total += _term_values(width, F, phase, amp, list(inputs.T))[rows]
     return total
 
 
@@ -229,12 +238,11 @@ def _term_values(width, F, phase, amp, columns) -> np.ndarray:
 
 
 def usable_rows(model: GPNAMModel, X) -> np.ndarray:
-    """Flags the rows of the finite raw n x d matrix ``X`` that ``predict``
-    scores without overflow: those whose standardized values and every
-    term's ``rff.angle_bound`` are finite. A huge cell, such as -1.7e308,
-    fails it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        xs = np.abs(_standardize_rows(model, X))
+    """Flags the rows of the raw n x d matrix ``X`` that ``predict`` scores:
+    those whose standardized values and every term's ``rff.angle_bound`` are
+    finite, the test :func:`_sum_terms` makes before its cosines. A NaN or a
+    huge cell, such as -1.7e308, fails it."""
+    xs = np.abs(_standardize_rows(model, X))
     usable = np.ones(xs.shape[0], bool)
     for cols, width, F, *_ in _folded_terms(model):
         usable &= np.isfinite(angle_bound(F, xs[:, list(cols)], width))
@@ -255,12 +263,11 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
     ``shape_function(model, i, ..., centered=False)`` returns, so a row's
     prediction does not depend on the other rows of ``X`` or on the thread
     count. Regression returns g(x); classification returns sigmoid(g(x)).
+    A row that :func:`usable_rows` rejects is a ValueError, with no warning.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError(f"expected an n x {model.d} matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("input contains non-finite entries")
     g = _sum_terms(_folded_terms(model), _standardize_rows(model, X))
     g += model.w0
     return sigmoid(g) if model.task == TASK_CLASSIFICATION else g
@@ -274,16 +281,16 @@ def shape_function(model: GPNAMModel, i, grid, centered=True) -> ShapeTable:
     False they are the term values that :func:`predict` adds, bit for bit.
     With ``centered`` the stored training-mean offset is subtracted (and
     reported), so exported curves average to zero over the training data.
+    A grid point that is not finite or overflows an angle is a ValueError.
     """
     if not 0 <= i < model.d:
         raise ValueError(f"feature index {i} out of range for d={model.d}")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1:
         raise ValueError("grid must be one-dimensional")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid contains non-finite entries")
     means, scales = model.standardization
-    gs = (grid - means[i]) / scales[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gs = (grid - means[i]) / scales[i]
     F, phase, amp = fold_mirrored(model.basis.z, model.basis.c, model.W[i])
     values = _sum_terms([((0,), model.b[i], F, phase, amp)], gs[:, None])
     offset = float(model.centering_offsets[i]) if centered else 0.0
@@ -421,6 +428,10 @@ def load(path) -> GPNAMModel:
         raise ModelInvariantError(f"{path}: S must be >= 1")
     if len(feature_names) != d:
         raise ModelInvariantError(f"{path}: d={d} but {len(feature_names)} feature names")
+    # before build_basis, whose time and memory grow with S
+    if W.shape != (d, S) or any(w.shape != (S,) for (_, _, w) in interactions):
+        raise ModelInvariantError(f"{path}: W must be {d} x {S}, and each interaction "
+                                  f"weight of length {S}")
 
     basis = build_basis(S, doc["mode"], seed, with_pairs=bool(interactions))
     try:

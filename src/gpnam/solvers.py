@@ -159,10 +159,8 @@ class StackedFeatures:
         return slice(base + k * self.S, base + (k + 1) * self.S)
 
     def blocks(self) -> list[slice]:
-        """Column slices of the bias, each feature block and each pair block."""
-        pairs = (self.dim - 1) // self.S - self.d
-        return ([slice(0, 1)] + [self.feature_block(i) for i in range(self.d)]
-                + [self.pair_block(k) for k in range(pairs)])
+        """Column slices of the bias, then of each S-column term block."""
+        return [slice(0, 1)] + [slice(k, k + self.S) for k in range(1, self.dim, self.S)]
 
 
 def _penalty_mask(dim):
@@ -178,12 +176,12 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     ``pairs`` is an optional list of (i, j) feature-index tuples; each adds an
     S-column block of two-dimensional RFF features with kernel width
     sqrt(b_i * b_j), and requires a basis built with pairwise frequencies.
-    A width so narrow that an angle z * x / b overflows is a ValueError that
-    names it (an O(n*d) check, before any cosine). After the checks one
-    ``_kernels.featurize`` call fills every block, pairs included. The matrix
-    is C-contiguous, so ``_kernels.halve_width`` can take it to half the
-    widths in place; a grid-basis ``train --bandwidth-scale auto`` calls this
-    once, at its widest scale.
+    A width so narrow that an angle overflows is a ValueError naming its term
+    (each ``_kernels.terms`` entry's ``rff.angle_bound`` on the largest |x|,
+    before any cosine). Then one ``_kernels.featurize`` call fills every
+    block. The matrix is C-contiguous, so ``_kernels.halve_width`` can take
+    it to half the widths in place; a grid-basis ``train --bandwidth-scale
+    auto`` calls this once, at its widest scale.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -204,19 +202,13 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
         raise ConfigurationError("basis has no pairwise frequencies; "
                                  "build it with with_pairs=True")
     x_max = np.maximum(X.max(axis=0, initial=0.0), -X.min(axis=0, initial=0.0))
-    for j in range(d):
-        _check_angles(basis.z[:, None], x_max[j:j + 1], widths[j], f"feature {j}")
-    for (i, j) in pairs:
-        _check_angles(basis.pair_z, x_max[[i, j]], math.sqrt(widths[i] * widths[j]),
-                      f"pair ({i}, {j})")
+    for cols, width, F in _kernels.terms(basis.z, basis.pair_z, widths, pairs):
+        if not np.isfinite(angle_bound(F, x_max[list(cols)], width)):
+            where = f"feature {cols[0]}" if len(cols) == 1 else f"pair {cols}"
+            raise ValueError(f"kernel width {float(width)!r} of {where} is too narrow "
+                             "for the inputs: the cosine angles overflow")
     phi = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
     return StackedFeatures(phi=phi, S=basis.S, d=d)
-
-
-def _check_angles(F, x_max, b, where):
-    if not np.isfinite(angle_bound(F, x_max, b)):
-        raise ValueError(f"kernel width {float(b)!r} of {where} is too narrow for the "
-                         "inputs: the cosine angles overflow")
 
 
 def conjugate_gradients(apply_A, v, tol=1e-8, max_iter=None):

@@ -296,6 +296,46 @@ class TestTrain:
                        "their mean or standard deviation overflows\n")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("task, scale", [("reg", "1"), ("reg", "auto"), ("clf", "1")])
+    def test_validation_row_too_large_to_score_is_data_error(self, tmp_path, clf_csv, capsys,
+                                                             recwarn, task, scale):
+        if task == "reg":
+            path = tmp_path / "s.csv"
+            code, _, _ = run(capsys, "synth", "--out", str(path), "--n", "300", "--d", "3",
+                             "--seed", "1")
+            assert code == 0
+        else:
+            path = Path(clf_csv)
+        # the first row that the seed-0 split puts into validation
+        ds = data.load_csv(path, "y", cli._TASK_ALIASES[task])
+        rows = replace(ds, X=np.arange(ds.n, dtype=np.float64)[:, None])
+        k = int(data.split(rows, (0.8, 0.1, 0.1), seed=0)[1].X[0, 0])
+        lines = path.read_text().splitlines()
+        lines[1 + k] = "-1.7e308," + lines[1 + k].split(",", 1)[1]
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join(lines) + "\n")
+        mpath, report = tmp_path / "m.json", tmp_path / "r.json"
+        code, _, err = run(capsys, "train", "--data", str(huge), "--target", "y",
+                           "--task", task, "--model", str(mpath), "--S", "8",
+                           "--bandwidth-scale", scale, "--out", str(report))
+        assert code == 2
+        assert err == (f"gpnam: data error: {huge}: 1 validation row(s) hold a cell so "
+                       "large that the cosine angles overflow\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not mpath.exists() and not report.exists()
+
+    def test_non_finite_report_value_is_numeric_breakdown(self, tmp_path, synth_csv, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli.metrics_mod, "rmse", lambda preds, y: math.nan)
+        report = tmp_path / "r.json"
+        code, out, err = run(capsys, "train", "--data", synth_csv, "--target", "y",
+                             "--task", "reg", "--model", str(tmp_path / "m.json"), "--S", "8",
+                             "--out", str(report))
+        assert code == 4
+        assert err.startswith("gpnam: numeric breakdown: report holds a non-finite value")
+        assert err.count("\n") == 1 and out == ""
+        assert not report.exists()
+
     @pytest.mark.parametrize("task", ["reg", "clf"])
     def test_fit_reads_only_the_training_rows(self, tmp_path, synth_csv, clf_csv, capsys,
                                               task):
@@ -914,6 +954,17 @@ class TestMalformedModelFile:
                            "--out", str(tmp_path / "p.csv"))
         assert code == 2
         assert "encodings" in err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_weight(self, tmp_path, synth_csv, capsys, command):
+        mpath = self._break(tmp_path, synth_csv, capsys,
+                            lambda doc: doc["W"][0].__setitem__(0, math.nan))
+        assert "NaN" in Path(mpath).read_text()
+        extra = ["--target", "y"] if command == "evaluate" else []
+        code, out, err = run(capsys, command, "--data", synth_csv, "--model", mpath, *extra)
+        assert (code, out) == (2, "")
+        assert err == (f"gpnam: data error: {mpath}: w0, W, interaction weights and "
+                       "bandwidth_scale must be finite\n")
 
     def test_encoding_without_kind(self, tmp_path, synth_csv, capsys):
         mpath = self._break(tmp_path, synth_csv, capsys,

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -163,6 +164,69 @@ def random_pair_model(task, with_pair, d=3, S=16, seed=11, mode="monte_carlo"):
         b=rng.uniform(0.5, 2.0, d),
         standardization=(rng.normal(size=d), rng.uniform(0.5, 2.0, d)),
         centering_offsets=np.zeros(d), interactions=interactions)
+
+
+class TestUnusableInputs:
+    """A cell that is not finite, or so large that a cosine angle overflows,
+    is a ValueError from predict, predict_raw and shape_function, with no
+    numpy warning on the way."""
+
+    @pytest.mark.parametrize("with_pair", [False, True])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("cell", [-1.7e308, math.nan, math.inf])
+    def test_predict_and_predict_raw_raise(self, with_pair, column, cell):
+        m = random_pair_model("regression", with_pair)
+        m = replace(m, b=m.b / 4)  # widths below 1/2: -1.7e308 overflows every angle
+        X = np.random.default_rng(1).normal(size=(50, 3))
+        X[17, column] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not model.usable_rows(m, X)[17]
+            with pytest.raises(ValueError, match="not finite or overflows"):
+                model.predict(m, X)
+            with pytest.raises(ValueError, match="not finite or overflows"):
+                model.predict_raw(m, X[17])
+            assert model.predict(m, np.delete(X, 17, axis=0)).shape == (49,)
+
+    @pytest.mark.parametrize("point", [math.nan, -math.inf, 1.7e308])
+    def test_shape_function_raises(self, point):
+        m = random_pair_model("regression", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite or overflows"):
+                model.shape_function(m, 1, np.array([0.0, point, 1.0]))
+
+
+class TestOneTermList:
+    """featurize, stack_features' angle check and predict's folded terms all
+    read _kernels.terms: each feature, then each pair at sqrt(b_p * b_q)."""
+
+    @settings(max_examples=40)
+    @given(d=st.integers(1, 4), S=st.integers(1, 9), mode=st.sampled_from(rff.MODES),
+           draw=st.data())
+    def test_blocks_and_folded_terms_follow_the_list(self, d, S, mode, draw):
+        widths = np.array(draw.draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+        pairs = draw.draw(st.lists(st.sampled_from(
+            [(p, q) for p in range(d) for q in range(d) if p != q]), max_size=3)) if d > 1 else []
+        basis = rff.build_basis(S, mode, d, with_pairs=True)
+        rng = np.random.default_rng(S)
+        X = rng.normal(size=(7, d))
+        terms = _kernels.terms(basis.z, basis.pair_z, widths, pairs)
+        assert [cols for cols, _, _ in terms] == [(j,) for j in range(d)] + pairs
+        phi = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
+        assert phi.shape == (7, 1 + S * len(terms))
+        for k, (cols, width, F) in enumerate(terms):
+            block = _kernels.cosines([X[:, j] for j in cols], width, F, basis.c,
+                                     np.empty((S, 7)))
+            assert np.array_equal(phi[:, 1 + k * S:1 + (k + 1) * S],
+                                  block.T * math.sqrt(2.0 / S))
+        m = model.GPNAMModel(
+            basis=basis, feature_names=[f"x{j}" for j in range(d)], task="regression",
+            w0=0.0, W=rng.standard_normal((d, S)), b=widths,
+            standardization=identity_standardization(d), centering_offsets=np.zeros(d),
+            interactions=[(p, q, rng.standard_normal(S)) for p, q in pairs])
+        assert [(cols, width) for cols, width, *_ in model._folded_terms(m)] == \
+            [(cols, width) for cols, width, _ in terms]
 
 
 # a small pool of inputs, so columns repeat values; -0.0 and 0.0 compare equal
@@ -630,6 +694,40 @@ class TestPersistence:
         doc["b"] = [-1.0] * len(doc["b"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelInvariantError):
+            model.load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("W", [[math.nan] + [0.0] * 15, [0.0] * 16]),
+        ("w0", math.inf),
+        ("bandwidth_scale", math.nan),
+        ("interactions", [{"i": 0, "j": 1, "w": [0.0] * 15 + [-math.inf]}]),
+    ])
+    def test_non_finite_weights_rejected(self, tmp_path, field, value):
+        # json reads the literals NaN, Infinity and -Infinity
+        m, path = self.trained(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(ModelInvariantError, match="must be finite"):
+            model.load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("S", 20_000_000),
+        ("interactions", [{"i": 0, "j": 1, "w": [0.0] * 15}]),
+    ])
+    def test_weight_shapes_checked_before_the_basis_is_built(self, tmp_path, monkeypatch,
+                                                             field, value):
+        m, path = self.trained(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_basis was called")
+
+        monkeypatch.setattr(model, "build_basis", refuse)
+        with pytest.raises(ModelInvariantError, match="W must be 2 x"):
             model.load(path)
 
 
