@@ -1,8 +1,8 @@
 """Hot numeric kernels: the term list, the cosine kernel, width halving, the
 Gram-operator matvec and the row-chunk thread runner.
 
-``terms`` lists the additive terms that ``featurize``, ``solvers.stack_features``
-and ``model._folded_terms`` all read.
+``terms`` lists the additive terms that ``featurize``, ``solvers.stack_features``,
+``model.usable_rows`` and ``model._folded_terms`` all read.
 
 There is one backend, plain numpy, and one cosine kernel, ``cosines``. It
 fills every RFF block - the feature and pair blocks of ``featurize``'s design

@@ -13,9 +13,10 @@ block's eigenbasis: regression by one R x R ridge solve, classification by
 damped Newton on the n x R reduced matrix, each followed by a complement step
 on the full problem; neither has a setting beyond lambda. Its report gives R
 (reduced_rank) and judges the weights on the full D-coordinate problem. Its
---bandwidth-scale auto search fits the scales widest first; with a grid basis
-each narrower scale's design matrix is the last one halved in place
-(_kernels.halve_width), so the search computes its cosines once.
+--bandwidth-scale auto search fits the scales widest first. Consecutive
+BANDWIDTH_GRID scales differ by exactly 2, so with a grid basis each narrower
+scale's design matrix is the last one halved in place (_kernels.halve_width),
+and the search computes its cosines once.
 
 Exit codes: 0 success, 1 usage error, 2 data/model-file error,
 3 solver did not converge (model still saved), 4 numeric breakdown.
@@ -263,8 +264,17 @@ def cmd_train(cfg) -> int:
     ranges = model_mod.training_ranges(train.X)
     train = data_mod.standardize(train)
     basis = rff.build_basis(cfg["S"], cfg["mode"], cfg["seed"], with_pairs=bool(pairs))
-
-    def fit(factor, widths, feats):
+    # Widest scale first. Consecutive BANDWIDTH_GRID scales differ by exactly
+    # 2, so with a grid basis each narrower design matrix is the last one halved.
+    halvable = basis.mode == rff.MODE_GRID and basis.S >= 2
+    fits, feats = [], None
+    for factor in reversed(scales):
+        widths = data_mod.kernel_widths(train, factor)
+        if halvable and feats is not None:
+            _kernels.halve_width(feats.phi, basis.c)
+        else:
+            feats = None  # hold one design matrix at a time
+            feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
         w, report = solvers.fit_reduced(feats, train.y, task, fit_cfg)
         # reads feats before the next, narrower scale halves them
         mdl = _assemble_model(basis, w, feats, widths, train, ranges, factor, pairs)
@@ -272,23 +282,8 @@ def cmd_train(cfg) -> int:
         if unusable:
             raise DataError(f"{cfg['data']}: {unusable} validation row(s) hold a cell so "
                             "large that the cosine angles overflow")
-        rows = _metric_rows(task, model_mod.predict(mdl, val.X), val.y,
-                            cfg["data"], cfg["model"])
-        return mdl, report, rows
-
-    # Widest scale first (BANDWIDTH_GRID ascends): when a grid basis's widths
-    # are exactly half the last ones, halve_width derives this design matrix
-    # from the last one in place, so the auto search computes cosines once.
-    halvable = basis.mode == rff.MODE_GRID and basis.S >= 2
-    fits, feats, widths = [], None, None
-    for factor in reversed(scales):
-        previous, widths = widths, data_mod.kernel_widths(train, factor)
-        if halvable and previous is not None and np.array_equal(widths, previous / 2):
-            _kernels.halve_width(feats.phi, basis.c)
-        else:
-            feats = None  # hold one design matrix at a time
-            feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
-        fits.append(fit(factor, widths, feats))
+        rows = _metric_rows(task, model_mod.predict(mdl, val.X), val.y, cfg["data"], cfg["model"])
+        fits.append((mdl, report, rows))
     fits.reverse()  # back to the order of scales, for the search list and ties
     # the first metric scores each scale; min and max keep the first of a tie
     pick = max if _TASK_METRICS[task][1] else min

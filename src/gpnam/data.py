@@ -253,6 +253,7 @@ def _tabulate(path, header, lines, rows, fast, text, target_column, task, featur
     ``text`` columns, ``_cell_value`` the others (all of them if loadtxt
     rejects one) and a stored category column holds codes. A row with a
     NaN is dropped; ``X`` and a regression ``y`` are slices of ``values``.
+    When every row is, the error names the columns that are NaN throughout.
     """
     names = [h for h in header if h != target_column] if feature_names is None else feature_names
     missing = [nm for nm in names if nm not in header]
@@ -306,7 +307,9 @@ def _tabulate(path, header, lines, rows, fast, text, target_column, task, featur
         for j in np.flatnonzero(np.isinf(values[kept, :d]).any(axis=0)):
             values[kept, j], encs[j] = _encode_column(strings[cols[j]][kept])
     if not kept.any():
-        raise EmptyDataError(f"{path}: every row was dropped during ingestion")
+        empty = [header[cols[j]] for j in np.flatnonzero(np.isnan(values).all(axis=0))]
+        raise EmptyDataError(f"{path}: every row was dropped during ingestion"
+                             + (f"; column(s) {empty} hold no value in any row" if empty else ""))
     X = values[kept, :d]
     y = values[kept, d] if t_idx is not None and task == TASK_REGRESSION else None
     if t_idx is not None and task != TASK_REGRESSION:  # the target is a text column

@@ -30,14 +30,14 @@ def auc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def error_rate(scores, labels, threshold=0.5) -> float:
-    """Fraction of thresholded predictions (score >= threshold -> 1)
-    disagreeing with the labels."""
+def error_rate(scores, labels) -> float:
+    """Fraction of thresholded predictions disagreeing with the labels; the
+    cut-off is fixed at 0.5 (score >= 0.5 -> 1)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
-    preds = (scores >= threshold).astype(labels.dtype)
+    preds = (scores >= 0.5).astype(labels.dtype)
     return float(np.mean(preds != labels))
 
 
@@ -46,8 +46,9 @@ def mse(pred, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if pred.shape != y.shape or pred.ndim != 1 or pred.size < 1:
         raise ValueError("pred and y must be equal-length nonempty vectors")
-    diff = pred - y
-    return float(np.mean(diff * diff))
+    with np.errstate(over="ignore"):  # finite inputs may give inf, which callers judge
+        diff = pred - y
+        return float(np.mean(diff * diff))
 
 
 def rmse(pred, y) -> float:

@@ -158,7 +158,7 @@ def _standardize_rows(model: GPNAMModel, X):
 
 def _folded_terms(model: GPNAMModel):
     """Each term of :func:`_kernels.terms` as (input columns, kernel width,
-    frequencies, phases, amplitudes), folded by :func:`rff.fold_mirrored`."""
+    frequencies, phases, amplitudes), folded by :func:`rff.fold_mirrored` for predict."""
     pairs = [(i, j) for (i, j, _) in model.interactions]
     weights = list(model.W) + [wij for (_, _, wij) in model.interactions]
     terms = _kernels.terms(model.basis.z, model.basis.pair_z, model.b, pairs)
@@ -240,11 +240,13 @@ def _term_values(width, F, phase, amp, columns) -> np.ndarray:
 def usable_rows(model: GPNAMModel, X) -> np.ndarray:
     """Flags the rows of the raw n x d matrix ``X`` that ``predict`` scores:
     those whose standardized values and every term's ``rff.angle_bound`` are
-    finite, the test :func:`_sum_terms` makes before its cosines. A NaN or a
-    huge cell, such as -1.7e308, fails it."""
+    finite, the test :func:`_sum_terms` makes before its cosines on the
+    folded terms; folding keeps each column's largest |F|, all the bound reads.
+    A NaN or a huge cell, such as -1.7e308, fails it."""
     xs = np.abs(_standardize_rows(model, X))
     usable = np.ones(xs.shape[0], bool)
-    for cols, width, F, *_ in _folded_terms(model):
+    pairs = [(i, j) for (i, j, _) in model.interactions]
+    for cols, width, F in _kernels.terms(model.basis.z, model.basis.pair_z, model.b, pairs):
         usable &= np.isfinite(angle_bound(F, xs[:, list(cols)], width))
     return usable
 

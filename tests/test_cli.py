@@ -121,6 +121,18 @@ class TestTrain:
         assert err == "gpnam: numeric breakdown: non-finite Newton step at iteration 0\n"
         assert not mpath.exists() and not out.exists()
 
+    def test_trailing_commas_name_the_empty_column(self, tmp_path, synth_csv, capsys):
+        """Lines that all end with a comma add an unnamed column with no
+        value in any row, so every row is dropped; the error names it."""
+        trailing = tmp_path / "trailing.csv"
+        trailing.write_text("".join(line + ",\n" for line in
+                                    Path(synth_csv).read_text().splitlines()))
+        code, _, err = run(capsys, "train", "--data", str(trailing), "--target", "y",
+                           "--task", "reg", "--model", str(tmp_path / "m.json"), "--S", "8")
+        assert code == 2
+        assert err == (f"gpnam: data error: {trailing}: every row was dropped during "
+                       "ingestion; column(s) [''] hold no value in any row\n")
+
     def test_undertrained_run_flags_not_converged(self, tmp_path, clf_csv, capsys,
                                                   monkeypatch):
         monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 1)
@@ -247,6 +259,11 @@ class TestTrain:
         assert doc["chosen_bandwidth_scale"] == 0.25
         assert [row["bandwidth_scale"] for row in doc["bandwidth_search"]] == \
             list(cli.BANDWIDTH_GRID)
+
+    def test_bandwidth_grid_doubles(self):
+        # the auto search halves each grid-basis design matrix for the next scale
+        grid = cli.BANDWIDTH_GRID
+        assert grid[0] > 0 and all(b == 2 * a for a, b in zip(grid, grid[1:]))
 
     @pytest.mark.parametrize("mode, calls", [("grid", 1), ("mc", len(cli.BANDWIDTH_GRID))])
     def test_auto_bandwidth_cosine_passes(self, tmp_path, synth_csv, capsys, monkeypatch,
@@ -842,6 +859,24 @@ class TestEvaluate:
         assert names == {"mse", "rmse"}
         for row in doc["metrics"]:
             assert set(row) == {"metric", "value", "n", "dataset", "model"}
+
+    def test_overflowing_score_is_numeric_breakdown(self, tmp_path, capsys):
+        """Finite weights so large that the squared errors overflow: the
+        infinite mse is a numeric breakdown on one stderr line, with no
+        numpy warning."""
+        data_path, mpath = str(tmp_path / "s.csv"), tmp_path / "m.json"
+        assert run(capsys, "synth", "--n", "300", "--d", "3", "--seed", "1",
+                   "--out", data_path)[0] == 0
+        assert run(capsys, "train", "--data", data_path, "--target", "y", "--task", "reg",
+                   "--S", "8", "--model", str(mpath))[0] == 0
+        doc = json.loads(mpath.read_text())
+        doc["W"] = [[1e308] * len(row) for row in doc["W"]]
+        mpath.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "evaluate", "--data", data_path, "--target", "y",
+                             "--model", str(mpath))
+        assert code == 4
+        assert err.startswith("gpnam: numeric breakdown: report holds a non-finite value")
+        assert err.count("\n") == 1 and out == ""
 
     def test_duplicate_header_is_data_error(self, tmp_path, synth_csv, capsys):
         mpath = tmp_path / "m.json"

@@ -146,6 +146,16 @@ class TestLoadCsv:
         with pytest.raises(EmptyDataError):
             data.load_csv(p2, "y", data.TASK_REGRESSION)
 
+    def test_every_row_dropped_names_the_columns_with_no_value(self, tmp_path):
+        p = write_csv(tmp_path / "a.csv", "a,b,y\n,1,2\nna,3,4\n")
+        with pytest.raises(EmptyDataError, match=r"every row was dropped during ingestion; "
+                           r"column\(s\) \['a'\] hold no value in any row$"):
+            data.load_csv(p, "y", data.TASK_REGRESSION)
+        # each row misses a value of a different column: no column is named
+        p = write_csv(tmp_path / "b.csv", "a,b,y\n,1,2\n3,,4\n")
+        with pytest.raises(EmptyDataError, match=r"every row was dropped during ingestion$"):
+            data.load_csv(p, "y", data.TASK_REGRESSION)
+
     def test_idempotent(self, small_clf_csv):
         d1 = data.load_csv(small_clf_csv, "y", data.TASK_CLASSIFICATION)
         d2 = data.load_csv(small_clf_csv, "y", data.TASK_CLASSIFICATION)

@@ -104,6 +104,11 @@ class TestMseRmse:
         assert metrics.rmse(pred, y) ** 2 == pytest.approx(metrics.mse(pred, y),
                                                            abs=1e-10)
 
+    def test_finite_inputs_whose_square_overflows_give_inf(self):
+        # no overflow warning: the caller decides what an infinite score means
+        assert metrics.mse(np.array([1e200]), np.array([-1e200])) == math.inf
+        assert metrics.rmse(np.array([1e200]), np.array([-1e200])) == math.inf
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             metrics.mse([1.0], [1.0, 2.0])

@@ -188,6 +188,27 @@ class TestUnusableInputs:
                 model.predict_raw(m, X[17])
             assert model.predict(m, np.delete(X, 17, axis=0)).shape == (49,)
 
+    @settings(max_examples=60)
+    @given(mode=st.sampled_from(rff.MODES), with_pair=st.booleans(), S=st.integers(1, 9),
+           seed=st.integers(0, 20), narrow=st.booleans(),
+           cells=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from(
+               [math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 4e307])), max_size=8))
+    def test_usable_rows_match_the_folded_terms(self, mode, with_pair, S, seed, narrow,
+                                                cells):
+        """usable_rows reads the unfolded term list; its flags are those of
+        rff.angle_bound over each folded term of predict's evaluator."""
+        m = random_pair_model("regression", with_pair, S=S, seed=seed, mode=mode)
+        if narrow:
+            m = replace(m, b=m.b / 4)
+        X = np.random.default_rng(seed).normal(size=(12, 3))
+        for row, column, cell in cells:
+            X[row, column] = cell
+        xs = np.abs(model._standardize_rows(m, X))
+        want = np.ones(12, bool)
+        for cols, width, F, *_ in model._folded_terms(m):
+            want &= np.isfinite(rff.angle_bound(F, xs[:, list(cols)], width))
+        assert np.array_equal(model.usable_rows(m, X), want)
+
     @pytest.mark.parametrize("point", [math.nan, -math.inf, 1.7e308])
     def test_shape_function_raises(self, point):
         m = random_pair_model("regression", False)
