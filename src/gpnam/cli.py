@@ -260,10 +260,13 @@ def cmd_train(cfg) -> int:
     task = cfg["task"]
     ds = data_mod.load_csv(cfg["data"], cfg["target"], task)
     # split raw rows first: every fitted statistic comes from the training rows
-    train, val, test = data_mod.split(ds, fractions, seed=cfg["seed"])
+    try:  # the fractions passed _parse_split, so only the row count can fail
+        train, val, test = data_mod.split(ds, fractions, seed=cfg["seed"])
+    except ValueError as exc:
+        raise DataError(f"{cfg['data']}: {exc}") from None
     ranges = model_mod.training_ranges(train.X)
     train = data_mod.standardize(train)
-    basis = rff.build_basis(cfg["S"], cfg["mode"], cfg["seed"], with_pairs=bool(pairs))
+    basis = rff.build_basis(cfg["S"], cfg["mode"], cfg["seed"])
     # Widest scale first. Consecutive BANDWIDTH_GRID scales differ by exactly
     # 2, so with a grid basis each narrower design matrix is the last one halved.
     halvable = basis.mode == rff.MODE_GRID and basis.S >= 2

@@ -2,16 +2,14 @@
 
 Plain ``ValueError`` is raised for invalid arguments (bad shapes, non-finite
 inputs, out-of-range parameters); the classes below cover failure modes that
-callers are expected to distinguish.
+callers are expected to distinguish. ``cli.main`` gives each an exit code:
+``ValueError`` 1; ``DataError``, ``ModelFileError`` and
+``UndefinedMetricError`` 2; ``NumericBreakdownError`` 4.
 """
 
 
 class GpnamError(Exception):
     """Base class for all gpnam-specific errors."""
-
-
-class ConfigurationError(GpnamError):
-    """A required piece of configuration is absent or inconsistent."""
 
 
 class DataError(GpnamError):

@@ -99,8 +99,6 @@ class GPNAMModel:
                                    and len(tc) == 2 and tc[0] != tc[1]
                                    and all(isinstance(c, str) for c in tc)):
             raise ModelInvariantError("target_classes must be 2 distinct strings of a classifier")
-        if self.interactions and self.basis.pair_z is None:
-            raise ModelInvariantError("interaction terms need a basis with pairwise frequencies")
         for (i, j, wij) in self.interactions:
             if not (0 <= i < d and 0 <= j < d) or i == j:
                 raise ModelInvariantError(f"interaction pair ({i}, {j}) out of range")
@@ -435,7 +433,7 @@ def load(path) -> GPNAMModel:
         raise ModelInvariantError(f"{path}: W must be {d} x {S}, and each interaction "
                                   f"weight of length {S}")
 
-    basis = build_basis(S, doc["mode"], seed, with_pairs=bool(interactions))
+    basis = build_basis(S, doc["mode"], seed)
     try:
         return GPNAMModel(basis=basis, feature_names=feature_names, task=doc["task"],
                           w0=w0, W=W, b=b, standardization=(means, scales),

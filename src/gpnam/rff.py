@@ -1,6 +1,7 @@
 """Random Fourier feature basis for the RBF kernel.
 
-A basis is the frozen sample set {(z_s, c_s)} shared by every per-feature map.
+A basis is the frozen sample set {(z_s, c_s)} shared by every per-feature map,
+plus S two-dimensional frequencies for the pairwise interaction maps.
 Inner products of the resulting cosine features approximate
 exp(-(x - x')^2 / (2 b^2)); the approximation error vanishes as the basis size
 S grows. Frequencies come either from seeded Monte Carlo draws or from a
@@ -20,7 +21,6 @@ from statistics import NormalDist
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigurationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,9 +45,9 @@ class FeatureBasis:
         "monte_carlo" or "grid".
     seed : int
         Seed of the generator that produced the samples.
-    pair_z : ndarray, shape (S, 2), optional
-        Two-dimensional frequencies for pairwise interaction maps; present
-        only when the basis was built with ``with_pairs=True``.
+    pair_z : ndarray, shape (S, 2)
+        Two-dimensional frequencies for pairwise interaction maps, which
+        share the phases c.
     """
 
     S: int
@@ -55,7 +55,7 @@ class FeatureBasis:
     c: np.ndarray
     mode: str
     seed: int
-    pair_z: np.ndarray | None = None
+    pair_z: np.ndarray
 
 
 def inv_std_normal_cdf(p):
@@ -71,10 +71,11 @@ def inv_std_normal_cdf(p):
     return x if x.ndim else float(x)
 
 
-def build_basis(S, mode=MODE_GRID, seed=0, with_pairs=False):
+def build_basis(S, mode=MODE_GRID, seed=0):
     """Construct a shared RFF basis.
 
-    In monte_carlo mode, z ~ N(0,1) i.i.d. and c ~ Uniform[0, 2*pi) from the
+    In monte_carlo mode, z ~ N(0,1) i.i.d., then c ~ Uniform[0, 2*pi), then
+    the (S, 2) pair frequencies ~ N(0,1) i.i.d., drawn in that order from the
     seeded generator.
 
     In grid mode, z is the standard-normal quantile grid
@@ -85,10 +86,12 @@ def build_basis(S, mode=MODE_GRID, seed=0, with_pairs=False):
     (z, -z) pair contributes cos(u)^2 + sin(u)^2 = 1 and the squared feature
     map sums to exactly S/2 at any input. An odd S places z = 0 in the middle
     with phase pi/4 (cos^2(pi/4) = 1/2, the half-weight the lone node needs);
-    S = 1 keeps the single-cell midpoint phase pi.
+    S = 1 keeps the single-cell midpoint phase pi. After the phase
+    permutation, S//2 two-dimensional standard-normal rows give the positive
+    pair frequencies; they are mirrored the same way, with a zero row in the
+    middle for an odd S.
 
-    ``with_pairs`` additionally draws S two-dimensional standard-normal rows
-    for pairwise interaction maps (mirrored the same way in grid mode).
+    Pair frequencies are drawn last, so z and c do not depend on them.
     """
     if not isinstance(S, (int, np.integer)) or isinstance(S, bool):
         raise ValueError("S must be an integer")
@@ -99,12 +102,10 @@ def build_basis(S, mode=MODE_GRID, seed=0, with_pairs=False):
     S = int(S)
     seed = int(seed)
     rng = np.random.default_rng(seed)
-    pair_z = None
     if mode == MODE_MONTE_CARLO:
         z = rng.standard_normal(S)
         c = rng.uniform(0.0, TWO_PI, S)
-        if with_pairs:
-            pair_z = rng.standard_normal((S, 2))
+        pair_z = rng.standard_normal((S, 2))
     else:
         probs = (np.arange(1, S + 1) - 0.5) / S
         m = S // 2
@@ -121,14 +122,13 @@ def build_basis(S, mode=MODE_GRID, seed=0, with_pairs=False):
         if S % 2:
             z[m] = 0.0
             c[m] = math.pi if S == 1 else 0.25 * math.pi
-        if with_pairs:
-            pair_z = np.zeros((S, 2))
-            if m > 0:
-                pz_pos = rng.standard_normal((m, 2))
-                pair_z[S - m:] = pz_pos
-                pair_z[:m] = -pz_pos[::-1]
+        pair_z = np.zeros((S, 2))
+        if m > 0:
+            pz_pos = rng.standard_normal((m, 2))
+            pair_z[S - m:] = pz_pos
+            pair_z[:m] = -pz_pos[::-1]
 
-    for arr in (z, c) + ((pair_z,) if pair_z is not None else ()):
+    for arr in (z, c, pair_z):
         arr.setflags(write=False)
     return FeatureBasis(S=S, z=z, c=c, mode=mode, seed=seed, pair_z=pair_z)
 
@@ -182,14 +182,11 @@ def approx_kernel(basis, x, x_prime, b):
 def pair_feature_map(basis, x_i, x_j, b):
     """Two-dimensional RFF map sqrt(2/S) * cos(z1*(x_i/b) + z2*(x_j/b) + c).
 
-    Requires a basis built with ``with_pairs=True``; approximates the 2-D RBF
-    kernel between (x_i, x_j) points. Scalars x_i, x_j give shape (S,);
-    arrays of shape (n,) give an (n, S) block whose row r is bit-identical
-    to the scalar map at (x_i[r], x_j[r]).
+    (z1, z2) are the rows of ``basis.pair_z``. Approximates the 2-D RBF kernel
+    between (x_i, x_j) points. Scalars x_i, x_j give shape (S,); arrays of
+    shape (n,) give an (n, S) block whose row r is bit-identical to the
+    scalar map at (x_i[r], x_j[r]).
     """
-    if basis.pair_z is None:
-        raise ConfigurationError("basis has no pairwise frequencies; "
-                                 "build it with with_pairs=True")
     _check_width(b)
     x_i = np.asarray(x_i, dtype=np.float64)
     x_j = np.asarray(x_j, dtype=np.float64)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .data import TASK_CLASSIFICATION, TASK_REGRESSION
-from .errors import ConfigurationError, NumericBreakdownError
+from .errors import NumericBreakdownError
 from .rff import angle_bound
 
 # Newton stops once ||grad|| <= NEWTON_TOL, or after NEWTON_MAX_ITER steps
@@ -174,8 +174,8 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     """Build the stacked design matrix for standardized inputs X.
 
     ``pairs`` is an optional list of (i, j) feature-index tuples; each adds an
-    S-column block of two-dimensional RFF features with kernel width
-    sqrt(b_i * b_j), and requires a basis built with pairwise frequencies.
+    S-column block of two-dimensional RFF features (the basis's ``pair_z``)
+    with kernel width sqrt(b_i * b_j).
     A width so narrow that an angle overflows is a ValueError naming its term
     (each ``_kernels.terms`` entry's ``rff.angle_bound`` on the largest |x|,
     before any cosine). Then one ``_kernels.featurize`` call fills every
@@ -198,9 +198,6 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     for (i, j) in pairs:
         if not (0 <= i < d and 0 <= j < d) or i == j:
             raise ValueError(f"invalid interaction pair ({i}, {j}) for d={d}")
-    if pairs and basis.pair_z is None:
-        raise ConfigurationError("basis has no pairwise frequencies; "
-                                 "build it with with_pairs=True")
     x_max = np.maximum(X.max(axis=0, initial=0.0), -X.min(axis=0, initial=0.0))
     for cols, width, F in _kernels.terms(basis.z, basis.pair_z, widths, pairs):
         if not np.isfinite(angle_bound(F, x_max[list(cols)], width)):

@@ -1,8 +1,11 @@
 """CLI commands, exit codes, and output formats."""
 
 import argparse
+import ast
+import builtins
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from gpnam import _kernels, cli, data, model, rff, solvers
-from gpnam.errors import NumericBreakdownError
+from gpnam.errors import DataError, NumericBreakdownError
 from gpnam.solvers import sigmoid
 
 
@@ -120,6 +123,22 @@ class TestTrain:
         assert code == 4
         assert err == "gpnam: numeric breakdown: non-finite Newton step at iteration 0\n"
         assert not mpath.exists() and not out.exists()
+
+    def test_too_few_rows_for_the_split_is_a_data_error(self, tmp_path, capsys):
+        """The split fractions pass the check made before reading, so a file
+        too short to give each part a row is a data error naming the file."""
+        full = tmp_path / "full.csv"
+        assert run(capsys, "synth", "--out", str(full), "--n", "300", "--d", "3",
+                   "--seed", "1")[0] == 0
+        short = tmp_path / "short.csv"
+        short.write_text("".join(full.read_text().splitlines(keepends=True)[:6]))
+        mpath = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", str(short), "--target", "y",
+                           "--task", "reg", "--model", str(mpath), "--S", "8")
+        assert code == 2
+        assert err == (f"gpnam: data error: {short}: split of 5 rows by (0.8, 0.1, 0.1) "
+                       "leaves an empty part\n")
+        assert not mpath.exists()
 
     def test_trailing_commas_name_the_empty_column(self, tmp_path, synth_csv, capsys):
         """Lines that all end with a comma add an unnamed column with no
@@ -1347,6 +1366,38 @@ class TestUsage:
         cfg.write_text(json.dumps({"mode": "quasi"}))
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert "config key 'mode' must be one of" in capsys.readouterr().err
+
+
+def test_every_raised_error_has_an_exit_code():
+    """Each class that ``src/gpnam`` raises by name is caught by one of
+    ``cli.main``'s ``except`` clauses, so it ends in an exit code and not in
+    a traceback. Both lists are read from the source with ``ast``."""
+    def resolve(module, node):
+        """The object that ``X``, ``X(...)`` or ``a.X(...)`` names in ``module``."""
+        obj = module
+        for part in ast.unparse(getattr(node, "func", node)).split("."):
+            obj = getattr(obj, part, getattr(builtins, part, None))
+        return obj
+
+    main = next(node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handled = tuple(resolve(cli, t) for node in ast.walk(main) if isinstance(node, ast.Try)
+                    for h in node.handlers
+                    for t in (h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]))
+    assert ValueError in handled and all(isinstance(h, type) for h in handled)
+
+    raised = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        module = importlib.import_module("gpnam" if path.stem == "__init__"
+                                         else f"gpnam.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a bare ``raise`` or ``raise errors[0]`` re-raises what a handler caught
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                cls = resolve(module, node.exc)
+                assert isinstance(cls, type), f"{path.name}: {ast.unparse(node)}"
+                raised[f"{path.name}: {cls.__name__}"] = cls
+    assert {ValueError, DataError, NumericBreakdownError} <= set(raised.values())
+    assert sorted(where for where, cls in raised.items() if not issubclass(cls, handled)) == []
 
 
 def test_readme_lists_every_flag():

@@ -35,7 +35,8 @@ def make_model(z, c, W, b=None, w0=0.0, task="regression", seed=0,
     d, S = W.shape
     basis = rff.FeatureBasis(S=S, z=np.asarray(z, float), c=np.asarray(c, float),
                              mode=mode, seed=seed,
-                             pair_z=None if pair_z is None else np.asarray(pair_z, float))
+                             pair_z=np.zeros((S, 2)) if pair_z is None
+                             else np.asarray(pair_z, float))
     if standardization is None:
         standardization = identity_standardization(d)
     return model.GPNAMModel(
@@ -156,7 +157,7 @@ def random_pair_model(task, with_pair, d=3, S=16, seed=11, mode="monte_carlo"):
     """Model over a real basis with random weights and, optionally, one
     interaction pair."""
     rng = np.random.default_rng(seed)
-    basis = rff.build_basis(S, mode, seed, with_pairs=with_pair)
+    basis = rff.build_basis(S, mode, seed)
     interactions = [(0, d - 1, rng.standard_normal(S))] if with_pair else []
     return model.GPNAMModel(
         basis=basis, feature_names=[f"x{i + 1}" for i in range(d)], task=task,
@@ -229,7 +230,7 @@ class TestOneTermList:
         widths = np.array(draw.draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
         pairs = draw.draw(st.lists(st.sampled_from(
             [(p, q) for p in range(d) for q in range(d) if p != q]), max_size=3)) if d > 1 else []
-        basis = rff.build_basis(S, mode, d, with_pairs=True)
+        basis = rff.build_basis(S, mode, d)
         rng = np.random.default_rng(S)
         X = rng.normal(size=(7, d))
         terms = _kernels.terms(basis.z, basis.pair_z, widths, pairs)
@@ -328,7 +329,7 @@ class TestFoldedCosines:
     @pytest.mark.parametrize("S", [1, 2, 3, 7, 100, 101])
     def test_grid_folds_mirrored_pairs(self, S):
         for mode, terms in (("grid", S // 2 + S % 2), ("monte_carlo", S)):
-            basis = rff.build_basis(S, mode, 3, with_pairs=True)
+            basis = rff.build_basis(S, mode, 3)
             weights = np.ones((2, S))
             for freqs in (basis.z, basis.pair_z):
                 F, phase, amp = rff.fold_mirrored(freqs, basis.c, weights)
@@ -624,7 +625,7 @@ class TestPersistence:
 
     def test_round_trip_with_interactions(self, tmp_path):
         rng = np.random.default_rng(4)
-        basis = rff.build_basis(8, "grid", 2, with_pairs=True)
+        basis = rff.build_basis(8, "grid", 2)
         m = model.GPNAMModel(
             basis=basis, feature_names=["a", "b"], task="regression", w0=0.5,
             W=rng.standard_normal((2, 8)), b=np.array([1.0, 2.0]),
@@ -766,6 +767,15 @@ class TestSchemaV1File:
         got = model.predict(m, X)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
+    def test_monte_carlo_predictions_unchanged(self):
+        """The same rows and ``train`` with ``--mode mc``, written when only a
+        basis built for pairs drew ``pair_z``: every basis now draws it after
+        z and c, so the rebuilt basis and each prediction are as they were."""
+        m = model.load(DATA / "v1_mc_pair_model.json")
+        table = np.loadtxt(DATA / "v1_mc_pair_predictions.csv", delimiter=",", skiprows=1)
+        assert m.basis.mode == "monte_carlo" and [p[:2] for p in m.interactions] == [(0, 2)]
+        assert np.all(model.predict(m, table[:, :3]) == table[:, 3])
+
 
 class TestInvariants:
     """Every model invariant is checked when a GPNAMModel is built, so a
@@ -804,7 +814,7 @@ class TestInvariants:
         {"encodings": [{"kind": "numeric"}, {"kind": "ordinal", "categories": [1, 2]}]},
         {"encodings": {"kind": "numeric"}},
         {"task": "multiclass"},
-        {"interactions": [(0, 1, np.zeros(4))]},
+        {"interactions": [(0, 1, np.zeros(3))]},
         {"feature_names": ["a", "a"]},
         {"target_classes": ["no", "yes"]},
         {"task": "binary_classification", "target_classes": ["no", "no"]},
@@ -812,6 +822,7 @@ class TestInvariants:
         {"task": "binary_classification", "target_classes": ["no", 1]},
         {"task": "binary_classification", "target_classes": [["no"], ["yes"]]},
         {"task": "binary_classification", "target_classes": "ny"},
+        {"interactions": [(0, 2, np.zeros(4))]},
     ])
     def test_violation_raises(self, overrides):
         with pytest.raises(ModelInvariantError):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpnam import rff, solvers
-from gpnam.errors import ConfigurationError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -76,17 +75,33 @@ class TestBuildBasis:
 
     def test_bit_reproducible(self):
         for mode in rff.MODES:
-            a = rff.build_basis(64, mode, 987, with_pairs=True)
-            b = rff.build_basis(64, mode, 987, with_pairs=True)
+            a = rff.build_basis(64, mode, 987)
+            b = rff.build_basis(64, mode, 987)
             assert np.array_equal(a.z, b.z)
             assert np.array_equal(a.c, b.c)
             assert np.array_equal(a.pair_z, b.pair_z)
 
-    def test_pairs_do_not_change_z_c(self):
-        plain = rff.build_basis(32, "monte_carlo", 5)
-        paired = rff.build_basis(32, "monte_carlo", 5, with_pairs=True)
-        assert np.array_equal(plain.z, paired.z)
-        assert np.array_equal(plain.c, paired.c)
+    @settings(max_examples=80)
+    @given(S=st.integers(1, 64), mode=st.sampled_from(rff.MODES),
+           seed=st.integers(0, 2**63 - 1))
+    def test_draw_order(self, S, mode, seed):
+        """One default_rng(seed) draws, in order, Monte-Carlo z, c, pair_z or
+        the grid's phase permutation, then its S//2 positive pair rows; model
+        files written before every basis held pair_z rebuild the same z, c."""
+        basis = rff.build_basis(S, mode, seed)
+        rng = np.random.default_rng(seed)
+        if mode == rff.MODE_MONTE_CARLO:
+            assert np.array_equal(basis.z, rng.standard_normal(S))
+            assert np.array_equal(basis.c, rng.uniform(0.0, 2 * math.pi, S))
+            want = rng.standard_normal((S, 2))
+        else:
+            m = S // 2
+            gamma = 2 * math.pi * (np.arange(1, m + 1) - 0.5) / m
+            assert np.array_equal(basis.c[S - m:], gamma[rng.permutation(m)])
+            positive = rng.standard_normal((m, 2))
+            want = np.concatenate([-positive[::-1], np.zeros((S % 2, 2)), positive])
+        assert np.array_equal(basis.pair_z, want)
+        assert not basis.pair_z.flags.writeable
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
@@ -104,7 +119,7 @@ class TestBuildBasis:
 
 @pytest.mark.parametrize("b", [math.nan, math.inf, 0.0, -1.0])
 def test_kernel_width_must_be_positive_and_finite(b):
-    basis = rff.build_basis(8, "grid", 0, with_pairs=True)
+    basis = rff.build_basis(8, "grid", 0)
     for call in (lambda: rff.rbf_kernel(0.0, 1.0, b),
                  lambda: rff.feature_map(basis, 0.5, b),
                  lambda: rff.pair_feature_map(basis, 0.5, -0.5, b)):
@@ -135,7 +150,8 @@ def make_basis(z, c, pair_z=None):
     z = np.asarray(z, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     return rff.FeatureBasis(S=z.size, z=z, c=c, mode="monte_carlo", seed=0,
-                            pair_z=None if pair_z is None else np.asarray(pair_z, float))
+                            pair_z=np.zeros((z.size, 2)) if pair_z is None
+                            else np.asarray(pair_z, float))
 
 
 class TestFeatureMap:
@@ -220,7 +236,7 @@ class TestPairFeatureMap:
         assert got == pytest.approx([math.sqrt(2 / 4)] * 4, abs=1e-12)
 
     def test_approximates_2d_kernel(self):
-        basis = rff.build_basis(10_000, "monte_carlo", 42, with_pairs=True)
+        basis = rff.build_basis(10_000, "monte_carlo", 42)
         fa = rff.pair_feature_map(basis, 0.0, 0.0, 1.0)
         fb = rff.pair_feature_map(basis, 1.0, 1.0, 1.0)
         want = rff.rbf_kernel([0.0, 0.0], [1.0, 1.0], 1.0)
@@ -228,18 +244,13 @@ class TestPairFeatureMap:
         assert want == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_grid_phases_self_consistent(self):
-        basis = rff.build_basis(64, "grid", 3, with_pairs=True)
+        basis = rff.build_basis(64, "grid", 3)
         for (xi, xj) in ((0.3, -1.2), (2.0, 2.0), (-0.7, 0.1)):
             fm = rff.pair_feature_map(basis, xi, xj, 1.0)
             assert float(fm @ fm) == pytest.approx(1.0, abs=1e-12)
 
-    def test_missing_pair_frequencies(self):
-        basis = rff.build_basis(16, "grid", 0)
-        with pytest.raises(ConfigurationError):
-            rff.pair_feature_map(basis, 0.0, 0.0, 1.0)
-
     def test_array_inputs_give_one_row_per_point(self):
-        basis = rff.build_basis(8, "grid", 1, with_pairs=True)
+        basis = rff.build_basis(8, "grid", 1)
         block = rff.pair_feature_map(basis, np.array([0.3, -1.0, 2.0]),
                                      np.array([1.5, 0.0, -0.4]), 0.9)
         assert block.shape == (3, 8)
@@ -258,7 +269,7 @@ class TestPairFeatureMap:
                                                    bad_row, bad_value, bad_in_j):
         rng = np.random.default_rng(seed)
         X = rng.normal(scale=3.0, size=(n, 3))
-        basis = rff.build_basis(S, mode, seed, with_pairs=True)
+        basis = rff.build_basis(S, mode, seed)
         pairs = [(0, 1), (2, 0)]
         feats = solvers.stack_features(basis, widths, X, pairs=pairs)
         for k, (i, j) in enumerate(pairs):

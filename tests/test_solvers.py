@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gpnam import _kernels, rff, solvers
 from gpnam.data import TASK_CLASSIFICATION, TASK_REGRESSION, TASKS
-from gpnam.errors import ConfigurationError, NumericBreakdownError
+from gpnam.errors import NumericBreakdownError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -31,7 +31,7 @@ def dense_ridge_solve(phi, y, lam):
 class TestStackFeatures:
     def test_degenerate_row(self):
         basis = rff.FeatureBasis(S=1, z=np.array([0.0]), c=np.array([0.0]),
-                                 mode="monte_carlo", seed=0)
+                                 mode="monte_carlo", seed=0, pair_z=np.zeros((1, 2)))
         feats = solvers.stack_features(basis, [1.0], [[0.33]])
         assert feats.phi[0].tolist() == pytest.approx([1.0, SQRT2], abs=1e-12)
 
@@ -60,7 +60,7 @@ class TestStackFeatures:
         assert np.all(np.abs(feats.phi[:, 1:]) <= bound + 1e-15)
 
     def test_interaction_blocks(self):
-        basis = rff.build_basis(8, "monte_carlo", 4, with_pairs=True)
+        basis = rff.build_basis(8, "monte_carlo", 4)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(5, 3))
         widths = np.array([1.0, 2.0, 0.5])
@@ -70,11 +70,6 @@ class TestStackFeatures:
         for r in range(5):
             want = rff.pair_feature_map(basis, X[r, 0], X[r, 2], b_pair)
             assert np.array_equal(feats.phi[r, feats.pair_block(0)], want)
-
-    def test_pairs_need_pairwise_frequencies(self):
-        basis = rff.build_basis(4, "grid", 0)
-        with pytest.raises(ConfigurationError, match="with_pairs=True"):
-            solvers.stack_features(basis, [1.0, 1.0], np.zeros((3, 2)), pairs=[(0, 1)])
 
     def test_rejects_bad_inputs(self):
         basis = rff.build_basis(4, "grid", 0)
@@ -94,7 +89,7 @@ class TestStackFeatures:
 
     @pytest.mark.parametrize("pairs", [None, [(0, 1)]])
     def test_rejects_overflowing_angles(self, pairs):
-        basis = rff.build_basis(4, "grid", 0, with_pairs=True)
+        basis = rff.build_basis(4, "grid", 0)
         X = np.full((3, 2), 2.0)
         # z * (x / b) overflows at the first width, and at the pair's
         # sqrt(1e-200 * 1e-200), which underflows to 0
@@ -117,7 +112,7 @@ class TestThreadedFeaturize:
     def test_bit_identical_at_any_thread_count(self, n, d, S, workers, in_flight, seed,
                                                data):
         rng = np.random.default_rng(seed)
-        basis = rff.build_basis(S, "grid", seed, with_pairs=True)
+        basis = rff.build_basis(S, "grid", seed)
         X = rng.normal(size=(n, d))
         widths = rng.uniform(0.5, 2.0, d)
         pairs = data.draw(st.lists(st.permutations(range(d)).map(lambda p: tuple(p[:2])),
@@ -149,7 +144,7 @@ class TestHalveWidth:
     def test_matches_direct_cosines(self, S, d, with_pairs, k, seed):
         rng = np.random.default_rng(seed)
         pairs = [(0, d - 1)] if with_pairs and d > 1 else None
-        basis = rff.build_basis(S, "grid", seed, with_pairs=bool(pairs))
+        basis = rff.build_basis(S, "grid", seed)
         X = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 600)), d))
         widths = rng.uniform(1.0, 4.0, d)
         runs = []
@@ -471,7 +466,7 @@ class TestFitReduced:
     def test_matches_exact_solvers(self, n, S, d, mode, with_pair, lam, task, seed):
         rng = np.random.default_rng(seed)
         pairs = [(0, d - 1)] if with_pair and d > 1 else None
-        basis = rff.build_basis(S, mode, seed, with_pairs=bool(pairs))
+        basis = rff.build_basis(S, mode, seed)
         X = rng.normal(size=(n, d))
         feats = solvers.stack_features(basis, rng.uniform(0.5, 2.0, d), X, pairs=pairs)
         phi, cfg = feats.phi, solvers.FitConfig(lam=lam)
@@ -511,7 +506,7 @@ class TestFitReduced:
         the null space (4.3e-15 measured), over RANK_CUTOFF, so a kept
         direction past the k-th is allowed, but ||B u||^2 must be rounding."""
         rng = np.random.default_rng(S)
-        basis = rff.build_basis(S, mode, 1, with_pairs=True)
+        basis = rff.build_basis(S, mode, 1)
         for k in (1, 2, 3, 5):
             column = rng.choice(rng.normal(size=k), size=500)
             X = np.column_stack([column, rng.normal(size=500)])
@@ -577,7 +572,7 @@ class TestInteractionCapture:
                           encodings=[{"kind": "numeric"}] * 2)
         ds = data.standardize(ds)
         train, _, test = data.split(ds, (0.8, 0.1, 0.1), seed=0)
-        basis = rff.build_basis(64, "monte_carlo", 0, with_pairs=True)
+        basis = rff.build_basis(64, "monte_carlo", 0)
         widths = data.kernel_widths(ds, 1.0)
         rmses = {}
         for label, pairs in (("additive", []), ("pairwise", [(0, 1)])):
