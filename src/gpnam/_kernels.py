@@ -1,21 +1,25 @@
-"""Hot numeric kernels: the term list, the cosine kernel, width halving, the
-Gram-operator matvec and the row-chunk thread runner.
+"""Hot numeric kernels: the term list, the evaluation points, the cosine
+kernel, width halving, the Gram-operator matvec and the row-chunk thread runner.
 
 ``terms`` lists the additive terms that ``featurize``, ``solvers.stack_features``,
-``model.usable_rows`` and ``model._folded_terms`` all read.
+``model.usable_rows`` and ``model._folded_terms`` all read. ``term_points``
+gives the points at which ``featurize`` and ``model._sum_terms`` evaluate a
+term: a feature's term depends on one scalar, so it is evaluated once per
+distinct value of its column and gathered back to the rows by an inverse
+index; a pair's term is evaluated on every row.
 
 There is one backend, plain numpy, and one cosine kernel, ``cosines``. It
-fills every RFF block - the feature and pair blocks of ``featurize``'s design
-matrix, ``rff.pair_feature_map`` and the folded terms of ``model.predict`` and
+fills every RFF block - the feature and pair tables of ``featurize``,
+``rff.pair_feature_map`` and the folded terms of ``model.predict`` and
 ``model.shape_function`` - in place, in one arithmetic order. It is
 elementwise, so an output element never depends on how rows are grouped.
 
 ``in_row_chunks`` shares a row range's chunks among WORKERS threads. It runs
-``featurize``'s rows, all blocks, and ``model.predict``'s cosines; numpy's
-cosine and arithmetic loops release the GIL, so the threads use separate cores.
+``featurize``'s table rows and ``model.predict``'s cosines; numpy's cosine
+and arithmetic loops release the GIL, so the threads use separate cores.
 
-``halve_width`` turns a grid basis's design matrix at kernel width b into the
-one at width b/2 in place, by trig identities and without a cosine; train's
+``halve_width`` turns a grid basis's cosines at kernel width b into those at
+width b/2 in place, by trig identities and without a cosine; train's
 bandwidth search uses it so that one cosine pass serves all its widths.
 
 ``gram_apply`` (two BLAS GEMVs) has no caller in the package: the ridge
@@ -32,17 +36,19 @@ import numpy as np
 
 #: Name of the compute backend; the benchmark records it with its run.
 BACKEND = "numpy"
-# Rows per chunk of halve_width, whose complex scratch holds chunk x k*S/2
-# pairs, so no second n x D matrix is formed. On a 16,512 x 801 matrix a
-# halving took about 0.05 s at 32-128 rows and 0.06-0.08 s at 256-1024 rows:
-# a small scratch stays in cache.
-HALVE_CHUNK = 64
+# Complex pairs in halve_width's scratch: each chunk of rows holds at most
+# this many (at least one row), whatever the blocks per row, so no second
+# table is formed and a small scratch stays in cache. It is 64 rows of eight
+# 100-column blocks. On the benchmark's 90,628 x 101 regression table a
+# halving took 29.5 ms at 3,200 pairs (64 rows), 23.7 ms at this many and
+# 35.3 ms at 102,400 (best of 7, 2-vCPU host).
+HALVE_CHUNK = 25_600
 # Threads that share in_row_chunks's chunks: one per CPU this process may run
 # on (os.cpu_count() where the OS has no affinity call), at most 8.
 WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 8)
-# Cosines featurize has in flight across its threads, S per feature or pair
-# block of a row; a smaller design matrix is filled in the calling thread.
+# Cosines featurize has in flight across its threads, S per table row; a
+# smaller table is filled in the calling thread.
 FEATURIZE_COSINES = 2**20
 
 
@@ -54,27 +60,50 @@ def terms(z, pair_z, widths, pairs):
             + [((p, q), math.sqrt(widths[p] * widths[q]), pair_z) for p, q in pairs])
 
 
+def term_points(X, cols):
+    """(points, index): the points at which a term on the columns ``cols`` of
+    the n x d matrix ``X`` is evaluated, one row each, and the n-vector index
+    of each row's point. A one-column term takes its column's distinct values,
+    sorted, and the inverse index (``np.unique``); a pair term takes its
+    columns' rows, with the identity index."""
+    if len(cols) == 1:
+        points, index = np.unique(X[:, cols[0]], return_inverse=True)
+        return points[:, None], index
+    return X[:, list(cols)], np.arange(X.shape[0])
+
+
 def featurize(X, z, c, widths, pairs=(), pair_z=None):
-    """Stacked design matrix: the constant-1 bias column, then one S-column
-    block sqrt(2/S) * cos(F . (x / width) + c) per term of :func:`terms`, in
-    its order, 1 + S*(d + len(pairs)) columns. The inputs are float64 arrays
-    that the callers have checked; nothing is checked here."""
-    n = X.shape[0]
+    """Cosine table of every term of :func:`terms`, in its order: (table,
+    index), with one entry of ``index`` per term.
+
+    A term's rows of the table are sqrt(2/S) * cos(F . (u / width) + c) at
+    each of its :func:`term_points` u, S columns after a bias column of ones;
+    its entry of ``index`` is the inverse index of those points, so the
+    term's n x S block of the stacked design matrix is its rows gathered by
+    the index. The table is C-contiguous, with a row per distinct value of
+    each feature's column and a row per data row for each pair. The inputs
+    are float64 arrays that the callers have checked, with at least one
+    feature; nothing is checked here.
+    """
     S = z.shape[0]
     blocks = terms(z, pair_z, widths, pairs)
-    out = np.empty((n, 1 + S * len(blocks)))
+    points, index = zip(*[term_points(X, cols) for cols, _, _ in blocks])
+    starts = np.cumsum([0] + [p.shape[0] for p in points])
+    table = np.empty((starts[-1], 1 + S))
     scale = math.sqrt(2.0 / S)
-    out[:, 0] = 1.0
+    table[:, 0] = 1.0
 
     def fill(chunks, _):
         for rows in chunks:
-            for k, (cols, width, F) in enumerate(blocks):
-                block = out[rows, 1 + k * S:1 + (k + 1) * S]
-                cosines([X[rows, j] for j in cols], width, F, c, block.T)
-                block *= scale
+            for (_, width, F), u, start, stop in zip(blocks, points, starts, starts[1:]):
+                lo, hi = max(rows.start, start), min(rows.stop, stop)
+                if lo < hi:
+                    block = table[lo:hi, 1:]
+                    cosines(list(u[lo - start:hi - start].T), width, F, c, block.T)
+                    block *= scale
 
-    in_row_chunks(n, max(1, FEATURIZE_COSINES // max(1, S * len(blocks))), fill)
-    return out
+    in_row_chunks(table.shape[0], max(1, FEATURIZE_COSINES // S), fill)
+    return table, list(index)
 
 
 def in_row_chunks(n, in_flight, work):
@@ -134,20 +163,21 @@ def cosines(columns, width, F, phase, out):
 
 
 def halve_width(phi, c):
-    """Halve the kernel width of a grid basis's design matrix in place.
+    """Halve the kernel width of a grid basis's cosines in place.
 
-    ``phi`` is a C-contiguous n x (1 + k*S) matrix: a bias column, left as it
-    is, then k blocks of S columns sqrt(2/S) * cos(t_s + c_s), as
-    ``featurize`` fills its feature and pair blocks for a grid basis with
-    phases ``c``. There, column S-1-s has a frequency z > 0 and phase c, and
-    its mirror, column s, has -z and pi/2 - c, so with u = t + c the pair holds
-    cos u and sin u. Afterwards every angle t is 2t, which is the features at
-    half the width (z * (x / (b/2)) is exactly 2 * (z * (x / b))), with no
-    cosine evaluated: cos(2t + c) + i sin(2t + c) = e^{2iu} e^{-ic}, where
+    ``phi`` is a C-contiguous matrix of rows (1 + k*S columns): a bias
+    column, left as it is, then k blocks of S columns sqrt(2/S) * cos(t_s +
+    c_s), as ``featurize``'s table (k = 1) or a stacked design matrix holds
+    them for a grid basis with phases ``c``. There, column S-1-s has a
+    frequency z > 0 and phase c, and its mirror, column s, has -z and
+    pi/2 - c, so with u = t + c the pair holds cos u and sin u. Afterwards
+    every angle t is 2t, which is the features at half the width
+    (z * (x / (b/2)) is exactly 2 * (z * (x / b))), with no cosine evaluated:
+    cos(2t + c) + i sin(2t + c) = e^{2iu} e^{-ic}, where
     e^{2iu} = (cos u + i sin u)^2 is cos 2u = cos^2 u - sin^2 u and
     sin 2u = 2 sin u cos u. An odd S's middle column (z = 0) is constant and
-    stays. Rows go in HALVE_CHUNK-row chunks, so the scratch is
-    O(chunk * k * S).
+    stays. Each element's result depends on its row alone. Rows go in chunks
+    of at most HALVE_CHUNK complex pairs, so the scratch is O(HALVE_CHUNK).
     """
     S = len(c)
     m = S // 2
@@ -155,13 +185,14 @@ def halve_width(phi, c):
     if m == 0 or (dim - 1) % S:
         raise ValueError("halve_width needs S >= 2 and whole S-column blocks")
     if not phi.flags.c_contiguous:
-        raise ValueError("halve_width needs a C-contiguous design matrix")
+        raise ValueError("halve_width needs a C-contiguous matrix")
     blocks = phi[:, 1:].reshape(n, -1, S)  # a view: rows are contiguous
+    chunk = max(1, HALVE_CHUNK // (blocks.shape[1] * m))
     # e^{-ic} / sqrt(2/S): one factor of the squared sqrt(2/S) comes off
     rotate = np.exp(-1j * c[S - m:]) / math.sqrt(2.0 / S)
-    scratch = np.empty((min(n, HALVE_CHUNK), blocks.shape[1], m), dtype=np.complex128)
-    for start in range(0, n, HALVE_CHUNK):
-        rows = blocks[start:start + HALVE_CHUNK]
+    scratch = np.empty((min(n, chunk), blocks.shape[1], m), dtype=np.complex128)
+    for start in range(0, n, chunk):
+        rows = blocks[start:start + chunk]
         cos_u, sin_u = rows[:, :, S - m:], rows[:, :, m - 1::-1]
         pair = scratch[:rows.shape[0]]
         pair.real, pair.imag = cos_u, sin_u

@@ -15,8 +15,9 @@ on the full problem; neither has a setting beyond lambda. Its report gives R
 (reduced_rank) and judges the weights on the full D-coordinate problem. Its
 --bandwidth-scale auto search fits the scales widest first. Consecutive
 BANDWIDTH_GRID scales differ by exactly 2, so with a grid basis each narrower
-scale's design matrix is the last one halved in place (_kernels.halve_width),
-and the search computes its cosines once.
+scale's cosine table is the last one halved in place (_kernels.halve_width),
+and the search computes its cosines once. No command forms the n x D design
+matrix.
 
 Exit codes: 0 success, 1 usage error, 2 data/model-file error,
 3 solver did not converge (model still saved), 4 numeric breakdown.
@@ -234,8 +235,8 @@ def _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs):
     w0 = float(w[0])
     W = w[1:1 + d * S].reshape(d, S)
     interactions = [(i, j, np.array(w[feats.pair_block(k)])) for k, (i, j) in enumerate(pairs)]
-    offsets = np.array([float(np.mean(feats.phi[:, feats.feature_block(i)] @ W[i]))
-                        for i in range(d)])
+    # block 0 of feats is the bias, block 1 + i feature i
+    offsets = np.array([float(np.mean(feats.block_values(1 + i, W[i]))) for i in range(d)])
     return model_mod.GPNAMModel(
         basis=basis, feature_names=ds.feature_names, task=ds.task, w0=w0, W=W,
         b=widths, standardization=ds.standardization,
@@ -268,15 +269,15 @@ def cmd_train(cfg) -> int:
     train = data_mod.standardize(train)
     basis = rff.build_basis(cfg["S"], cfg["mode"], cfg["seed"])
     # Widest scale first. Consecutive BANDWIDTH_GRID scales differ by exactly
-    # 2, so with a grid basis each narrower design matrix is the last one halved.
+    # 2, so with a grid basis each narrower cosine table is the last one halved.
     halvable = basis.mode == rff.MODE_GRID and basis.S >= 2
     fits, feats = [], None
     for factor in reversed(scales):
         widths = data_mod.kernel_widths(train, factor)
         if halvable and feats is not None:
-            _kernels.halve_width(feats.phi, basis.c)
+            _kernels.halve_width(feats.table, basis.c)
         else:
-            feats = None  # hold one design matrix at a time
+            feats = None  # hold one table at a time
             feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)
         w, report = solvers.fit_reduced(feats, train.y, task, fit_cfg)
         # reads feats before the next, narrower scale halves them

@@ -187,30 +187,27 @@ def _sum_terms(terms, xs) -> np.ndarray:
     ``terms`` of :func:`_folded_terms`: the sum from zero of each term's
     value, in term order.
 
-    The terms go one at a time. A one-column term depends on one scalar, so
-    it is evaluated once per distinct value of its column (``np.unique``) and
-    gathered back to the rows; a pair term is evaluated on every row. A term
-    whose ``rff.angle_bound`` on those values is not finite (a NaN, an
-    infinity, an overflowing angle) is a ValueError instead. A term's value
-    is its weighted cosines added one by one, from zero, in one fixed order
-    (a BLAS product amp @ block would round each value differently with the
-    block's row count), so it depends on its inputs alone: a row's sum does
-    not depend on the other rows, the chunk size or the thread count. Values
-    go in chunks through :func:`_kernels.in_row_chunks`, so at most
-    PREDICT_CHUNK values of one term are in flight (memory is
-    O(PREDICT_CHUNK * S) whatever n is), and a term of at most PREDICT_CHUNK
-    values starts no thread.
+    The terms go one at a time, each at its :func:`_kernels.term_points`,
+    the points at which train's ``featurize`` evaluates it too: a one-column
+    term depends on one scalar, so it is evaluated once per distinct value of
+    its column and gathered back to the rows; a pair term is evaluated on
+    every row. A term whose ``rff.angle_bound`` on those points is not finite
+    (a NaN, an infinity, an overflowing angle) is a ValueError instead. A
+    term's value is its weighted cosines added one by one, from zero, in one
+    fixed order (a BLAS product amp @ block would round each value
+    differently with the block's row count), so it depends on its inputs
+    alone: a row's sum does not depend on the other rows, the chunk size or
+    the thread count. Values go in chunks through
+    :func:`_kernels.in_row_chunks`, so at most PREDICT_CHUNK values of one
+    term are in flight (memory is O(PREDICT_CHUNK * S) whatever n is), and a
+    term of at most PREDICT_CHUNK values starts no thread.
     """
     total = np.zeros(xs.shape[0])
     for cols, width, F, phase, amp in terms:
-        if len(cols) == 1:
-            points, rows = np.unique(xs[:, cols[0]], return_inverse=True)
-            inputs = points[:, None]
-        else:
-            rows, inputs = slice(None), xs[:, list(cols)]
-        if not np.all(np.isfinite(angle_bound(F, np.abs(inputs), width))):
+        points, index = _kernels.term_points(xs, cols)
+        if not np.all(np.isfinite(angle_bound(F, np.abs(points), width))):
             raise ValueError("input is not finite or overflows the cosine angles")
-        total += _term_values(width, F, phase, amp, list(inputs.T))[rows]
+        total += _term_values(width, F, phase, amp, list(points.T))[index]
     return total
 
 

@@ -167,9 +167,9 @@ def feature_map(basis, x, b):
     _check_width(b)
     if not np.isfinite(x):
         raise ValueError("x must be finite")
-    row = _kernels.featurize(np.array([[float(x)]]), basis.z, basis.c,
-                             np.array([float(b)]))
-    return row[0, 1:]
+    table, _ = _kernels.featurize(np.array([[float(x)]]), basis.z, basis.c,
+                                  np.array([float(b)]))
+    return table[0, 1:]
 
 
 def approx_kernel(basis, x, x_prime, b):

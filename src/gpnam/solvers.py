@@ -1,15 +1,19 @@
 """Convex fitting on stacked RFF features.
 
-``stack_features`` checks its inputs, then builds the whole design matrix,
-bias, feature and interaction-pair blocks, in one ``_kernels.featurize`` call.
+``stack_features`` checks its inputs, then fills the cosine table of every
+term, feature and interaction pair, in one ``_kernels.featurize`` call. A
+``StackedFeatures`` holds the design matrix Phi as that table: a feature's
+block of Phi repeats the table row of each distinct value of its column, so
+the table holds those rows once, with the inverse index that gathers them.
+No n x D matrix is formed to fit.
 
 ``train`` fits through ``fit_reduced``, in each block's eigenbasis. A
 feature's S cosine columns see one scalar input, and the Gaussian kernel's
 one-dimensional spectrum decays faster than exponentially, so each S-column
 block B_j (every feature block and every interaction-pair block) has only a
 few Gram eigenvalues above rounding. ``fit_reduced`` takes ``eigh`` of each
-S x S block Gram B_j^T B_j, keeps the eigenvectors U_j whose eigenvalue
-exceeds RANK_CUTOFF times the block's largest, fits on the n x R matrix
+S x S block Gram, keeps the eigenvectors U_j whose eigenvalue exceeds
+RANK_CUTOFF times the block's largest, fits on the n x R matrix
 P = [1, B_1 U_1, ...] and lifts the weights back, W_j = U_j a_j. The penalty
 is isotropic, so the optimum lies in the row space of Phi and the reduced
 problem is the full one up to the dropped directions. A complement step on
@@ -17,7 +21,8 @@ the full D-space gradient then removes what those carry (more corrections
 follow only while the full problem is unconverged). Regression sums P^T P
 over REDUCED_CHUNK-row chunks and solves one R x R system, so no n x R or
 D x D matrix is formed. Classification builds P and runs damped Newton on
-it. The report judges the lifted weights on the full D-space problem.
+it. The report judges the lifted weights on the full D-space problem, whose
+products Phi w and Phi^T r go through the tables.
 
 ``solve_ridge_cg`` (one exact solve on the D x D Gram) and
 ``fit_logistic_newton`` (damped Newton on the D x D Hessian, stopping once
@@ -54,8 +59,10 @@ HESSIAN_CHUNK = 256
 # a cutoff of 1e-14 drops those, but then a lam = 1e-6 classification fit
 # needs a second correction.
 RANK_CUTOFF = 1e-15
-# Rows per chunk of the reduced ridge statistics P^T P: no n x R matrix is
-# formed, and a fixed chunk order keeps the sum bit-identical across reruns.
+# Rows per chunk of the block Grams (table rows) and of the reduced ridge
+# statistics P^T P (data rows): no n x R matrix and no weighted copy of a
+# table is formed, and a fixed chunk order keeps the sums bit-identical
+# across reruns.
 REDUCED_CHUNK = 1024
 # fit_reduced's corrections on the full problem: the first, the complement
 # step, always runs; the others only while the full problem is unconverged.
@@ -133,22 +140,51 @@ class SolverReport:
         return out
 
 
-@dataclass(frozen=True)
 class StackedFeatures:
-    """Design matrix whose row n is stack(1, phi(x_1n), ..., phi(x_dn))
-    plus one S-block per interaction pair."""
+    """The design matrix Phi, whose row i is stack(1, phi(x_i1), ...,
+    phi(x_id)) plus one S-block per interaction pair, held as a table.
 
-    phi: np.ndarray
-    S: int
-    d: int
+    ``table`` (C-contiguous) has a bias column of ones, then m blocks of S
+    columns. Its rows come in groups, one per entry of ``index``: index[g]
+    maps each of the n data rows to one of group g's rows, and the group has
+    as many rows as index[g] reaches. Phi's bias column is group 0's, and
+    its S-column blocks are each group's m blocks in turn: block b is B_b
+    gathered by index_b, ``tables[b] = (B_b, index_b)``. ``featurize``'s
+    table has a group of one block per term (a feature's distinct values, a
+    pair's rows); StackedFeatures(phi, S, d) holds a dense Phi as one group
+    of every block with the identity index.
+
+    The fit reads Phi only through the tables: :meth:`block_values`,
+    :meth:`matvec` and :meth:`rmatvec`. ``phi`` is Phi itself: the dense
+    matrix given, or else a new n x D matrix on each read, which only the
+    exact reference solvers and the tests make.
+    """
+
+    def __init__(self, phi, S, d, index=None):
+        self.table, self.S, self.d = phi, S, d
+        self._dense = index is None
+        index = [np.arange(phi.shape[0])] if index is None else index
+        sizes = [int(np.max(rows, initial=-1)) + 1 for rows in index]
+        if (phi.shape[1] - 1) % S or sum(sizes) != phi.shape[0]:
+            raise ValueError("the table must hold whole S-column blocks and "
+                             "exactly the rows its index reaches")
+        self.tables = [(phi[:sizes[0], :1], index[0])]
+        start = 0
+        for size, rows in zip(sizes, index):
+            group = phi[start:start + size]
+            self.tables += [(group[:, k:k + S], rows) for k in range(1, phi.shape[1], S)]
+            start += size
+        self.n = index[0].shape[0]
+        self.dim = 1 + len(index) * (phi.shape[1] - 1)
 
     @property
-    def n(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.phi.shape[1]
+    def phi(self) -> np.ndarray:
+        if self._dense:
+            return self.table
+        out = np.empty((self.n, self.dim))
+        for cols, (B, index) in zip(self.blocks(), self.tables):
+            out[:, cols] = B[index]
+        return out
 
     def feature_block(self, i: int) -> slice:
         """Column slice of feature i's S cosine features."""
@@ -162,6 +198,24 @@ class StackedFeatures:
         """Column slices of the bias, then of each S-column term block."""
         return [slice(0, 1)] + [slice(k, k + self.S) for k in range(1, self.dim, self.S)]
 
+    def block_values(self, b, wb) -> np.ndarray:
+        """Block b of Phi times its weights wb: (B_b wb)[index_b]."""
+        B, index = self.tables[b]
+        return (B @ wb)[index]
+
+    def matvec(self, w) -> np.ndarray:
+        """Phi w: the blocks' values summed from zero in block order."""
+        out = np.zeros(self.n)
+        for b, cols in enumerate(self.blocks()):
+            out += self.block_values(b, w[cols])
+        return out
+
+    def rmatvec(self, r) -> np.ndarray:
+        """Phi^T r: B_b^T bincount(index_b, r) for each block b, which sums r
+        over the data rows of each table row in row order."""
+        return np.concatenate([B.T @ np.bincount(index, r, B.shape[0])
+                               for B, index in self.tables])
+
 
 def _penalty_mask(dim):
     """1 on each coordinate lam penalizes: all but the bias."""
@@ -171,7 +225,7 @@ def _penalty_mask(dim):
 
 
 def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
-    """Build the stacked design matrix for standardized inputs X.
+    """The stacked features of the standardized inputs X, as cosine tables.
 
     ``pairs`` is an optional list of (i, j) feature-index tuples; each adds an
     S-column block of two-dimensional RFF features (the basis's ``pair_z``)
@@ -179,13 +233,13 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     A width so narrow that an angle overflows is a ValueError naming its term
     (each ``_kernels.terms`` entry's ``rff.angle_bound`` on the largest |x|,
     before any cosine). Then one ``_kernels.featurize`` call fills every
-    block. The matrix is C-contiguous, so ``_kernels.halve_width`` can take
-    it to half the widths in place; a grid-basis ``train --bandwidth-scale
-    auto`` calls this once, at its widest scale.
+    term's table. The table is C-contiguous, so ``_kernels.halve_width``
+    can take it to half the widths in place; a grid-basis ``train
+    --bandwidth-scale auto`` calls this once, at its widest scale.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-D matrix")
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError("X must be a 2-D matrix with at least one column")
     widths = np.asarray(widths, dtype=np.float64)
     if not np.all((widths > 0) & (widths < np.inf)):  # NaN fails too
         raise ValueError("all kernel widths must be positive and finite")
@@ -204,8 +258,8 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
             where = f"feature {cols[0]}" if len(cols) == 1 else f"pair {cols}"
             raise ValueError(f"kernel width {float(width)!r} of {where} is too narrow "
                              "for the inputs: the cosine angles overflow")
-    phi = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
-    return StackedFeatures(phi=phi, S=basis.S, d=d)
+    table, index = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
+    return StackedFeatures(table, basis.S, d, index)
 
 
 def conjugate_gradients(apply_A, v, tol=1e-8, max_iter=None):
@@ -301,12 +355,17 @@ def logistic_objective(w, phi, y_pm, lam):
     loss = mean(log(1 + exp(-y * phi w))) + lam/(2n) * ||w_reg||^2 with
     y in {-1, +1}; w_reg is w with the bias coordinate, never penalized, at 0.
     """
-    n = phi.shape[0]
-    margins = y_pm * (phi @ w)
+    return _logistic_loss(w, phi @ w, lambda r: phi.T @ r, y_pm, lam)
+
+
+def _logistic_loss(w, scores, rmatvec, y_pm, lam):
+    """logistic_objective from the scores phi w, with phi^T r as ``rmatvec(r)``."""
+    n = scores.shape[0]
+    margins = y_pm * scores
     w_reg = np.concatenate(([0.0], w[1:]))
     loss = float(np.mean(np.logaddexp(0.0, -margins)))
     loss += 0.5 * lam / n * float(w_reg @ w_reg)
-    grad = -(phi.T @ (y_pm * sigmoid(-margins))) / n
+    grad = -rmatvec(y_pm * sigmoid(-margins)) / n
     grad += (lam / n) * w_reg
     return loss, grad
 
@@ -397,24 +456,37 @@ def fit_logistic_newton(features: StackedFeatures, y, cfg: FitConfig | None = No
 
 def _eigenbases(features: StackedFeatures):
     """(columns, U) for each block of ``features.blocks()``: U holds the
-    orthonormal eigenvectors of the block's Gram B^T B whose eigenvalue
-    exceeds RANK_CUTOFF times the largest. The bias block keeps its column."""
+    orthonormal eigenvectors of the block's Gram whose eigenvalue exceeds
+    RANK_CUTOFF times the largest. The bias block keeps its column. Block b's
+    Gram is B_b^T diag(c) B_b, with c the number of data rows of each table
+    row: s^T s summed over REDUCED_CHUNK-row chunks of the table rows, where
+    s = sqrt(c) * rows is written into one scratch for all blocks."""
+    scratch = np.empty(REDUCED_CHUNK * features.S)
     bases = []
-    for cols in features.blocks():
-        block = features.phi[:, cols]
-        vals, vecs = np.linalg.eigh(block.T @ block)
+    for cols, (B, index) in zip(features.blocks(), features.tables):
+        root = np.sqrt(np.bincount(index, minlength=B.shape[0]))
+        gram = np.zeros((B.shape[1], B.shape[1]))
+        for start in range(0, B.shape[0], REDUCED_CHUNK):
+            rows = B[start:start + REDUCED_CHUNK]
+            weighted = np.multiply(rows, root[start:start + REDUCED_CHUNK, None],
+                                   out=scratch[:rows.size].reshape(rows.shape))
+            gram += weighted.T @ weighted
+        vals, vecs = np.linalg.eigh(gram)
         bases.append((cols, vecs[:, vals > RANK_CUTOFF * vals[-1]]))
     return bases
 
 
-def _project(rows, bases, out):
+def _project(features, bases, rows, out):
     """Fill ``out`` with the reduced coordinates [B_1 U_1, B_2 U_2, ...] of
-    the Phi ``rows`` and return it. Callers pass at most REDUCED_CHUNK rows:
-    a product over all n rows touches more of BLAS's buffers, which showed as
-    about 6 MB more peak RSS at n = 8,000."""
+    the data ``rows`` (a slice) of Phi and return it: each block's table
+    rows, gathered by its index, times its U. The gather indexes the strided
+    table view (np.take would first copy the whole table, on every call).
+    Callers pass at most REDUCED_CHUNK rows: a product over all n rows
+    touches more of BLAS's buffers, which showed as about 6 MB more peak RSS
+    at n = 8,000."""
     k = 0
-    for cols, U in bases:
-        out[:, k:k + U.shape[1]] = rows[:, cols] @ U
+    for (_, U), (B, index) in zip(bases, features.tables):
+        out[:, k:k + U.shape[1]] = B[index[rows]] @ U
         k += U.shape[1]
     return out
 
@@ -466,15 +538,15 @@ def fit_reduced(features: StackedFeatures, y, task, cfg: FitConfig | None = None
 
     The report is the one solve_ridge_cg or fit_logistic_newton would give
     for w on the full problem: its relative residual, or its loss and
-    gradient norm, each from two n x D matvecs. Its iterations and loss trace
+    gradient norm, each from Phi w and Phi^T r on the tables
+    (``StackedFeatures.matvec`` and ``rmatvec``). Its iterations and loss trace
     are the reduced Newton's, ``reduced_rank`` is R, and wall_time includes
     the eigenbases, the projection and the corrections. Only cfg.lam and
     cfg.cg_tol are read. Non-finite weights or a non-finite measure raise
     NumericBreakdownError.
     """
     cfg = cfg or FitConfig()
-    phi = features.phi
-    n, dim = phi.shape
+    n, dim = features.n, features.dim
     if task not in (TASK_REGRESSION, TASK_CLASSIFICATION):
         raise ValueError(f"unknown task {task!r}")
     t0 = time.perf_counter()
@@ -483,19 +555,19 @@ def fit_reduced(features: StackedFeatures, y, task, cfg: FitConfig | None = None
     if task == TASK_REGRESSION:
         y = _ridge_targets(y, n)
         mask = cfg.lam * _penalty_mask(dim)
-        v = phi.T @ y
+        v = features.rmatvec(y)
         v_norm = float(np.linalg.norm(v))
         gram = np.zeros((rank, rank))
         chunk = np.empty((min(n, REDUCED_CHUNK), rank))
         for start in range(0, n, REDUCED_CHUNK):
-            rows = phi[start:start + REDUCED_CHUNK]
-            P = _project(rows, bases, chunk[:rows.shape[0]])
+            rows = slice(start, min(start + REDUCED_CHUNK, n))
+            P = _project(features, bases, rows, chunk[:rows.stop - start])
             gram += P.T @ P
         gram[np.diag_indices(rank)] += cfg.lam * _penalty_mask(rank)
         w = _lift(np.linalg.solve(gram, _reduce(v, bases)), bases, dim)
 
         def residual(wv):
-            g = phi.T @ (phi @ wv) + mask * wv - v
+            g = features.rmatvec(features.matvec(wv)) + mask * wv - v
             rel = float(np.linalg.norm(g)) / v_norm if v_norm else 0.0
             return rel, g, rel
 
@@ -506,14 +578,14 @@ def fit_reduced(features: StackedFeatures, y, task, cfg: FitConfig | None = None
     else:
         P = np.empty((n, rank))
         for start in range(0, n, REDUCED_CHUNK):
-            _project(phi[start:start + REDUCED_CHUNK], bases, P[start:start + REDUCED_CHUNK])
-        a, report = fit_logistic_newton(StackedFeatures(phi=P, S=features.S, d=features.d),
-                                        y, cfg)
+            rows = slice(start, min(start + REDUCED_CHUNK, n))
+            _project(features, bases, rows, P[rows])
+        a, report = fit_logistic_newton(StackedFeatures(P, 1, 0), y, cfg)
         w = _lift(a, bases, dim)
         y_pm = 2.0 * np.asarray(y, dtype=np.float64) - 1.0  # labels checked by Newton
 
         def loss_and_gradient(wv):
-            loss, g = logistic_objective(wv, phi, y_pm, cfg.lam)
+            loss, g = _logistic_loss(wv, features.matvec(wv), features.rmatvec, y_pm, cfg.lam)
             return loss, g, float(np.linalg.norm(g))
 
         hessian = _logistic_hessian(P, a, cfg.lam, _penalty_mask(rank))

@@ -526,6 +526,61 @@ class TestTrain:
             assert proc.stderr.startswith("gpnam: numeric breakdown: ")
             assert proc.stderr.count("\n") == 1
 
+class TestTrainOnTables:
+    """train fits on the cosine tables of stack_features and never forms the
+    n x D design matrix: the features it builds raise on ``.phi``. Their
+    table holds a row per distinct value of each training column and a row
+    per training row for each interaction pair."""
+
+    @pytest.fixture
+    def tied_csv(self, tmp_path):
+        """A regression and a classification file whose columns hold 1, 2, 7
+        and about 300 distinct values."""
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.full(400, 0.5), rng.choice([-1.0, 2.0], 400),
+                             rng.integers(0, 7, 400) / 4, rng.uniform(-2, 2, 400).round(2)])
+        score = np.sin(X[:, 3]) + X[:, 1] * X[:, 2] / 4 + rng.normal(0, 0.3, 400)
+        paths = {}
+        for task, y in (("reg", score), ("clf", (score > 0.3).astype(float))):
+            rows = [",".join(map(repr, row)) for row in np.column_stack([X, y]).tolist()]
+            paths[task] = tmp_path / f"{task}.csv"
+            paths[task].write_text("\n".join(["a,b,c,e,y"] + rows) + "\n")
+        return paths
+
+    @pytest.mark.parametrize("argv, fits", [
+        (("--task", "reg", "--mode", "grid", "--bandwidth-scale", "auto"), 1),
+        (("--task", "reg", "--mode", "mc", "--bandwidth-scale", "auto"), 5),
+        (("--task", "clf"), 1),
+        (("--task", "reg", "--interactions", "0:1,1:2"), 1),
+    ])
+    def test_train_never_forms_phi(self, tmp_path, tied_csv, capsys, monkeypatch, argv, fits):
+        class Tables(solvers.StackedFeatures):
+            @property
+            def phi(self):
+                raise AssertionError("train formed the n x D design matrix")
+
+        built = []
+        stack = solvers.stack_features
+
+        def tables_only(basis, widths, X, pairs=None):
+            feats = stack(basis, widths, X, pairs=pairs)
+            feats.__class__ = Tables
+            built.append((X, len(pairs), feats))
+            return feats
+
+        monkeypatch.setattr(solvers, "stack_features", tables_only)
+        code, _, err = run(capsys, "train", "--data", str(tied_csv[argv[1]]), "--target", "y",
+                           "--S", "16", "--model", str(tmp_path / "m.json"), *argv)
+        assert code == 0, err
+        assert len(built) == fits
+        for X, pairs, feats in built:
+            n, d = X.shape
+            distinct = sum(np.unique(X[:, j]).size for j in range(d))
+            assert distinct < n * d
+            assert feats.table.shape == (distinct + n * pairs, 1 + 16)
+            assert feats.dim == 1 + 16 * (d + pairs)
+
+
 class TestSettingsCheckedBeforeReading:
     """Every train setting that does not depend on the data is rejected
     before the CSV is read."""

@@ -235,7 +235,8 @@ class TestOneTermList:
         X = rng.normal(size=(7, d))
         terms = _kernels.terms(basis.z, basis.pair_z, widths, pairs)
         assert [cols for cols, _, _ in terms] == [(j,) for j in range(d)] + pairs
-        phi = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
+        table, index = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
+        phi = solvers.StackedFeatures(table, S, d, index).phi
         assert phi.shape == (7, 1 + S * len(terms))
         for k, (cols, width, F) in enumerate(terms):
             block = _kernels.cosines([X[:, j] for j in cols], width, F, basis.c,
@@ -322,7 +323,9 @@ class TestFoldedCosines:
         means, scales = m.standardization
         for i in range(d):
             gs = (X[:, i] - means[i]) / scales[i]
-            phi = _kernels.featurize(gs[:, None], m.basis.z, m.basis.c, m.b[i:i + 1])
+            table, (index,) = _kernels.featurize(gs[:, None], m.basis.z, m.basis.c,
+                                                 m.b[i:i + 1])
+            phi = table[index]
             got = model.shape_function(m, i, X[:, i], centered=False).values
             assert within_1e12(got, phi[:, 1:] @ m.W[i])
 

@@ -79,6 +79,8 @@ class TestStackFeatures:
             solvers.stack_features(basis, [1.0], [[math.nan]])
         with pytest.raises(ValueError):
             solvers.stack_features(basis, [1.0, 1.0], [[1.0]])
+        with pytest.raises(ValueError, match="at least one column"):
+            solvers.stack_features(basis, [], np.zeros((3, 0)))
 
     @pytest.mark.parametrize("width", [math.nan, math.inf])
     def test_rejects_non_finite_width(self, width):
@@ -101,9 +103,9 @@ class TestStackFeatures:
 
 
 class TestThreadedFeaturize:
-    """featurize fills every block, pairs included, through
-    _kernels.in_row_chunks; the design matrix is bit-identical to one chunk
-    filled in the calling thread, and each pair block to rff.pair_feature_map."""
+    """featurize fills every term's table, pairs included, through
+    _kernels.in_row_chunks; the table is bit-identical to one chunk filled in
+    the calling thread, and each pair block of Phi to rff.pair_feature_map."""
 
     @settings(max_examples=30)
     @given(n=st.integers(1, 700), d=st.integers(1, 4), S=st.integers(1, 40),
@@ -124,10 +126,15 @@ class TestThreadedFeaturize:
             mp.setattr(_kernels, "WORKERS", workers)
             mp.setattr(_kernels, "FEATURIZE_COSINES", in_flight)
             threaded = _kernels.featurize(X, basis.z, basis.c, widths, pairs, basis.pair_z)
-        assert threaded.shape == (n, 1 + S * (d + len(pairs)))
-        assert threaded.tobytes() == serial.tobytes()
+        table, index = threaded
+        distinct = sum(np.unique(X[:, j]).size for j in range(d))
+        assert table.shape == (distinct + n * len(pairs), 1 + S)
+        assert table.tobytes() == serial[0].tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(index, serial[1], strict=True))
+        phi = solvers.StackedFeatures(table, S, d, index).phi
+        assert phi.shape == (n, 1 + S * (d + len(pairs)))
         for k, (i, j) in enumerate(pairs):
-            block = threaded[:, 1 + (d + k) * S:1 + (d + k + 1) * S]
+            block = phi[:, 1 + (d + k) * S:1 + (d + k + 1) * S]
             want = rff.pair_feature_map(basis, X[:, i], X[:, j], math.sqrt(widths[i] * widths[j]))
             assert block.tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -165,6 +172,83 @@ class TestHalveWidth:
             _kernels.halve_width(phi, basis.c[:3])
         with pytest.raises(ValueError, match="C-contiguous"):
             _kernels.halve_width(np.asfortranarray(phi), basis.c)
+
+
+class TestTables:
+    """StackedFeatures holds Phi as featurize's cosine tables; its
+    materialized ``phi`` is bit for bit the design matrix filled row by row,
+    and its products are Phi's."""
+
+    @settings(max_examples=60)
+    @given(n=st.integers(7, 120), S=st.integers(2, 24), mode=st.sampled_from(rff.MODES),
+           with_pair=st.booleans(), halvings=st.integers(0, 4), seed=st.integers(0, 2**16))
+    def test_phi_is_the_row_by_row_fill(self, n, S, mode, with_pair, halvings, seed):
+        rng = np.random.default_rng(seed)
+        # columns of 1, 2, 7 and n distinct values
+        X = np.column_stack([rng.permutation(np.resize(rng.uniform(-2.0, 2.0, k), n))
+                             for k in (1, 2, 7, n)])
+        widths = rng.uniform(1.0, 4.0, 4)
+        pairs = [(0, 3), (1, 2)] if with_pair else []
+        basis = rff.build_basis(S, mode, seed)
+        halvings = halvings if mode == rff.MODE_GRID else 0
+        feats = solvers.stack_features(basis, widths, X, pairs=pairs)
+        assert feats.table.shape == (1 + 2 + 7 + n + n * len(pairs), 1 + S)
+        want = np.empty((n, feats.dim))
+        for r in range(n):
+            want[r] = np.concatenate(
+                [[1.0]] + [rff.feature_map(basis, X[r, j], widths[j]) for j in range(4)]
+                + [rff.pair_feature_map(basis, X[r, p], X[r, q], math.sqrt(widths[p] * widths[q]))
+                   for p, q in pairs])
+            for _ in range(halvings):
+                _kernels.halve_width(want[r:r + 1], basis.c)
+        for _ in range(halvings):
+            assert _kernels.halve_width(feats.table, basis.c) is feats.table
+        assert feats.phi.tobytes() == want.tobytes()
+
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 60), S=st.integers(1, 12), d=st.integers(1, 3),
+           with_pair=st.booleans(), seed=st.integers(0, 2**16))
+    def test_products_are_phis(self, n, S, d, with_pair, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.choice(rng.normal(size=4), size=(n, d))
+        pairs = [(0, d - 1)] if with_pair and d > 1 else None
+        feats = solvers.stack_features(rff.build_basis(S, "monte_carlo", seed),
+                                       rng.uniform(0.5, 2.0, d), X, pairs=pairs)
+        phi = feats.phi
+        w, r = rng.normal(size=feats.dim), rng.normal(size=n)
+        assert np.allclose(feats.matvec(w), phi @ w, rtol=0, atol=1e-13)
+        assert np.allclose(feats.rmatvec(r), phi.T @ r, rtol=0, atol=1e-13)
+        for b, cols in enumerate(feats.blocks()):
+            assert np.allclose(feats.block_values(b, w[cols]), phi[:, cols] @ w[cols],
+                               rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("mode", rff.MODES)
+    def test_eigenbases_diagonalize_each_blocks_gram(self, mode):
+        """Each block's Gram weighs a table row by its count of data rows, so
+        the kept eigenvectors make Phi's block columns orthogonal."""
+        rng = np.random.default_rng(9)
+        X = np.column_stack([rng.choice([0.1, 0.7, -1.2], 500, p=[0.8, 0.15, 0.05]),
+                             rng.choice(rng.normal(size=40), 500)])
+        feats = solvers.stack_features(rff.build_basis(16, mode, 2), [1.0, 0.5], X,
+                                       pairs=[(0, 1)])
+        phi = feats.phi
+        for cols, U in solvers._eigenbases(feats):
+            P = phi[:, cols] @ U
+            gram = P.T @ P
+            off = gram - np.diag(np.diag(gram))
+            assert np.max(np.abs(off)) <= 1e-12 * np.max(gram)
+
+    def test_dense_phi_is_its_own_table(self):
+        phi = np.arange(12.0).reshape(3, 4)
+        feats = solvers.StackedFeatures(phi=phi, S=1, d=3)
+        assert feats.phi is phi and (feats.n, feats.dim) == (3, 4)
+        assert feats.blocks() == [slice(0, 1), slice(1, 2), slice(2, 3), slice(3, 4)]
+        w = np.array([1.0, -2.0, 0.5, 3.0])
+        assert np.array_equal(feats.matvec(w), phi @ w)
+        with pytest.raises(ValueError, match="whole S-column blocks"):
+            solvers.StackedFeatures(phi=phi, S=2, d=1)
+        with pytest.raises(ValueError, match="rows its index reaches"):
+            solvers.StackedFeatures(phi, 1, 3, [np.array([0, 1, 1])])
 
 
 class TestConjugateGradients:
@@ -469,6 +553,30 @@ class TestFitReduced:
         basis = rff.build_basis(S, mode, seed)
         X = rng.normal(size=(n, d))
         feats = solvers.stack_features(basis, rng.uniform(0.5, 2.0, d), X, pairs=pairs)
+        self.check_against_exact(feats, X, task, lam, rng)
+
+    @settings(max_examples=40)
+    @given(n=st.integers(20, 300), S=st.integers(2, 40), mode=st.sampled_from(rff.MODES),
+           with_pair=st.booleans(), lam=st.floats(1e-3, 100.0), task=st.sampled_from(TASKS),
+           seed=st.integers(0, 2**16))
+    def test_matches_exact_solvers_on_tied_columns(self, n, S, mode, with_pair, lam, task,
+                                                  seed):
+        """A constant, a 2-valued and a 7-valued column: each block's table
+        holds a few rows that most data rows share."""
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([rng.permutation(np.resize(rng.normal(size=k), n))
+                             for k in (1, 2, 7)])
+        basis = rff.build_basis(S, mode, seed)
+        feats = solvers.stack_features(basis, rng.uniform(0.5, 2.0, 3), X,
+                                       pairs=[(1, 2)] if with_pair else None)
+        assert feats.table.shape[0] == 10 + n * with_pair
+        self.check_against_exact(feats, X, task, lam, rng)
+
+    @staticmethod
+    def check_against_exact(feats, X, task, lam, rng):
+        """fit_reduced's weights and report against solve_ridge_cg or
+        fit_logistic_newton on the materialized Phi."""
+        n = X.shape[0]
         phi, cfg = feats.phi, solvers.FitConfig(lam=lam)
         mask = np.ones(feats.dim)
         mask[0] = 0.0
