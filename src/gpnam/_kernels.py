@@ -18,9 +18,9 @@ elementwise, so an output element never depends on how rows are grouped.
 ``featurize``'s table rows and ``model.predict``'s cosines; numpy's cosine
 and arithmetic loops release the GIL, so the threads use separate cores.
 
-``halve_width`` turns a grid basis's cosines at kernel width b into those at
-width b/2 in place, by trig identities and without a cosine; train's
-bandwidth search uses it so that one cosine pass serves all its widths.
+``halve_width`` turns an S-column block of a grid basis's cosines at kernel
+width b into those at b/2 in place, by trig identities and without a cosine;
+train's bandwidth search halves its tables so that one cosine pass serves.
 
 ``gram_apply`` (two BLAS GEMVs) has no caller in the package: the ridge
 solver forms the Gram matrix once instead of applying it per iteration. It
@@ -37,11 +37,10 @@ import numpy as np
 #: Name of the compute backend; the benchmark records it with its run.
 BACKEND = "numpy"
 # Complex pairs in halve_width's scratch: each chunk of rows holds at most
-# this many (at least one row), whatever the blocks per row, so no second
-# table is formed and a small scratch stays in cache. It is 64 rows of eight
-# 100-column blocks. On the benchmark's 90,628 x 101 regression table a
-# halving took 29.5 ms at 3,200 pairs (64 rows), 23.7 ms at this many and
-# 35.3 ms at 102,400 (best of 7, 2-vCPU host).
+# this many (at least one row), so a small scratch stays in cache. On the
+# benchmark's 90,628 x 101 regression table a halving took 29.5 ms at 3,200
+# pairs, 22.6 ms at this many (512 rows), 25.6 ms at 51,200 and 35.3 ms at
+# 102,400 (best of 7, 2-vCPU host).
 HALVE_CHUNK = 25_600
 # Threads that share in_row_chunks's chunks: one per CPU this process may run
 # on (os.cpu_count() where the OS has no affinity call), at most 8.
@@ -162,44 +161,41 @@ def cosines(columns, width, F, phase, out):
     return out
 
 
-def halve_width(phi, c):
-    """Halve the kernel width of a grid basis's cosines in place.
-
-    ``phi`` is a C-contiguous matrix of rows (1 + k*S columns): a bias
-    column, left as it is, then k blocks of S columns sqrt(2/S) * cos(t_s +
-    c_s), as ``featurize``'s table (k = 1) or a stacked design matrix holds
-    them for a grid basis with phases ``c``. There, column S-1-s has a
-    frequency z > 0 and phase c, and its mirror, column s, has -z and
-    pi/2 - c, so with u = t + c the pair holds cos u and sin u. Afterwards
-    every angle t is 2t, which is the features at half the width
-    (z * (x / (b/2)) is exactly 2 * (z * (x / b))), with no cosine evaluated:
+def halve_width(block, c):
+    """Halve the kernel width of ``block``, an n x S matrix of any strides, in
+    place and return it. Its columns are sqrt(2/S) * cos(t_s + c_s) for a
+    grid basis with phases ``c``: column S-1-s has a frequency z > 0 and
+    phase c, and its mirror, column s, has -z and pi/2 - c, so with u = t + c
+    the pair holds cos u and sin u. Afterwards every angle t is 2t, which is
+    the features at half the width (z * (x / (b/2)) is exactly
+    2 * (z * (x / b))), with no cosine evaluated:
     cos(2t + c) + i sin(2t + c) = e^{2iu} e^{-ic}, where
     e^{2iu} = (cos u + i sin u)^2 is cos 2u = cos^2 u - sin^2 u and
     sin 2u = 2 sin u cos u. An odd S's middle column (z = 0) is constant and
-    stays. Each element's result depends on its row alone. Rows go in chunks
-    of at most HALVE_CHUNK complex pairs, so the scratch is O(HALVE_CHUNK).
+    stays. Rows go in chunks of at most HALVE_CHUNK complex pairs, so the
+    scratch is O(HALVE_CHUNK). For S >= 4 an element's result depends on its
+    row alone. For S = 2 and 3 it also depends on the chunks: a one-row chunk
+    is a one-element complex product, which numpy rounds differently.
     """
     S = len(c)
     m = S // 2
-    n, dim = phi.shape
-    if m == 0 or (dim - 1) % S:
-        raise ValueError("halve_width needs S >= 2 and whole S-column blocks")
-    if not phi.flags.c_contiguous:
-        raise ValueError("halve_width needs a C-contiguous matrix")
-    blocks = phi[:, 1:].reshape(n, -1, S)  # a view: rows are contiguous
-    chunk = max(1, HALVE_CHUNK // (blocks.shape[1] * m))
+    if m == 0:
+        raise ValueError("halve_width needs S >= 2")
+    if block.shape[1] != S:
+        raise ValueError(f"halve_width needs S = {S} columns, got {block.shape[1]}")
+    chunk = max(1, HALVE_CHUNK // m)
     # e^{-ic} / sqrt(2/S): one factor of the squared sqrt(2/S) comes off
     rotate = np.exp(-1j * c[S - m:]) / math.sqrt(2.0 / S)
-    scratch = np.empty((min(n, chunk), blocks.shape[1], m), dtype=np.complex128)
-    for start in range(0, n, chunk):
-        rows = blocks[start:start + chunk]
-        cos_u, sin_u = rows[:, :, S - m:], rows[:, :, m - 1::-1]
+    scratch = np.empty((min(len(block), chunk), m), dtype=np.complex128)
+    for start in range(0, len(block), chunk):
+        rows = block[start:start + chunk]
+        cos_u, sin_u = rows[:, S - m:], rows[:, m - 1::-1]
         pair = scratch[:rows.shape[0]]
         pair.real, pair.imag = cos_u, sin_u
         pair *= pair
         pair *= rotate
         cos_u[...], sin_u[...] = pair.real, pair.imag
-    return phi
+    return block
 
 
 def gram_apply(phi, p):

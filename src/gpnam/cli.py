@@ -15,9 +15,9 @@ on the full problem; neither has a setting beyond lambda. Its report gives R
 (reduced_rank) and judges the weights on the full D-coordinate problem. Its
 --bandwidth-scale auto search fits the scales widest first. Consecutive
 BANDWIDTH_GRID scales differ by exactly 2, so with a grid basis each narrower
-scale's cosine table is the last one halved in place (_kernels.halve_width),
-and the search computes its cosines once. No command forms the n x D design
-matrix.
+scale's features are the last ones halved (StackedFeatures.halve_width), and
+the search computes its cosines once. No command forms the n x D design
+matrix; a model takes its weights block by block (StackedFeatures.blocks).
 
 Exit codes: 0 success, 1 usage error, 2 data/model-file error,
 3 solver did not converge (model still saved), 4 numeric breakdown.
@@ -37,7 +37,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from . import _kernels, rff, solvers
+from . import rff, solvers
 from .errors import (DataError, EmptyDataError, ModelFileError, NumericBreakdownError,
                      UndefinedMetricError)
 from .model import _atomic_write_text
@@ -231,14 +231,13 @@ def _emit_json(doc, out_path=None):
 
 
 def _assemble_model(basis, w, feats, widths, ds, ranges, factor, pairs):
-    d, S = ds.d, basis.S
-    w0 = float(w[0])
-    W = w[1:1 + d * S].reshape(d, S)
-    interactions = [(i, j, np.array(w[feats.pair_block(k)])) for k, (i, j) in enumerate(pairs)]
-    # block 0 of feats is the bias, block 1 + i feature i
-    offsets = np.array([float(np.mean(feats.block_values(1 + i, W[i]))) for i in range(d)])
+    # the weights of feats' blocks: the bias, each feature's, then each pair's
+    bias, *terms = [w[cols] for cols in feats.blocks()]
+    W = np.array(terms[:ds.d])
+    offsets = np.array([float(np.mean(feats.block_values(1 + i, W[i]))) for i in range(ds.d)])
+    interactions = [(i, j, wk) for (i, j), wk in zip(pairs, terms[ds.d:])]
     return model_mod.GPNAMModel(
-        basis=basis, feature_names=ds.feature_names, task=ds.task, w0=w0, W=W,
+        basis=basis, feature_names=ds.feature_names, task=ds.task, w0=float(bias[0]), W=W,
         b=widths, standardization=ds.standardization,
         centering_offsets=offsets, interactions=interactions, encodings=ds.encodings,
         feature_ranges=ranges, bandwidth_scale=factor, target_classes=ds.target_classes)
@@ -275,7 +274,7 @@ def cmd_train(cfg) -> int:
     for factor in reversed(scales):
         widths = data_mod.kernel_widths(train, factor)
         if halvable and feats is not None:
-            _kernels.halve_width(feats.table, basis.c)
+            feats.halve_width(basis.c)
         else:
             feats = None  # hold one table at a time
             feats = solvers.stack_features(basis, widths, train.X, pairs=pairs)

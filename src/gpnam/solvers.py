@@ -21,13 +21,14 @@ the full D-space gradient then removes what those carry (more corrections
 follow only while the full problem is unconverged). Regression sums P^T P
 over REDUCED_CHUNK-row chunks and solves one R x R system, so no n x R or
 D x D matrix is formed. Classification builds P and runs damped Newton on
-it. The report judges the lifted weights on the full D-space problem, whose
-products Phi w and Phi^T r go through the tables.
+it, both with Grams summed by ``_weighted_gram``. The report judges the
+lifted weights on the full problem, whose Phi w and Phi^T r use the tables.
 
 ``solve_ridge_cg`` (one exact solve on the D x D Gram) and
 ``fit_logistic_newton`` (damped Newton on the D x D Hessian, stopping once
 the gradient norm is at most NEWTON_TOL) stay as the exact references the
-tests and the benchmark's tracer name; ``fit_reduced`` runs the latter on P.
+tests use; the benchmark's tracer names the former, and fit_reduced runs the
+latter on P.
 Seeded mini-batch SGD (fit_logistic_sgd) stays in the library; no command
 calls it.
 """
@@ -50,19 +51,16 @@ from .rff import angle_bound
 # (then its report says converged: false).
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
-# Rows per Hessian chunk: BLAS workspace grows with the chunk, and a fixed
-# chunk order keeps the summed Hessian bit-identical across reruns.
-HESSIAN_CHUNK = 256
 # fit_reduced keeps a block's Gram eigenvectors whose eigenvalue exceeds
 # RANK_CUTOFF times the block's largest. The summed Gram's own rounding
 # reaches a few 1e-15 times the largest, so a kept direction may be rounding;
 # a cutoff of 1e-14 drops those, but then a lam = 1e-6 classification fit
 # needs a second correction.
 RANK_CUTOFF = 1e-15
-# Rows per chunk of the block Grams (table rows) and of the reduced ridge
-# statistics P^T P (data rows): no n x R matrix and no weighted copy of a
-# table is formed, and a fixed chunk order keeps the sums bit-identical
-# across reruns.
+# Rows per chunk of every weighted Gram (the block Grams over table rows, the
+# logistic Hessian over data rows) and of the reduced ridge statistics P^T P:
+# no n x R matrix and no weighted copy of a table is formed, and a fixed
+# chunk order keeps the sums bit-identical across reruns.
 REDUCED_CHUNK = 1024
 # fit_reduced's corrections on the full problem: the first, the complement
 # step, always runs; the others only while the full problem is unconverged.
@@ -144,20 +142,21 @@ class StackedFeatures:
     """The design matrix Phi, whose row i is stack(1, phi(x_i1), ...,
     phi(x_id)) plus one S-block per interaction pair, held as a table.
 
-    ``table`` (C-contiguous) has a bias column of ones, then m blocks of S
-    columns. Its rows come in groups, one per entry of ``index``: index[g]
-    maps each of the n data rows to one of group g's rows, and the group has
-    as many rows as index[g] reaches. Phi's bias column is group 0's, and
-    its S-column blocks are each group's m blocks in turn: block b is B_b
-    gathered by index_b, ``tables[b] = (B_b, index_b)``. ``featurize``'s
-    table has a group of one block per term (a feature's distinct values, a
-    pair's rows); StackedFeatures(phi, S, d) holds a dense Phi as one group
-    of every block with the identity index.
+    ``table`` has a bias column of ones, then m blocks of S columns. Its rows
+    come in groups, one per entry of ``index``: index[g] maps each of the n
+    data rows to one of group g's rows, and the group has as many rows as
+    index[g] reaches. Phi's bias column is group 0's, and its S-column blocks
+    are each group's m blocks in turn: block b is B_b gathered by index_b,
+    ``tables[b] = (B_b, index_b)``. ``featurize``'s table has a group of one
+    block per term (a feature's distinct values, a pair's rows);
+    StackedFeatures(phi, S, d) holds a dense Phi as one group of every block
+    with the identity index.
 
-    The fit reads Phi only through the tables: :meth:`block_values`,
-    :meth:`matvec` and :meth:`rmatvec`. ``phi`` is Phi itself: the dense
-    matrix given, or else a new n x D matrix on each read, which only the
-    exact reference solvers and the tests make.
+    Only ``featurize`` and this class know the table's layout: the fit reads
+    Phi through :meth:`block_values`, :meth:`matvec` and :meth:`rmatvec`, and
+    train halves widths by :meth:`halve_width`. ``phi`` is Phi itself: the
+    dense matrix given, or else a new n x D matrix on each read, which only
+    the exact reference solvers and the tests make.
     """
 
     def __init__(self, phi, S, d, index=None):
@@ -188,14 +187,11 @@ class StackedFeatures:
 
     def feature_block(self, i: int) -> slice:
         """Column slice of feature i's S cosine features."""
-        return slice(1 + i * self.S, 1 + (i + 1) * self.S)
-
-    def pair_block(self, k: int) -> slice:
-        base = 1 + self.d * self.S
-        return slice(base + k * self.S, base + (k + 1) * self.S)
+        return self.blocks()[1 + i]
 
     def blocks(self) -> list[slice]:
-        """Column slices of the bias, then of each S-column term block."""
+        """Column slices of the bias, then of each S-column term block: each
+        feature's, then each interaction pair's, in ``_kernels.terms`` order."""
         return [slice(0, 1)] + [slice(k, k + self.S) for k in range(1, self.dim, self.S)]
 
     def block_values(self, b, wb) -> np.ndarray:
@@ -216,6 +212,12 @@ class StackedFeatures:
         return np.concatenate([B.T @ np.bincount(index, r, B.shape[0])
                                for B, index in self.tables])
 
+    def halve_width(self, c):
+        """Halve every term's width in place (``_kernels.halve_width`` on the
+        cosine columns) for a grid basis with phases ``c``; return self."""
+        _kernels.halve_width(self.table[:, 1:], c)
+        return self
+
 
 def _penalty_mask(dim):
     """1 on each coordinate lam penalizes: all but the bias."""
@@ -233,9 +235,9 @@ def stack_features(basis, widths, X, pairs=None) -> StackedFeatures:
     A width so narrow that an angle overflows is a ValueError naming its term
     (each ``_kernels.terms`` entry's ``rff.angle_bound`` on the largest |x|,
     before any cosine). Then one ``_kernels.featurize`` call fills every
-    term's table. The table is C-contiguous, so ``_kernels.halve_width``
-    can take it to half the widths in place; a grid-basis ``train
-    --bandwidth-scale auto`` calls this once, at its widest scale.
+    term's table. :meth:`StackedFeatures.halve_width` takes it to half the
+    widths in place, so a grid-basis ``train --bandwidth-scale auto`` calls
+    this once, at its widest scale.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -385,17 +387,26 @@ def _pm_labels(y, n):
     return 2.0 * y - 1.0, degenerate
 
 
+def _weighted_gram(B, root, scratch):
+    """B^T diag(root^2) B, summed over REDUCED_CHUNK-row chunks of B in row
+    order; each adds s^T s, s = root * rows, written into ``scratch`` (at least
+    min(rows, REDUCED_CHUNK) * columns floats), so no weighted B is formed."""
+    gram = np.zeros((B.shape[1], B.shape[1]))
+    for start in range(0, B.shape[0], REDUCED_CHUNK):
+        rows = B[start:start + REDUCED_CHUNK]
+        s = np.multiply(rows, root[start:start + REDUCED_CHUNK, None],
+                        out=scratch[:rows.size].reshape(rows.shape))
+        gram += s.T @ s
+    return gram
+
+
 def _logistic_hessian(phi, w, lam, mask):
-    """Phi^T diag(s) Phi / n + (lam/n) * diag(mask) with s = p(1 - p), summed
-    over HESSIAN_CHUNK-row chunks in row order, so no n x D weighted copy of
-    Phi is formed. Each chunk adds B^T B with B = sqrt(s) * rows."""
+    """Phi^T diag(s) Phi / n + (lam/n) * diag(mask) with s = p(1 - p), the
+    first term a ``_weighted_gram`` with root sqrt(s)."""
     n, dim = phi.shape
     t = phi @ w
     root_s = np.sqrt(sigmoid(t) * sigmoid(-t))
-    hess = np.zeros((dim, dim))
-    for start in range(0, n, HESSIAN_CHUNK):
-        block = phi[start:start + HESSIAN_CHUNK] * root_s[start:start + HESSIAN_CHUNK, None]
-        hess += block.T @ block
+    hess = _weighted_gram(phi, root_s, np.empty(min(n, REDUCED_CHUNK) * dim))
     hess /= n
     hess[np.diag_indices(dim)] += (lam / n) * mask
     return hess
@@ -459,18 +470,11 @@ def _eigenbases(features: StackedFeatures):
     orthonormal eigenvectors of the block's Gram whose eigenvalue exceeds
     RANK_CUTOFF times the largest. The bias block keeps its column. Block b's
     Gram is B_b^T diag(c) B_b, with c the number of data rows of each table
-    row: s^T s summed over REDUCED_CHUNK-row chunks of the table rows, where
-    s = sqrt(c) * rows is written into one scratch for all blocks."""
+    row: a ``_weighted_gram`` with root sqrt(c), through one scratch."""
     scratch = np.empty(REDUCED_CHUNK * features.S)
     bases = []
     for cols, (B, index) in zip(features.blocks(), features.tables):
-        root = np.sqrt(np.bincount(index, minlength=B.shape[0]))
-        gram = np.zeros((B.shape[1], B.shape[1]))
-        for start in range(0, B.shape[0], REDUCED_CHUNK):
-            rows = B[start:start + REDUCED_CHUNK]
-            weighted = np.multiply(rows, root[start:start + REDUCED_CHUNK, None],
-                                   out=scratch[:rows.size].reshape(rows.shape))
-            gram += weighted.T @ weighted
+        gram = _weighted_gram(B, np.sqrt(np.bincount(index, minlength=B.shape[0])), scratch)
         vals, vecs = np.linalg.eigh(gram)
         bases.append((cols, vecs[:, vals > RANK_CUTOFF * vals[-1]]))
     return bases

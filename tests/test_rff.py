@@ -276,7 +276,7 @@ class TestPairFeatureMap:
             b_ij = math.sqrt(widths[i] * widths[j])
             loop = np.array([rff.pair_feature_map(basis, X[r, i], X[r, j], b_ij)
                              for r in range(n)])
-            assert np.array_equal(feats.phi[:, feats.pair_block(k)], loop)
+            assert np.array_equal(feats.phi[:, feats.blocks()[1 + feats.d + k]], loop)
 
         x_i, x_j = X[:, 0].copy(), X[:, 1].copy()
         (x_j if bad_in_j else x_i)[bad_row % n] = bad_value

@@ -69,7 +69,7 @@ class TestStackFeatures:
         b_pair = math.sqrt(widths[0] * widths[2])
         for r in range(5):
             want = rff.pair_feature_map(basis, X[r, 0], X[r, 2], b_pair)
-            assert np.array_equal(feats.phi[r, feats.pair_block(0)], want)
+            assert np.array_equal(feats.phi[r, feats.blocks()[1 + feats.d]], want)
 
     def test_rejects_bad_inputs(self):
         basis = rff.build_basis(4, "grid", 0)
@@ -156,10 +156,10 @@ class TestHalveWidth:
         widths = rng.uniform(1.0, 4.0, d)
         runs = []
         for _ in range(2):
-            phi = solvers.stack_features(basis, widths, X, pairs=pairs).phi
+            feats = solvers.stack_features(basis, widths, X, pairs=pairs)
             for _ in range(k):
-                assert _kernels.halve_width(phi, basis.c) is phi
-            runs.append(phi)
+                assert feats.halve_width(basis.c) is feats
+            runs.append(feats.phi)
         assert runs[0].tobytes() == runs[1].tobytes()
         want = solvers.stack_features(basis, widths / 2 ** k, X, pairs=pairs).phi
         assert np.max(np.abs(runs[0] - want)) <= 1e-13
@@ -167,11 +167,30 @@ class TestHalveWidth:
 
     def test_rejects_what_it_cannot_halve(self):
         basis = rff.build_basis(4, "grid", 0)
-        phi = solvers.stack_features(basis, [1.0, 1.0], np.zeros((3, 2))).phi
+        table = solvers.stack_features(basis, [1.0, 1.0], np.zeros((3, 2))).table
         with pytest.raises(ValueError, match="S >= 2"):
-            _kernels.halve_width(phi, basis.c[:3])
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _kernels.halve_width(np.asfortranarray(phi), basis.c)
+            _kernels.halve_width(table[:, 1:2], basis.c[:1])
+        with pytest.raises(ValueError, match="S = 4 columns, got 5"):
+            _kernels.halve_width(table, basis.c)
+
+    @settings(max_examples=60)
+    @given(S=st.integers(4, 64), n=st.integers(1, 200), pairs=st.integers(1, 2000),
+           seed=st.integers(0, 2**16))
+    def test_rows_halve_alike_in_any_chunks(self, S, n, pairs, seed):
+        """For S >= 4 a row's halved bits do not depend on how the rows are
+        chunked: the whole block, chunks of HALVE_CHUNK = ``pairs`` pairs
+        (down to one row) and each row alone agree bit for bit."""
+        rng = np.random.default_rng(seed)
+        basis = rff.build_basis(S, "grid", seed)
+        block = solvers.stack_features(basis, [1.0], rng.uniform(-3.0, 3.0, (n, 1))).table[:, 1:]
+        whole = _kernels.halve_width(block.copy(), basis.c)
+        chunked = block.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "HALVE_CHUNK", pairs)
+            _kernels.halve_width(chunked, basis.c)
+        for r in range(block.shape[0]):
+            _kernels.halve_width(block[r:r + 1], basis.c)
+        assert whole.tobytes() == chunked.tobytes() == np.ascontiguousarray(block).tobytes()
 
 
 class TestTables:
@@ -200,9 +219,9 @@ class TestTables:
                 + [rff.pair_feature_map(basis, X[r, p], X[r, q], math.sqrt(widths[p] * widths[q]))
                    for p, q in pairs])
             for _ in range(halvings):
-                _kernels.halve_width(want[r:r + 1], basis.c)
+                _kernels.halve_width(want[r, 1:].reshape(-1, S), basis.c)
         for _ in range(halvings):
-            assert _kernels.halve_width(feats.table, basis.c) is feats.table
+            feats.halve_width(basis.c)
         assert feats.phi.tobytes() == want.tobytes()
 
     @settings(max_examples=30)
@@ -504,7 +523,7 @@ class TestLogisticNewton:
 
     def test_hessian_sums_row_chunks(self):
         """The chunked Hessian equals the product over all rows at once."""
-        feats, _ = self.problem(53, n=3 * solvers.HESSIAN_CHUNK + 7)
+        feats, _ = self.problem(53, n=3 * solvers.REDUCED_CHUNK + 7)
         w = np.random.default_rng(1).normal(size=feats.dim)
         mask = np.ones(feats.dim)
         mask[0] = 0.0
