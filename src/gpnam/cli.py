@@ -264,6 +264,11 @@ def cmd_train(cfg) -> int:
         train, val, test = data_mod.split(ds, fractions, seed=cfg["seed"])
     except ValueError as exc:
         raise DataError(f"{cfg['data']}: {exc}") from None
+    # the report keeps these facts of the whole table and of the test rows,
+    # which train never reads; their memory goes back before featurizing
+    ingest = ds.ingest_report
+    split_sizes = {"train": int(train.n), "val": int(val.n), "test": int(test.n)}
+    del ds, test
     ranges = model_mod.training_ranges(train.X)
     train = data_mod.standardize(train)
     basis = rff.build_basis(cfg["S"], cfg["mode"], cfg["seed"])
@@ -302,8 +307,8 @@ def cmd_train(cfg) -> int:
             {"bandwidth_scale": m.bandwidth_scale, rows[0]["metric"]: rows[0]["value"],
              "reduced_rank": rep.reduced_rank}
             for m, rep, rows in fits],
-        "ingest": ds.ingest_report,
-        "split_sizes": {"train": int(train.n), "val": int(val.n), "test": int(test.n)},
+        "ingest": ingest,
+        "split_sizes": split_sizes,
         "solver": report.to_dict(),
         "validation": val_rows,
         "config": cfg,

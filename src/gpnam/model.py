@@ -10,9 +10,12 @@ Prediction is additive, g(x) = w0 + sum_i f_i(x_i) + sum_(i,j) f_ij(x_i, x_j),
 and is evaluated one term at a time: each term's value is summed from zero
 in a fixed order, the term values are added from zero in term order, then
 w0. A feature's term depends on one scalar, so it is evaluated once per
-distinct value of its column and gathered back to the rows. So a prediction
-does not depend on the other rows or on the thread count, and without pairs
-it is exactly w0 plus the uncentered shape values of its features.
+distinct value of its column and gathered back to the rows: inside the
+model's standardized training range from the Chebyshev interpolant of its
+shape function, built once per model object from the term's own cosines,
+and elsewhere from the cosines. So a prediction does not depend on the
+other rows or on the thread count, and without pairs it is exactly w0 plus
+the uncentered shape values of its features.
 """
 
 from __future__ import annotations
@@ -37,6 +40,27 @@ SCHEMA_VERSION = 1
 # Values of one term evaluated at once by predict and shape_function, across
 # all threads.
 PREDICT_CHUNK = 4096
+# Points of one term that Clenshaw's recurrence evaluates at once, across all
+# threads; it holds four arrays of them. Smaller chunks lose to the GIL: on
+# 99,783 points and 48 coefficients, 2 threads took 33 ms at 4,096, 12.5 ms
+# at 16,384 and 4.7-5.4 ms at this many (1 thread: 5.8-8.4 ms; 2-vCPU host).
+CLENSHAW_CHUNK = 65536
+# The first Chebyshev interpolant of a feature's term has this degree; each
+# further try doubles it.
+CHEBYSHEV_DEGREE = 16
+# A term keeps its T folded cosines unless its interpolant needs at most
+# CHEBYSHEV_PER_COSINE * T points and a degree of at most
+# CHEBYSHEV_MAX_DEGREE. A Clenshaw step costs about a tenth of a folded
+# cosine (100,000 points: 65 coefficients in 7.9 ms, 50 cosines in 63 ms, one
+# thread, 2-vCPU host), so an interpolant under the cap is several times
+# cheaper per value, and its build, T cosines at each of its points, costs
+# what 2T distinct values would. The fixed maximum bounds the DCT's
+# (degree + 1)^2 table at 0.5 MB.
+CHEBYSHEV_PER_COSINE = 2
+CHEBYSHEV_MAX_DEGREE = 256
+# A degree is resolved when its top quarter of coefficients is at most this
+# times the term's largest |value| at the points.
+CHEBYSHEV_TOL = 4 * 2.0**-52
 
 
 @dataclass
@@ -156,12 +180,102 @@ def _standardize_rows(model: GPNAMModel, X):
 
 def _folded_terms(model: GPNAMModel):
     """Each term of :func:`_kernels.terms` as (input columns, kernel width,
-    frequencies, phases, amplitudes), folded by :func:`rff.fold_mirrored` for predict."""
+    frequencies, phases, amplitudes, interpolant), folded by
+    :func:`rff.fold_mirrored` for predict: the features' terms of
+    :func:`_feature_terms`, then each pair's, whose interpolant is None."""
     pairs = [(i, j) for (i, j, _) in model.interactions]
-    weights = list(model.W) + [wij for (_, _, wij) in model.interactions]
-    terms = _kernels.terms(model.basis.z, model.basis.pair_z, model.b, pairs)
-    return [(cols, width) + fold_mirrored(F, model.basis.c, w)
-            for (cols, width, F), w in zip(terms, weights)]
+    terms = _kernels.terms(model.basis.z, model.basis.pair_z, model.b, pairs)[model.d:]
+    return _feature_terms(model) + [
+        (cols, width) + fold_mirrored(F, model.basis.c, wij) + (None,)
+        for (cols, width, F), (_, _, wij) in zip(terms, model.interactions)]
+
+
+def _feature_terms(model: GPNAMModel):
+    """Each feature's folded term, with the :func:`_interpolant` of its
+    shape function on its standardized training range (None for a model
+    without ``feature_ranges``).
+
+    They are built on the first call and kept on the model object, outside
+    its dataclass fields, so :func:`save` and dataclass equality ignore
+    them; they are rebuilt when an array they are built from has changed
+    since."""
+    arrays = (model.basis.z, model.basis.c, model.W, model.b, *model.standardization,
+              *(model.feature_ranges or ()))
+    key = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    cached = model.__dict__.get("_feature_terms")
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    ranges = [(None, None)] * model.d
+    if model.feature_ranges is not None:
+        # the arithmetic of _standardize_rows, so a training value stays inside
+        ends = [_standardize_rows(model, v) for v in model.feature_ranges]
+        ranges = zip(np.minimum(*ends), np.maximum(*ends))
+    terms = []
+    for (cols, width, F), w, (lo, hi) in zip(
+            _kernels.terms(model.basis.z, model.basis.pair_z, model.b, []), model.W, ranges):
+        F, phase, amp = fold_mirrored(F, model.basis.c, w)
+        cheb = None if lo is None else _interpolant(width, F, phase, amp, lo, hi)
+        terms.append((cols, width, F, phase, amp, cheb))
+    model.__dict__["_feature_terms"] = (key, terms)
+    return terms
+
+
+def _interpolant(width, F, phase, amp, lo, hi):
+    """(lo, hi, coefficients) of the Chebyshev interpolant of the folded
+    one-column term sum_t amp[t] * cos(F[t] * (u / width) + phase[t]) on
+    [lo, hi], or None where the cosines are to stay.
+
+    The Chebyshev-Lobatto points of degree n, mid + half * cos(pi k / n),
+    nest as n doubles, so the term's own cosines are evaluated once, at the
+    points of the highest degree allowed: at most CHEBYSHEV_MAX_DEGREE, with
+    at most CHEBYSHEV_PER_COSINE points per folded cosine. Each degree
+    from CHEBYSHEV_DEGREE up, doubling, takes the DCT
+    (:func:`_chebyshev_coefficients`) of its subset of the values. The term
+    is band-limited, so its coefficients fall to rounding level past a
+    degree that grows with the range over the width: the first degree whose
+    top quarter of coefficients is at most CHEBYSHEV_TOL times the largest
+    |value| is resolved, and the longest tail whose |coefficients| sum to at
+    most that much is dropped. None for a constant column (lo == hi), a
+    range whose angles overflow, or a term that no allowed degree resolves.
+    """
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    reach = angle_bound(F, np.array([max(-lo, hi)]), width)
+    if not (half > 0 and math.isfinite(mid) and math.isfinite(half) and np.isfinite(reach)):
+        return None
+    most = min(CHEBYSHEV_MAX_DEGREE, CHEBYSHEV_PER_COSINE * len(amp) - 1)
+    degrees = []
+    n = CHEBYSHEV_DEGREE
+    while n <= most:
+        degrees.append(n)
+        n *= 2
+    if not degrees:
+        return None
+    top = degrees[-1]
+    points = mid + half * np.cos(np.pi * np.arange(top + 1) / top)
+    values = _term_values(width, F, phase, amp, [points])
+    tol = CHEBYSHEV_TOL * np.max(np.abs(values))
+    for n in degrees:
+        coefs = _chebyshev_coefficients(values[::top // n])
+        if np.max(np.abs(coefs[3 * n // 4 + 1:])) <= tol:
+            tails = np.cumsum(np.abs(coefs[::-1]))[::-1]  # sum of |coefs[j:]|
+            return lo, hi, coefs[:max(1, np.count_nonzero(tails > tol))]
+    return None
+
+
+def _chebyshev_coefficients(values):
+    """Coefficients a_0..a_n of the Chebyshev series that takes ``values``
+    at the points cos(pi k / n), k = 0..n: the DCT-I
+    a_j = (2/n) sum_k'' values[k] cos(pi j k / n), the ends of the sum and
+    a_0 and a_n halved. Each a_j is numpy's pairwise sum of one row of
+    products, an order fixed by n, so no BLAS product rounds it."""
+    n = len(values) - 1
+    k = np.arange(n + 1)
+    weights = values * (2.0 / n)
+    weights[[0, n]] /= 2
+    cosines = np.cos(np.pi * np.arange(2 * n) / n)[np.multiply.outer(k, k) % (2 * n)]
+    coefs = np.sum(cosines * weights, axis=1)
+    coefs[[0, n]] /= 2
+    return coefs
 
 
 def predict_raw(model: GPNAMModel, x) -> float:
@@ -192,23 +306,52 @@ def _sum_terms(terms, xs) -> np.ndarray:
     term depends on one scalar, so it is evaluated once per distinct value of
     its column and gathered back to the rows; a pair term is evaluated on
     every row. A term whose ``rff.angle_bound`` on those points is not finite
-    (a NaN, an infinity, an overflowing angle) is a ValueError instead. A
-    term's value is its weighted cosines added one by one, from zero, in one
-    fixed order (a BLAS product amp @ block would round each value
-    differently with the block's row count), so it depends on its inputs
-    alone: a row's sum does not depend on the other rows, the chunk size or
-    the thread count. Values go in chunks through
-    :func:`_kernels.in_row_chunks`, so at most PREDICT_CHUNK values of one
-    term are in flight (memory is O(PREDICT_CHUNK * S) whatever n is), and a
-    term of at most PREDICT_CHUNK values starts no thread.
+    (a NaN, an infinity, an overflowing angle) is a ValueError instead.
+
+    A term with an interpolant (lo, hi, coefficients) takes its value at a
+    point in [lo, hi] from :func:`_interpolated_values`, which agrees with
+    the cosines to rounding. Every other value - of a pair, of a term with
+    no interpolant, at a point outside [lo, hi] - is its weighted cosines
+    added one by one, from zero, in one fixed order (a BLAS product
+    amp @ block would round each value differently with the block's row
+    count). Either way a value depends on its point and the term alone: a
+    row's sum does not depend on the other rows, the chunk size or the
+    thread count. Values go in chunks through :func:`_kernels.in_row_chunks`,
+    so at most PREDICT_CHUNK cosine values (memory O(PREDICT_CHUNK * S)) or
+    CLENSHAW_CHUNK interpolated values of one term are in flight whatever n
+    is, and a term of at most PREDICT_CHUNK values starts no thread.
     """
     total = np.zeros(xs.shape[0])
-    for cols, width, F, phase, amp in terms:
+    for cols, width, F, phase, amp, cheb in terms:
         points, index = _kernels.term_points(xs, cols)
         if not np.all(np.isfinite(angle_bound(F, np.abs(points), width))):
             raise ValueError("input is not finite or overflows the cosine angles")
-        total += _term_values(width, F, phase, amp, list(points.T))[index]
+        n = start = stop = len(points)
+        values = np.empty(n)
+        if cheb is not None:  # the points are sorted, so those in range are one run
+            start, stop = (np.searchsorted(points[:, 0], end, side)
+                           for end, side in zip(cheb[:2], ("left", "right")))
+            values[start:stop] = _interpolated_values(points[start:stop, 0], *cheb)
+        for part in (slice(0, start), slice(stop, n)):
+            if part.start < part.stop:
+                values[part] = _term_values(width, F, phase, amp, list(points[part].T))
+        total += values[index]
     return total
+
+
+def _interpolated_values(u, lo, hi, coefs) -> np.ndarray:
+    """The Chebyshev series ``coefs`` on [lo, hi] at each point of ``u``, by
+    :func:`_kernels.clenshaw`, in chunks of at most CLENSHAW_CHUNK points
+    through :func:`_kernels.in_row_chunks`."""
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    values = np.empty(len(u))
+
+    def fill(chunks, _):
+        for part in chunks:
+            _kernels.clenshaw((u[part] - mid) / half, coefs, values[part])
+
+    _kernels.in_row_chunks(len(u), CLENSHAW_CHUNK, fill)
+    return values
 
 
 def _term_values(width, F, phase, amp, columns) -> np.ndarray:
@@ -255,7 +398,11 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
     cosines per term and a Monte-Carlo basis S. :func:`_sum_terms` evaluates
     a feature's term once per distinct value of its column and a pair's on
     every row, in chunks, on WORKERS threads for more than PREDICT_CHUNK
-    values. g(x) is w0 plus the sum from zero of the term values in term
+    values. A feature's value inside the standardized training range comes
+    from its shape function's Chebyshev interpolant (:func:`_interpolant`,
+    built on the first call on a model object), by Clenshaw's recurrence: a
+    few dozen multiply-adds instead of the cosines, and equal to them to
+    rounding. g(x) is w0 plus the sum from zero of the term values in term
     order, and a feature's term value is bit for bit what
     ``shape_function(model, i, ..., centered=False)`` returns, so a row's
     prediction does not depend on the other rows of ``X`` or on the thread
@@ -273,9 +420,11 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
 def shape_function(model: GPNAMModel, i, grid, centered=True) -> ShapeTable:
     """Evaluate shape function f_i over a grid given in original units.
 
-    Values come from predict's evaluator :func:`_sum_terms`, so f_i at a
-    point does not depend on the other grid points, and with ``centered``
-    False they are the term values that :func:`predict` adds, bit for bit.
+    Values come from predict's evaluator :func:`_sum_terms` and the same
+    folded term and interpolant, so f_i at a point does not depend on the
+    other grid points, and with ``centered`` False they are the term values
+    that :func:`predict` adds, bit for bit. A grid inside the model's
+    ``feature_ranges`` is evaluated from the interpolant alone.
     With ``centered`` the stored training-mean offset is subtracted (and
     reported), so exported curves average to zero over the training data.
     A grid point that is not finite or overflows an angle is a ValueError.
@@ -288,8 +437,8 @@ def shape_function(model: GPNAMModel, i, grid, centered=True) -> ShapeTable:
     means, scales = model.standardization
     with np.errstate(over="ignore", invalid="ignore"):
         gs = (grid - means[i]) / scales[i]
-    F, phase, amp = fold_mirrored(model.basis.z, model.basis.c, model.W[i])
-    values = _sum_terms([((0,), model.b[i], F, phase, amp)], gs[:, None])
+    term = ((0,),) + _feature_terms(model)[i][1:]  # the one column of gs
+    values = _sum_terms([term], gs[:, None])
     offset = float(model.centering_offsets[i]) if centered else 0.0
     return ShapeTable(feature_index=int(i), feature_name=model.feature_names[i],
                       grid=grid.copy(), values=values - offset, offset=offset)

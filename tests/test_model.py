@@ -420,6 +420,180 @@ class TestDistinctValues:
         assert sum(filled[2:]) == 2 * n * terms
 
 
+def fitted_range_model(task, S, mode, scale, seed=0, n=400, columns="ncz", pairs=()):
+    """A model fitted as ``train`` fits one, on n rows whose columns are, by
+    letter of ``columns``: n standard normal, u uniform on [-3, 2], c
+    standard Cauchy (heavy-tailed) and z constant; with its feature_ranges.
+    Returns the model and the raw rows."""
+    rng = np.random.default_rng(seed)
+    draw = {"n": lambda: rng.normal(size=n), "u": lambda: rng.uniform(-3.0, 2.0, n),
+            "c": lambda: rng.standard_cauchy(n), "z": lambda: np.full(n, 2.5)}
+    X = np.column_stack([draw[kind]() for kind in columns])
+    f = np.sin(2.0 * X[:, 0]) + 0.3 * np.arctan(X[:, 1])
+    if task == model.TASK_REGRESSION:
+        y, classes = f + rng.normal(0.0, 0.3, n), None
+    else:
+        y, classes = (rng.uniform(size=n) < solvers.sigmoid(f)).astype(float), ["no", "yes"]
+    ds = data.Dataset(X=X, y=y, feature_names=[f"x{i}" for i in range(len(columns))],
+                      task=task, encodings=[{"kind": "numeric"}] * len(columns),
+                      target_classes=classes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the constant column's
+        ds_std = data.standardize(ds)
+    basis = rff.build_basis(S, mode, seed)
+    widths = data.kernel_widths(ds_std, scale)
+    feats = solvers.stack_features(basis, widths, ds_std.X, pairs=list(pairs))
+    w, _ = solvers.fit_reduced(feats, ds_std.y, task, solvers.FitConfig())
+    bias, *blocks = [w[cols] for cols in feats.blocks()]
+    d = len(columns)
+    return model.GPNAMModel(
+        basis=basis, feature_names=ds.feature_names, task=task, w0=float(bias[0]),
+        W=np.array(blocks[:d]), b=widths, standardization=ds_std.standardization,
+        centering_offsets=np.zeros(d),
+        interactions=[(p, q, wk) for (p, q), wk in zip(pairs, blocks[d:])],
+        feature_ranges=model.training_ranges(X), target_classes=classes), X
+
+
+def cosine_oracle(m, X):
+    """g(X) as predict computed it from cosines alone: each folded term's
+    weighted cosines (model._term_values) at its points, the term values
+    added from zero in term order, then w0."""
+    xs = model._standardize_rows(m, X)
+    g = np.zeros(X.shape[0])
+    for cols, width, F, phase, amp, _ in model._folded_terms(m):
+        points, index = _kernels.term_points(xs, cols)
+        g += model._term_values(width, F, phase, amp, list(points.T))[index]
+    g += m.w0
+    return g
+
+
+class TestChebyshevInterpolant:
+    """Inside the standardized training range a feature's term is evaluated
+    from its Chebyshev interpolant; every other value keeps the folded
+    cosines, bit for bit."""
+
+    @settings(max_examples=40)
+    @given(task=st.sampled_from([model.TASK_REGRESSION, model.TASK_CLASSIFICATION]),
+           mode=st.sampled_from(rff.MODES), S=st.integers(8, 200),
+           scale=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), seed=st.integers(0, 2**16))
+    def test_matches_predict_raw(self, task, mode, S, scale, seed):
+        m, X = fitted_range_model(task, S, mode, scale, seed)
+        rows = np.vstack([X[:40], 3.0 * X[40:45]])  # the last 5 mostly outside the range
+        g = np.array([model.predict_raw(m, x) for x in rows])
+        want = solvers.sigmoid(g) if task == model.TASK_CLASSIFICATION else g
+        bound = 1e-13 * np.maximum(np.abs(g), 1.0)
+        assert np.all(np.abs(model.predict(m, rows) - want) <= bound)
+
+    def test_which_terms_interpolate(self):
+        """The normal column's term interpolates; the Cauchy column's is
+        above the cap at width 0.5, and a constant column has no range."""
+        m, _ = fitted_range_model(model.TASK_REGRESSION, 100, "grid", 0.5)
+        normal, cauchy, constant = (t[5] for t in model._feature_terms(m))
+        assert normal is not None and len(normal[2]) <= 2 * 50
+        assert cauchy is None and constant is None
+        assert all(t[5] is None for t in model._feature_terms(replace(m, feature_ranges=None)))
+
+    @pytest.mark.parametrize("mode", rff.MODES)
+    def test_cosines_stay_outside_the_range_for_pairs_and_without_ranges(self, mode):
+        m, X = fitted_range_model(model.TASK_REGRESSION, 100, mode, 1.0, columns="nun",
+                                  pairs=[(0, 1)])
+        assert [t[5] is not None for t in model._folded_terms(m)] == [True, True, True, False]
+        bare = replace(m, feature_ranges=None)
+        # a model without feature_ranges, and so every pair term, is all cosines
+        assert np.array_equal(model.predict(bare, X), cosine_oracle(bare, X))
+        mins, maxs = m.feature_ranges
+        span = maxs - mins
+        outside = np.vstack([mins - span * np.linspace(1e-9, 1.0, 50)[:, None],
+                             maxs + span * np.linspace(1e-9, 1.0, 50)[:, None]])
+        assert np.array_equal(model.predict(m, outside), cosine_oracle(m, outside))
+        assert np.array_equal(model.predict(m, outside), model.predict(bare, outside))
+        # in range, the pair's cosines and the features' interpolants add up
+        xs = model._standardize_rows(m, X)
+        g = np.zeros(len(X))
+        for i in range(m.d):
+            g += model.shape_function(m, i, X[:, i], centered=False).values
+        (cols, width, F, phase, amp, _), = model._folded_terms(m)[m.d:]
+        g += model._term_values(width, F, phase, amp, [xs[:, 0], xs[:, 1]])
+        g += m.w0
+        assert np.array_equal(model.predict(m, X), g)
+
+    @pytest.mark.parametrize("mode", rff.MODES)
+    @settings(max_examples=15)
+    @given(start=st.integers(0, 499), length=st.integers(1, 500))
+    def test_row_does_not_depend_on_the_other_rows(self, mode, start, length):
+        m, X = fitted_range_model(model.TASK_REGRESSION, 100, mode, 1.0, columns="ncz",
+                                  pairs=[(0, 1)])
+        X = np.vstack([X, 2.0 * X[:100]])  # some rows outside the range
+        full = model.predict(m, X)
+        assert np.array_equal(model.predict(m, X[start:start + length]),
+                              full[start:start + length])
+        assert np.array_equal(model.predict(m, X[start:start + 1]), full[start:start + 1])
+
+    def test_interpolants_depend_on_the_model_alone(self, tmp_path, monkeypatch):
+        """A reloaded model, any chunk size and thread count give the same
+        bits; predict leaves the file unchanged, and changing the weights in
+        place rebuilds the interpolants."""
+        m, X = fitted_range_model(model.TASK_CLASSIFICATION, 100, "grid", 1.0, columns="nu")
+        assert all(t[5] is not None for t in model._feature_terms(m))
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        model.save(m, first)
+        want = model.predict(m, X)
+        model.save(m, again)
+        assert first.read_bytes() == again.read_bytes()
+        assert np.array_equal(model.predict(model.load(first), X), want)
+        monkeypatch.setattr(model, "CLENSHAW_CHUNK", 7)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "WORKERS", workers)
+            assert np.array_equal(model.predict(model.load(first), X), want)
+        m.W[0] *= 2.0
+        doubled = model.load(first)
+        doubled.W[0] *= 2.0
+        assert np.array_equal(model.predict(m, X), model.predict(doubled, X))
+        assert not np.array_equal(model.predict(m, X), want)
+
+    def test_feature_cosines_do_not_grow_with_the_batch(self, monkeypatch):
+        """Only the interpolants' points take cosines, once per model object,
+        so a batch of in-range rows costs the features' terms no cosine; the
+        pair's term still costs its folded cosines on every row."""
+        S = 100
+        m, _ = fitted_range_model(model.TASK_REGRESSION, S, "grid", 1.0, columns="nu",
+                                  pairs=[(0, 1)])
+        terms = S // 2
+        assert all(t[5] is not None for t in model._feature_terms(m))
+        filled = []
+        cosines = _kernels.cosines
+
+        def counting(columns, width, F, phase, out):
+            filled.append(out.size)
+            return cosines(columns, width, F, phase, out)
+
+        monkeypatch.setattr(_kernels, "cosines", counting)
+        rng = np.random.default_rng(21)
+        mins, maxs = m.feature_ranges
+        features = []
+        for n in (1_000, 100_000):
+            filled.clear()
+            model.predict(m, rng.uniform(mins, maxs, (n, m.d)))
+            features.append(sum(filled) - n * terms)
+        assert features == [0, 0]
+        fresh = replace(m)
+        filled.clear()
+        model.predict(fresh, rng.uniform(mins, maxs, (1_000, m.d)))
+        assert 0 < sum(filled) - 1_000 * terms <= m.d * 2 * terms * terms
+
+    def test_clenshaw_and_coefficients(self):
+        rng = np.random.default_rng(22)
+        coefs = rng.standard_normal(30) * 0.7 ** np.arange(30)
+        x = rng.uniform(-1.0, 1.0, 500)
+        got = _kernels.clenshaw(x, coefs, np.empty_like(x))
+        assert np.max(np.abs(got - np.polynomial.chebyshev.chebval(x, coefs))) <= 1e-14
+        for n in (16, 64):
+            nodes = np.cos(np.pi * np.arange(n + 1) / n)
+            values = np.exp(nodes) * np.sin(3.0 * nodes)
+            a = model._chebyshev_coefficients(values)
+            assert np.max(np.abs(np.polynomial.chebyshev.chebval(nodes, a) - values)) <= 1e-14
+
+
 def call_within(seconds, fn, *args):
     """fn(*args) on a daemon thread: its value, or its exception raised here;
     fails if it has not returned within ``seconds``."""
