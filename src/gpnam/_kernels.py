@@ -1,6 +1,6 @@
 """Hot numeric kernels: the term list, the evaluation points, the cosine
-kernel, Clenshaw's recurrence, width halving, the Gram-operator matvec and
-the row-chunk thread runner.
+kernel, width halving, the Gram-operator matvec and the row-chunk thread
+runner.
 
 ``terms`` lists the additive terms that ``featurize``, ``solvers.stack_features``,
 ``model.usable_rows`` and ``model._folded_terms`` all read. ``term_points``
@@ -15,15 +15,12 @@ fills every RFF block - the feature and pair tables of ``featurize``,
 ``model.shape_function`` - in place, in one arithmetic order. It is
 elementwise, so an output element never depends on how rows are grouped.
 
-``clenshaw`` sums a Chebyshev series at each point by Clenshaw's recurrence,
-also elementwise. ``model.predict`` and ``model.shape_function`` evaluate a
-feature's term with it inside the training range, from the term's Chebyshev
-interpolant, at a few dozen multiply-adds per value instead of S/2 cosines.
-
-``in_row_chunks`` shares a row range's chunks among WORKERS threads. It runs
-``featurize``'s table rows and ``model.predict``'s cosines and Clenshaw
-sums; numpy's cosine and arithmetic loops release the GIL, so the threads
-use separate cores.
+``in_row_chunks`` shares a row range's chunks among WORKERS threads, and it
+starts every thread of the package. It runs ``featurize``'s table rows and
+``model.predict``'s cosines; numpy's cosine and arithmetic loops release the
+GIL, so the threads use separate cores. Inside the training range
+``model.predict`` sums a feature's Chebyshev interpolant instead, by
+Clenshaw's recurrence in the calling thread.
 
 ``halve_width`` turns an S-column block of a grid basis's cosines at kernel
 width b into those at b/2 in place, by trig identities and without a cosine;
@@ -165,24 +162,6 @@ def cosines(columns, width, F, phase, out):
         out += np.multiply.outer(f, x / width)
     out += phase[:, None]
     np.cos(out, out=out)
-    return out
-
-
-def clenshaw(x, coefs, out):
-    """Fill ``out`` with the Chebyshev series sum_j coefs[j] * T_j(x) at each
-    point of ``x`` by Clenshaw's recurrence, b_j = coefs[j] + 2x b_(j+1) -
-    b_(j+2), then out = coefs[0] + x b_1 - b_2: a few multiply-adds per
-    coefficient, elementwise, in one arithmetic order."""
-    two_x = x + x
-    b1, b2, step = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
-    for a in coefs[:0:-1]:
-        np.multiply(two_x, b1, out=step)
-        step -= b2
-        step += a
-        b1, b2, step = step, b1, b2
-    np.multiply(x, b1, out=out)
-    out -= b2
-    out += coefs[0]
     return out
 
 

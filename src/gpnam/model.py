@@ -12,10 +12,11 @@ in a fixed order, the term values are added from zero in term order, then
 w0. A feature's term depends on one scalar, so it is evaluated once per
 distinct value of its column and gathered back to the rows: inside the
 model's standardized training range from the Chebyshev interpolant of its
-shape function, built once per model object from the term's own cosines,
-and elsewhere from the cosines. So a prediction does not depend on the
-other rows or on the thread count, and without pairs it is exactly w0 plus
-the uncentered shape values of its features.
+shape function, built once per model object from the term's own cosines and
+summed by Clenshaw's recurrence in the calling thread, and elsewhere from
+the cosines, which alone share threads. So a prediction does not depend on
+the other rows or on the thread count, and without pairs it is exactly w0
+plus the uncentered shape values of its features.
 """
 
 from __future__ import annotations
@@ -37,14 +38,9 @@ from .solvers import sigmoid
 
 SCHEMA_VERSION = 1
 
-# Values of one term evaluated at once by predict and shape_function, across
-# all threads.
+# Cosine values of one term evaluated at once by predict and shape_function,
+# across all threads.
 PREDICT_CHUNK = 4096
-# Points of one term that Clenshaw's recurrence evaluates at once, across all
-# threads; it holds four arrays of them. Smaller chunks lose to the GIL: on
-# 99,783 points and 48 coefficients, 2 threads took 33 ms at 4,096, 12.5 ms
-# at 16,384 and 4.7-5.4 ms at this many (1 thread: 5.8-8.4 ms; 2-vCPU host).
-CLENSHAW_CHUNK = 65536
 # The first Chebyshev interpolant of a feature's term has this degree; each
 # further try doubles it.
 CHEBYSHEV_DEGREE = 16
@@ -181,42 +177,35 @@ def _standardize_rows(model: GPNAMModel, X):
 def _folded_terms(model: GPNAMModel):
     """Each term of :func:`_kernels.terms` as (input columns, kernel width,
     frequencies, phases, amplitudes, interpolant), folded by
-    :func:`rff.fold_mirrored` for predict: the features' terms of
-    :func:`_feature_terms`, then each pair's, whose interpolant is None."""
+    :func:`rff.fold_mirrored` for predict: each feature's, with the
+    :func:`_interpolant` of its shape function on its standardized training
+    range (None for a model without ``feature_ranges``), then each pair's,
+    whose interpolant is None.
+
+    The list is built on the first call and kept on the model object,
+    outside its dataclass fields, so :func:`save` and dataclass equality
+    ignore it; it is rebuilt when an array or pair index it is built from
+    has changed since."""
     pairs = [(i, j) for (i, j, _) in model.interactions]
-    terms = _kernels.terms(model.basis.z, model.basis.pair_z, model.b, pairs)[model.d:]
-    return _feature_terms(model) + [
-        (cols, width) + fold_mirrored(F, model.basis.c, wij) + (None,)
-        for (cols, width, F), (_, _, wij) in zip(terms, model.interactions)]
-
-
-def _feature_terms(model: GPNAMModel):
-    """Each feature's folded term, with the :func:`_interpolant` of its
-    shape function on its standardized training range (None for a model
-    without ``feature_ranges``).
-
-    They are built on the first call and kept on the model object, outside
-    its dataclass fields, so :func:`save` and dataclass equality ignore
-    them; they are rebuilt when an array they are built from has changed
-    since."""
-    arrays = (model.basis.z, model.basis.c, model.W, model.b, *model.standardization,
-              *(model.feature_ranges or ()))
-    key = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
-    cached = model.__dict__.get("_feature_terms")
+    weights = [*model.W, *(wij for (_, _, wij) in model.interactions)]
+    arrays = (model.basis.z, model.basis.pair_z, model.basis.c, model.b,
+              *model.standardization, *(model.feature_ranges or ()), *weights)
+    key = (pairs, b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+    cached = model.__dict__.get("_folded_terms")
     if cached is not None and cached[0] == key:
         return cached[1]
-    ranges = [(None, None)] * model.d
+    ranges = [(None, None)] * len(weights)
     if model.feature_ranges is not None:
         # the arithmetic of _standardize_rows, so a training value stays inside
         ends = [_standardize_rows(model, v) for v in model.feature_ranges]
-        ranges = zip(np.minimum(*ends), np.maximum(*ends))
+        ranges[:model.d] = zip(np.minimum(*ends), np.maximum(*ends))
     terms = []
     for (cols, width, F), w, (lo, hi) in zip(
-            _kernels.terms(model.basis.z, model.basis.pair_z, model.b, []), model.W, ranges):
+            _kernels.terms(model.basis.z, model.basis.pair_z, model.b, pairs), weights, ranges):
         F, phase, amp = fold_mirrored(F, model.basis.c, w)
         cheb = None if lo is None else _interpolant(width, F, phase, amp, lo, hi)
         terms.append((cols, width, F, phase, amp, cheb))
-    model.__dict__["_feature_terms"] = (key, terms)
+    model.__dict__["_folded_terms"] = (key, terms)
     return terms
 
 
@@ -278,6 +267,24 @@ def _chebyshev_coefficients(values):
     return coefs
 
 
+def _clenshaw(x, coefs, out):
+    """Fill ``out`` with the Chebyshev series sum_j coefs[j] * T_j(x) at each
+    point of ``x`` by Clenshaw's recurrence, b_j = coefs[j] + 2x b_(j+1) -
+    b_(j+2), then out = coefs[0] + x b_1 - b_2: a few multiply-adds per
+    coefficient, elementwise, in one arithmetic order."""
+    two_x = x + x
+    b1, b2, step = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for a in coefs[:0:-1]:
+        np.multiply(two_x, b1, out=step)
+        step -= b2
+        step += a
+        b1, b2, step = step, b1, b2
+    np.multiply(x, b1, out=out)
+    out -= b2
+    out += coefs[0]
+    return out
+
+
 def predict_raw(model: GPNAMModel, x) -> float:
     """Additive score g(x) for one raw-unit input vector, term by term from
     the basis; an input :func:`usable_rows` rejects is a ValueError."""
@@ -309,17 +316,18 @@ def _sum_terms(terms, xs) -> np.ndarray:
     (a NaN, an infinity, an overflowing angle) is a ValueError instead.
 
     A term with an interpolant (lo, hi, coefficients) takes its value at a
-    point in [lo, hi] from :func:`_interpolated_values`, which agrees with
-    the cosines to rounding. Every other value - of a pair, of a term with
-    no interpolant, at a point outside [lo, hi] - is its weighted cosines
-    added one by one, from zero, in one fixed order (a BLAS product
-    amp @ block would round each value differently with the block's row
-    count). Either way a value depends on its point and the term alone: a
-    row's sum does not depend on the other rows, the chunk size or the
-    thread count. Values go in chunks through :func:`_kernels.in_row_chunks`,
-    so at most PREDICT_CHUNK cosine values (memory O(PREDICT_CHUNK * S)) or
-    CLENSHAW_CHUNK interpolated values of one term are in flight whatever n
-    is, and a term of at most PREDICT_CHUNK values starts no thread.
+    point in [lo, hi] from :func:`_clenshaw`, all of them at once in the
+    calling thread, which agrees with the cosines to rounding. Every other
+    value - of a pair, of a term with no interpolant, at a point outside
+    [lo, hi] - is its weighted cosines added one by one, from zero, in one
+    fixed order (a BLAS product amp @ block would round each value
+    differently with the block's row count). Either way a value depends on
+    its point and the term alone: a row's sum does not depend on the other
+    rows, the chunk size or the thread count. Only the cosines share threads:
+    they go in chunks through :func:`_kernels.in_row_chunks`, so at most
+    PREDICT_CHUNK cosine values of one term are in flight whatever n is
+    (memory O(PREDICT_CHUNK * S)), and a term of at most PREDICT_CHUNK
+    cosine values starts no thread.
     """
     total = np.zeros(xs.shape[0])
     for cols, width, F, phase, amp, cheb in terms:
@@ -329,29 +337,16 @@ def _sum_terms(terms, xs) -> np.ndarray:
         n = start = stop = len(points)
         values = np.empty(n)
         if cheb is not None:  # the points are sorted, so those in range are one run
+            lo, hi, coefs = cheb
             start, stop = (np.searchsorted(points[:, 0], end, side)
-                           for end, side in zip(cheb[:2], ("left", "right")))
-            values[start:stop] = _interpolated_values(points[start:stop, 0], *cheb)
+                           for end, side in ((lo, "left"), (hi, "right")))
+            u = (points[start:stop, 0] - (lo + hi) / 2) / ((hi - lo) / 2)
+            _clenshaw(u, coefs, values[start:stop])
         for part in (slice(0, start), slice(stop, n)):
             if part.start < part.stop:
                 values[part] = _term_values(width, F, phase, amp, list(points[part].T))
         total += values[index]
     return total
-
-
-def _interpolated_values(u, lo, hi, coefs) -> np.ndarray:
-    """The Chebyshev series ``coefs`` on [lo, hi] at each point of ``u``, by
-    :func:`_kernels.clenshaw`, in chunks of at most CLENSHAW_CHUNK points
-    through :func:`_kernels.in_row_chunks`."""
-    mid, half = (lo + hi) / 2, (hi - lo) / 2
-    values = np.empty(len(u))
-
-    def fill(chunks, _):
-        for part in chunks:
-            _kernels.clenshaw((u[part] - mid) / half, coefs, values[part])
-
-    _kernels.in_row_chunks(len(u), CLENSHAW_CHUNK, fill)
-    return values
 
 
 def _term_values(width, F, phase, amp, columns) -> np.ndarray:
@@ -397,13 +392,14 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
     cosine (:func:`rff.fold_mirrored`), so a grid basis costs S//2 + S%2
     cosines per term and a Monte-Carlo basis S. :func:`_sum_terms` evaluates
     a feature's term once per distinct value of its column and a pair's on
-    every row, in chunks, on WORKERS threads for more than PREDICT_CHUNK
-    values. A feature's value inside the standardized training range comes
+    every row. A feature's value inside the standardized training range comes
     from its shape function's Chebyshev interpolant (:func:`_interpolant`,
-    built on the first call on a model object), by Clenshaw's recurrence: a
-    few dozen multiply-adds instead of the cosines, and equal to them to
-    rounding. g(x) is w0 plus the sum from zero of the term values in term
-    order, and a feature's term value is bit for bit what
+    built on the first call on a model object), by Clenshaw's recurrence in
+    the calling thread: a few dozen multiply-adds instead of the cosines, and
+    equal to them to rounding. Every other value takes its cosines, in
+    chunks, on WORKERS threads for more than PREDICT_CHUNK values. g(x) is
+    w0 plus the sum from zero of the term values in term order, and a
+    feature's term value is bit for bit what
     ``shape_function(model, i, ..., centered=False)`` returns, so a row's
     prediction does not depend on the other rows of ``X`` or on the thread
     count. Regression returns g(x); classification returns sigmoid(g(x)).
@@ -437,7 +433,7 @@ def shape_function(model: GPNAMModel, i, grid, centered=True) -> ShapeTable:
     means, scales = model.standardization
     with np.errstate(over="ignore", invalid="ignore"):
         gs = (grid - means[i]) / scales[i]
-    term = ((0,),) + _feature_terms(model)[i][1:]  # the one column of gs
+    term = ((0,),) + _folded_terms(model)[i][1:]  # the one column of gs
     values = _sum_terms([term], gs[:, None])
     offset = float(model.centering_offsets[i]) if centered else 0.0
     return ShapeTable(feature_index=int(i), feature_name=model.feature_names[i],

@@ -55,7 +55,10 @@ NEWTON_MAX_ITER = 50
 # RANK_CUTOFF times the block's largest. The summed Gram's own rounding
 # reaches a few 1e-15 times the largest, so a kept direction may be rounding;
 # a cutoff of 1e-14 drops those, but then a lam = 1e-6 classification fit
-# needs a second correction.
+# needs a second correction. Sitting at the rounding floor, the cutoff lets
+# the BLAS thread count move the kept rank: on the seed-93 train_reg_auto
+# training file the scale-4 fit keeps R = 73 with OPENBLAS_NUM_THREADS=1 and
+# 72 with 2 (ROADMAP item 3 moves the cutoff to the penalty's scale).
 RANK_CUTOFF = 1e-15
 # Rows per chunk of every weighted Gram (the block Grams over table rows, the
 # logistic Hessian over data rows) and of the reduced ridge statistics P^T P:

@@ -1,5 +1,6 @@
 """Model behavior: prediction, shape functions, parameter count, persistence."""
 
+import ast
 import csv
 import itertools
 import json
@@ -488,10 +489,11 @@ class TestChebyshevInterpolant:
         """The normal column's term interpolates; the Cauchy column's is
         above the cap at width 0.5, and a constant column has no range."""
         m, _ = fitted_range_model(model.TASK_REGRESSION, 100, "grid", 0.5)
-        normal, cauchy, constant = (t[5] for t in model._feature_terms(m))
+        normal, cauchy, constant = (t[5] for t in model._folded_terms(m)[:m.d])
         assert normal is not None and len(normal[2]) <= 2 * 50
         assert cauchy is None and constant is None
-        assert all(t[5] is None for t in model._feature_terms(replace(m, feature_ranges=None)))
+        bare = replace(m, feature_ranges=None)
+        assert all(t[5] is None for t in model._folded_terms(bare)[:m.d])
 
     @pytest.mark.parametrize("mode", rff.MODES)
     def test_cosines_stay_outside_the_range_for_pairs_and_without_ranges(self, mode):
@@ -534,14 +536,13 @@ class TestChebyshevInterpolant:
         bits; predict leaves the file unchanged, and changing the weights in
         place rebuilds the interpolants."""
         m, X = fitted_range_model(model.TASK_CLASSIFICATION, 100, "grid", 1.0, columns="nu")
-        assert all(t[5] is not None for t in model._feature_terms(m))
+        assert all(t[5] is not None for t in model._folded_terms(m)[:m.d])
         first, again = tmp_path / "first.json", tmp_path / "again.json"
         model.save(m, first)
         want = model.predict(m, X)
         model.save(m, again)
         assert first.read_bytes() == again.read_bytes()
         assert np.array_equal(model.predict(model.load(first), X), want)
-        monkeypatch.setattr(model, "CLENSHAW_CHUNK", 7)
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "WORKERS", workers)
             assert np.array_equal(model.predict(model.load(first), X), want)
@@ -551,6 +552,26 @@ class TestChebyshevInterpolant:
         assert np.array_equal(model.predict(m, X), model.predict(doubled, X))
         assert not np.array_equal(model.predict(m, X), want)
 
+    def test_pair_changes_rebuild_the_terms(self, tmp_path):
+        """The cached term list holds the pairs' folds too: changing a pair's
+        weights or columns in place predicts what a freshly loaded model with
+        the same change predicts."""
+        m, X = fitted_range_model(model.TASK_REGRESSION, 100, "grid", 1.0, columns="nu",
+                                  pairs=[(0, 1)])
+        path = tmp_path / "pair.json"
+        model.save(m, path)
+        before = model.predict(m, X)
+        for factor, (i, j) in ((2.0, (0, 1)), (1.0, (1, 0))):
+            (_, _, wij), = m.interactions
+            wij *= factor
+            m.interactions[0] = (i, j, wij)
+            fresh = model.load(path)
+            fresh.interactions[0] = (i, j, m.interactions[0][2].copy())
+            want = model.predict(fresh, X)
+            assert np.array_equal(model.predict(m, X), want)
+            assert not np.array_equal(want, before)
+            before = want
+
     def test_feature_cosines_do_not_grow_with_the_batch(self, monkeypatch):
         """Only the interpolants' points take cosines, once per model object,
         so a batch of in-range rows costs the features' terms no cosine; the
@@ -559,7 +580,7 @@ class TestChebyshevInterpolant:
         m, _ = fitted_range_model(model.TASK_REGRESSION, S, "grid", 1.0, columns="nu",
                                   pairs=[(0, 1)])
         terms = S // 2
-        assert all(t[5] is not None for t in model._feature_terms(m))
+        assert all(t[5] is not None for t in model._folded_terms(m)[:m.d])
         filled = []
         cosines = _kernels.cosines
 
@@ -585,7 +606,7 @@ class TestChebyshevInterpolant:
         rng = np.random.default_rng(22)
         coefs = rng.standard_normal(30) * 0.7 ** np.arange(30)
         x = rng.uniform(-1.0, 1.0, 500)
-        got = _kernels.clenshaw(x, coefs, np.empty_like(x))
+        got = model._clenshaw(x, coefs, np.empty_like(x))
         assert np.max(np.abs(got - np.polynomial.chebyshev.chebval(x, coefs))) <= 1e-14
         for n in (16, 64):
             nodes = np.cos(np.pi * np.arange(n + 1) / n)
@@ -684,6 +705,40 @@ class TestThreadedSum:
             assert model.shape_function(m, i, np.linspace(-2, 2, 256)).values.shape == (256,)
         with pytest.raises(AssertionError, match="a thread was started"):
             model.predict(m, X)
+
+    def test_interpolated_values_start_no_thread(self, monkeypatch):
+        """Clenshaw sums in the calling thread and only cosines share
+        threads, so a pair-free model starts none for in-range values,
+        however many are distinct."""
+        m, _ = fitted_range_model(model.TASK_REGRESSION, 100, "grid", 1.0, columns="nu")
+        assert all(t[5] is not None for t in model._folded_terms(m))
+        mins, maxs = m.feature_ranges
+        X = np.random.default_rng(23).uniform(mins, maxs, (70_000, m.d))
+        assert all(len(np.unique(x)) > 65_536 for x in X.T)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(_kernels, "WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert model.predict(m, X).shape == (len(X),)
+
+
+def test_threads_start_in_the_kernels_alone():
+    """Each thread start costs peak RSS, so every thread of the package starts
+    in _kernels.in_row_chunks: no other module of it imports a thread API."""
+    importers = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(nm.split(".")[0] in ("threading", "_thread", "concurrent") for nm in names):
+                importers.append(path.name)
+    assert importers == ["_kernels.py"]
 
 
 class TestAdditivity:
