@@ -15,12 +15,16 @@ fills every RFF block - the feature and pair tables of ``featurize``,
 ``model.shape_function`` - in place, in one arithmetic order. It is
 elementwise, so an output element never depends on how rows are grouped.
 
-``in_row_chunks`` shares a row range's chunks among WORKERS threads, and it
-starts every thread of the package. It runs ``featurize``'s table rows and
-``model.predict``'s cosines; numpy's cosine and arithmetic loops release the
-GIL, so the threads use separate cores. Inside the training range
-``model.predict`` sums a feature's Chebyshev interpolant instead, by
-Clenshaw's recurrence in the calling thread.
+Every chunked pass cuts its rows so that a chunk costs about CHUNK_FLOATS
+floats, whatever the thread count: ``featurize``'s table rows (S cosines a
+row), ``model.predict``'s cosines (a term's folded cosines a value), the
+halvings of ``halve_width`` and ``model._sum_terms``'s Clenshaw sums.
+``in_row_chunks`` shares such chunks among WORKERS threads, and it starts
+every thread of the package; numpy's cosine and arithmetic loops release the
+GIL, so the threads use separate cores. ``halve_width`` and the Clenshaw
+sums run their chunks in the calling thread. (``solvers.REDUCED_CHUNK`` is
+another kind of constant: its chunks fix the summation order of the Grams,
+and so the bits of the model file.)
 
 ``halve_width`` turns an S-column block of a grid basis's cosines at kernel
 width b into those at b/2 in place, by trig identities and without a cosine;
@@ -40,19 +44,17 @@ import numpy as np
 
 #: Name of the compute backend; the benchmark records it with its run.
 BACKEND = "numpy"
-# Complex pairs in halve_width's scratch: each chunk of rows holds at most
-# this many (at least one row), so a small scratch stays in cache. On the
-# benchmark's 90,628 x 101 regression table a halving took 29.5 ms at 3,200
-# pairs, 22.6 ms at this many (512 rows), 25.6 ms at 51,200 and 35.3 ms at
-# 102,400 (best of 7, 2-vCPU host).
-HALVE_CHUNK = 25_600
+# Floats one chunk of a chunked pass costs (at least one row a chunk), so a
+# chunk's scratch, 512 KB, stays in cache. No output depends on it but
+# halve_width's at S = 2 and 3. On the seed-93 benchmark inputs (2-vCPU host,
+# medians of 6 processes' fastest of 9) a halving took 26.5, 26.6 and 31.7 ms
+# at 2**15, 2**16 and 2**17, bulk predict 140, 124 and 117 ms, and its
+# Clenshaw sums 25.1, 23.2 and 24.4 ms.
+CHUNK_FLOATS = 2**16
 # Threads that share in_row_chunks's chunks: one per CPU this process may run
 # on (os.cpu_count() where the OS has no affinity call), at most 8.
 WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 8)
-# Cosines featurize has in flight across its threads, S per table row; a
-# smaller table is filled in the calling thread.
-FEATURIZE_COSINES = 2**20
 
 
 def terms(z, pair_z, widths, pairs):
@@ -86,7 +88,9 @@ def featurize(X, z, c, widths, pairs=(), pair_z=None):
     the index. The table is C-contiguous, with a row per distinct value of
     each feature's column and a row per data row for each pair. The inputs
     are float64 arrays that the callers have checked, with at least one
-    feature; nothing is checked here.
+    feature; nothing is checked here. The table's rows go through
+    :func:`in_row_chunks` at S floats a row; an entry depends on its own
+    point alone, so the table does not depend on the chunks or threads.
     """
     S = z.shape[0]
     blocks = terms(z, pair_z, widths, pairs)
@@ -105,24 +109,24 @@ def featurize(X, z, c, widths, pairs=(), pair_z=None):
                     cosines(list(u[lo - start:hi - start].T), width, F, c, block.T)
                     block *= scale
 
-    in_row_chunks(table.shape[0], max(1, FEATURIZE_COSINES // S), fill)
+    in_row_chunks(table.shape[0], S, fill)
     return table, list(index)
 
 
-def in_row_chunks(n, in_flight, work):
+def in_row_chunks(n, per_row, work):
     """Run ``work`` over the rows range(n), in chunks.
 
     ``work(chunks, rows)`` takes an iterator of row slices and the most rows
-    a slice holds; it must write only its slices' rows of its output. An
-    input of at most ``in_flight`` rows is one slice, worked in the calling
-    thread. A longer one is split into slices of ``in_flight // WORKERS``
-    rows, and WORKERS threads (the caller and WORKERS - 1 started here) take
-    every WORKERS-th slice each, so at most ``in_flight`` rows are in flight
-    whatever n and the thread count are. The first exception of any thread
-    stops the others at their next slice and is raised here.
+    a slice holds; it must write only its slices' rows of its output. A
+    slice holds max(1, CHUNK_FLOATS // per_row) rows (the last one may hold
+    fewer), where ``per_row`` is the floats one row costs the pass; so the
+    slices depend on n and per_row alone. One slice is worked in the calling
+    thread. More are dealt round-robin to min(WORKERS, their count) threads,
+    the caller and the others started here. The first exception of any
+    thread stops the others at their next slice and is raised here.
     """
-    workers = WORKERS if n > in_flight else 1
-    chunk = max(1, in_flight // workers)
+    chunk = max(1, CHUNK_FLOATS // per_row)
+    workers = min(WORKERS, max(1, -(-n // chunk)))
     step = workers * chunk
     errors = []
 
@@ -176,10 +180,11 @@ def halve_width(block, c):
     cos(2t + c) + i sin(2t + c) = e^{2iu} e^{-ic}, where
     e^{2iu} = (cos u + i sin u)^2 is cos 2u = cos^2 u - sin^2 u and
     sin 2u = 2 sin u cos u. An odd S's middle column (z = 0) is constant and
-    stays. Rows go in chunks of at most HALVE_CHUNK complex pairs, so the
-    scratch is O(HALVE_CHUNK). For S >= 4 an element's result depends on its
-    row alone. For S = 2 and 3 it also depends on the chunks: a one-row chunk
-    is a one-element complex product, which numpy rounds differently.
+    stays. Rows go in chunks of CHUNK_FLOATS // S (at least one), in the
+    calling thread, so the complex scratch holds at most about CHUNK_FLOATS
+    floats. For S >= 4 an element's result depends on its row alone. For
+    S = 2 and 3 it also depends on the chunks: a one-row chunk is a
+    one-element complex product, which numpy rounds differently.
     """
     S = len(c)
     m = S // 2
@@ -187,7 +192,7 @@ def halve_width(block, c):
         raise ValueError("halve_width needs S >= 2")
     if block.shape[1] != S:
         raise ValueError(f"halve_width needs S = {S} columns, got {block.shape[1]}")
-    chunk = max(1, HALVE_CHUNK // m)
+    chunk = max(1, CHUNK_FLOATS // S)
     # e^{-ic} / sqrt(2/S): one factor of the squared sqrt(2/S) comes off
     rotate = np.exp(-1j * c[S - m:]) / math.sqrt(2.0 / S)
     scratch = np.empty((min(len(block), chunk), m), dtype=np.complex128)

@@ -38,22 +38,16 @@ from .solvers import sigmoid
 
 SCHEMA_VERSION = 1
 
-# Cosine values of one term evaluated at once by predict and shape_function,
-# across all threads.
-PREDICT_CHUNK = 4096
-# The first Chebyshev interpolant of a feature's term has this degree; each
-# further try doubles it.
-CHEBYSHEV_DEGREE = 16
-# A term keeps its T folded cosines unless its interpolant needs at most
-# CHEBYSHEV_PER_COSINE * T points and a degree of at most
-# CHEBYSHEV_MAX_DEGREE. A Clenshaw step costs about a tenth of a folded
-# cosine (100,000 points: 65 coefficients in 7.9 ms, 50 cosines in 63 ms, one
-# thread, 2-vCPU host), so an interpolant under the cap is several times
-# cheaper per value, and its build, T cosines at each of its points, costs
-# what 2T distinct values would. The fixed maximum bounds the DCT's
-# (degree + 1)^2 table at 0.5 MB.
+# The degrees of a feature's Chebyshev interpolant, tried in turn. A term
+# keeps its T folded cosines unless its interpolant resolves at one of them
+# with at most CHEBYSHEV_PER_COSINE * T points (degree n has n + 1). A
+# Clenshaw step costs about a tenth of a folded cosine (100,000 points: 65
+# coefficients in 7.9 ms, 50 cosines in 63 ms, one thread, 2-vCPU host), so
+# an interpolant is several times cheaper per value, and its build, T
+# cosines at each of its points, costs what 2T distinct values would. The
+# largest degree bounds the DCT's (degree + 1)^2 table at 0.5 MB.
+CHEBYSHEV_DEGREES = (16, 32, 64, 128, 256)
 CHEBYSHEV_PER_COSINE = 2
-CHEBYSHEV_MAX_DEGREE = 256
 # A degree is resolved when its top quarter of coefficients is at most this
 # times the term's largest |value| at the points.
 CHEBYSHEV_TOL = 4 * 2.0**-52
@@ -216,9 +210,9 @@ def _interpolant(width, F, phase, amp, lo, hi):
 
     The Chebyshev-Lobatto points of degree n, mid + half * cos(pi k / n),
     nest as n doubles, so the term's own cosines are evaluated once, at the
-    points of the highest degree allowed: at most CHEBYSHEV_MAX_DEGREE, with
-    at most CHEBYSHEV_PER_COSINE points per folded cosine. Each degree
-    from CHEBYSHEV_DEGREE up, doubling, takes the DCT
+    points of the highest degree allowed: the largest of CHEBYSHEV_DEGREES
+    with at most CHEBYSHEV_PER_COSINE points per folded cosine. Each
+    allowed degree, from the smallest up, takes the DCT
     (:func:`_chebyshev_coefficients`) of its subset of the values. The term
     is band-limited, so its coefficients fall to rounding level past a
     degree that grows with the range over the width: the first degree whose
@@ -231,12 +225,7 @@ def _interpolant(width, F, phase, amp, lo, hi):
     reach = angle_bound(F, np.array([max(-lo, hi)]), width)
     if not (half > 0 and math.isfinite(mid) and math.isfinite(half) and np.isfinite(reach)):
         return None
-    most = min(CHEBYSHEV_MAX_DEGREE, CHEBYSHEV_PER_COSINE * len(amp) - 1)
-    degrees = []
-    n = CHEBYSHEV_DEGREE
-    while n <= most:
-        degrees.append(n)
-        n *= 2
+    degrees = [n for n in CHEBYSHEV_DEGREES if n < CHEBYSHEV_PER_COSINE * len(amp)]
     if not degrees:
         return None
     top = degrees[-1]
@@ -316,18 +305,15 @@ def _sum_terms(terms, xs) -> np.ndarray:
     (a NaN, an infinity, an overflowing angle) is a ValueError instead.
 
     A term with an interpolant (lo, hi, coefficients) takes its value at a
-    point in [lo, hi] from :func:`_clenshaw`, all of them at once in the
-    calling thread, which agrees with the cosines to rounding. Every other
-    value - of a pair, of a term with no interpolant, at a point outside
-    [lo, hi] - is its weighted cosines added one by one, from zero, in one
-    fixed order (a BLAS product amp @ block would round each value
-    differently with the block's row count). Either way a value depends on
-    its point and the term alone: a row's sum does not depend on the other
-    rows, the chunk size or the thread count. Only the cosines share threads:
-    they go in chunks through :func:`_kernels.in_row_chunks`, so at most
-    PREDICT_CHUNK cosine values of one term are in flight whatever n is
-    (memory O(PREDICT_CHUNK * S)), and a term of at most PREDICT_CHUNK
-    cosine values starts no thread.
+    point in [lo, hi] from :func:`_clenshaw`, in the calling thread, in
+    chunks of _kernels.CHUNK_FLOATS // 5 points (its five arrays of a
+    chunk's length stay in cache); it agrees with the cosines to rounding.
+    Every other value - of a pair, of a term with no interpolant, at a point
+    outside [lo, hi] - is its weighted cosines added one by one, from zero,
+    in one fixed order (a BLAS product amp @ block would round each value
+    differently with the block's row count), by :func:`_term_values`.
+    Either way a value depends on its point and the term alone: a row's sum
+    does not depend on the other rows, the chunk size or the thread count.
     """
     total = np.zeros(xs.shape[0])
     for cols, width, F, phase, amp, cheb in terms:
@@ -340,8 +326,11 @@ def _sum_terms(terms, xs) -> np.ndarray:
             lo, hi, coefs = cheb
             start, stop = (np.searchsorted(points[:, 0], end, side)
                            for end, side in ((lo, "left"), (hi, "right")))
-            u = (points[start:stop, 0] - (lo + hi) / 2) / ((hi - lo) / 2)
-            _clenshaw(u, coefs, values[start:stop])
+            chunk = _kernels.CHUNK_FLOATS // 5  # _clenshaw's five arrays a point
+            for first in range(start, stop, chunk):
+                run = slice(first, min(first + chunk, stop))
+                u = (points[run, 0] - (lo + hi) / 2) / ((hi - lo) / 2)
+                _clenshaw(u, coefs, values[run])
         for part in (slice(0, start), slice(stop, n)):
             if part.start < part.stop:
                 values[part] = _term_values(width, F, phase, amp, list(points[part].T))
@@ -352,7 +341,9 @@ def _sum_terms(terms, xs) -> np.ndarray:
 def _term_values(width, F, phase, amp, columns) -> np.ndarray:
     """sum_t amp[t] * cos(F[t] . (u / width) + phase[t]) at each point u of
     ``columns`` (one vector per column of F), the terms added from zero in
-    order."""
+    order. The points go through :func:`_kernels.in_row_chunks` at len(amp)
+    floats a point, so memory is O(_kernels.CHUNK_FLOATS) a thread whatever
+    the point count, and one chunk's points start no thread."""
     values = np.zeros(columns[0].shape[0])
 
     def fill(chunks, rows):
@@ -366,7 +357,7 @@ def _term_values(width, F, phase, amp, columns) -> np.ndarray:
             for a, cosines in zip(amp, block):
                 out += np.multiply(cosines, a, out=term)
 
-    _kernels.in_row_chunks(values.shape[0], PREDICT_CHUNK, fill)
+    _kernels.in_row_chunks(values.shape[0], len(amp), fill)
     return values
 
 
@@ -397,9 +388,9 @@ def predict(model: GPNAMModel, X) -> np.ndarray:
     built on the first call on a model object), by Clenshaw's recurrence in
     the calling thread: a few dozen multiply-adds instead of the cosines, and
     equal to them to rounding. Every other value takes its cosines, in
-    chunks, on WORKERS threads for more than PREDICT_CHUNK values. g(x) is
-    w0 plus the sum from zero of the term values in term order, and a
-    feature's term value is bit for bit what
+    chunks of about _kernels.CHUNK_FLOATS cosines, on WORKERS threads for
+    more than one chunk. g(x) is w0 plus the sum from zero of the term
+    values in term order, and a feature's term value is bit for bit what
     ``shape_function(model, i, ..., centered=False)`` returns, so a row's
     prediction does not depend on the other rows of ``X`` or on the thread
     count. Regression returns g(x); classification returns sigmoid(g(x)).

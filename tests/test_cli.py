@@ -1265,14 +1265,15 @@ class TestBlasThreads:
 
 
 class TestPredictThreads:
-    """Over model.PREDICT_CHUNK rows, predict's cosines run on one thread per
-    usable CPU; smaller inputs run in the calling thread."""
+    """Over one cosine chunk of values, predict's cosines run on one thread
+    per usable CPU; smaller inputs run in the calling thread."""
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity call on this platform")
     def test_outputs_do_not_depend_on_the_cpu_set(self, tmp_path, capsys):
         rows = tmp_path / "big.csv"
-        run(capsys, "synth", "--out", str(rows), "--n", str(2 * model.PREDICT_CHUNK + 1),
+        n = 2 * (_kernels.CHUNK_FLOATS // 16) + 1  # S = 32 grid terms fold to 16 cosines
+        run(capsys, "synth", "--out", str(rows), "--n", str(n),
             "--d", "2", "--noise-sd", "0.1", "--seed", "4")
         mpath = tmp_path / "m.json"
         code, _, _ = run(capsys, "train", "--data", str(rows), "--target", "y", "--task", "reg",
@@ -1298,9 +1299,10 @@ class TestPredictThreads:
 
     def test_small_inputs_start_no_thread(self, tmp_path, capsys, monkeypatch):
         """Train's 1,000-row validation part, a 1-row predict and the
-        256-point shape grids are one chunk each."""
+        256-point shape grids are one chunk each; so is the training table,
+        whose columns hold 401 distinct values each."""
         rng = np.random.default_rng(9)
-        X = rng.uniform(-2, 2, (10_000, 2))
+        X = np.round(rng.uniform(-2, 2, (10_000, 2)), 2)
         y = (rng.uniform(size=10_000) < sigmoid(X[:, 0] - X[:, 1])).astype(int)
         lines = ["a,b,y"] + [f"{a!r},{b!r},{t}" for (a, b), t in zip(X.tolist(), y.tolist())]
         train = tmp_path / "clf.csv"

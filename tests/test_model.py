@@ -5,6 +5,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -257,13 +258,20 @@ class TestOneTermList:
 POOL = np.array([-0.0, 0.0, 0.5, -1.25, 2.0, 1e-3, -3.5])
 
 
+def cosine_chunk(S, mode):
+    """Values in one of predict's cosine chunks of a term of an S-frequency
+    basis: it folds to S // 2 + S % 2 cosines on a grid, S on a Monte-Carlo
+    basis."""
+    return _kernels.CHUNK_FLOATS // (S // 2 + S % 2 if mode == rff.MODE_GRID else S)
+
+
 def pooled_or_normal_rows(rng, n, d, pooled):
     """n x d inputs: standard normal, or drawn from POOL."""
     return rng.choice(POOL, size=(n, d)) if pooled else rng.normal(size=(n, d))
 
 
 class TestChunkedPredict:
-    CHUNK = model.PREDICT_CHUNK
+    CHUNK = cosine_chunk(16, rff.MODE_MONTE_CARLO)  # random_pair_model's default basis
     SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
 
     @pytest.mark.parametrize("task", [model.TASK_REGRESSION, model.TASK_CLASSIFICATION])
@@ -287,8 +295,8 @@ class TestChunkedPredict:
         m = random_pair_model(task, True, d=8, S=100, mode=mode)
         X = pooled_or_normal_rows(np.random.default_rng(15), 2 * self.CHUNK + 3, m.d, pooled)
         full = model.predict(m, X)
-        for a, b in ((start, start + length), (start, start + 1),
-                     (self.CHUNK - 2, self.CHUNK + 2)):
+        edge = cosine_chunk(100, mode)
+        for a, b in ((start, start + length), (start, start + 1), (edge - 2, edge + 2)):
             assert np.array_equal(model.predict(m, X[a:b]), full[a:b])
 
     def test_memory_does_not_grow_with_rows(self):
@@ -343,7 +351,7 @@ class TestFoldedCosines:
     @pytest.mark.parametrize("mode", rff.MODES)
     def test_reruns_bit_identical(self, mode):
         m = random_pair_model(model.TASK_REGRESSION, True, d=4, S=20, mode=mode)
-        X = np.random.default_rng(14).normal(size=(model.PREDICT_CHUNK + 5, 4))
+        X = np.random.default_rng(14).normal(size=(cosine_chunk(20, mode) + 5, 4))
         assert model.predict(m, X).tobytes() == model.predict(m, X).tobytes()
 
 
@@ -351,7 +359,7 @@ class TestOneEvaluator:
     """shape_function sums its folded cosines with predict's evaluator, in
     predict's fixed order, so a shape value is a function of its point alone."""
 
-    CHUNK = model.PREDICT_CHUNK
+    CHUNK = cosine_chunk(100, rff.MODE_GRID)  # twice the S = 100 Monte-Carlo chunk
 
     @settings(max_examples=40)
     @given(S=st.integers(1, 130), mode=st.sampled_from(rff.MODES),
@@ -637,17 +645,18 @@ def call_within(seconds, fn, *args):
 
 
 class TestThreadedSum:
-    """_sum_terms splits a term of more than PREDICT_CHUNK values over
+    """_sum_terms splits a term of more than one cosine chunk over
     _kernels.WORKERS threads; the sums stay bit-identical to one thread's."""
 
-    CHUNK = model.PREDICT_CHUNK
+    CHUNK = cosine_chunk(20, rff.MODE_MONTE_CARLO)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @settings(max_examples=10)
     @given(start=st.integers(0, 2 * CHUNK + 2), length=st.integers(1, 2 * CHUNK + 3),
            pooled=st.booleans())
     def test_row_does_not_depend_on_the_worker_count(self, workers, start, length, pooled):
-        m = random_pair_model(model.TASK_REGRESSION, True, d=4, S=20, mode="grid")
+        # 20 folded cosines a term, as the S = 20 Monte-Carlo models below
+        m = random_pair_model(model.TASK_REGRESSION, True, d=4, S=40, mode="grid")
         X = pooled_or_normal_rows(np.random.default_rng(15), 2 * self.CHUNK + 3, m.d, pooled)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "WORKERS", 1)
@@ -739,6 +748,31 @@ def test_threads_start_in_the_kernels_alone():
             if any(nm.split(".")[0] in ("threading", "_thread", "concurrent") for nm in names):
                 importers.append(path.name)
     assert importers == ["_kernels.py"]
+
+
+def test_every_module_constant_is_read():
+    """Every module-level UPPER_CASE name that a module of the package
+    assigns is read or imported somewhere in the package, so no retired
+    constant stays defined."""
+    defined, read = [], set()
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and re.fullmatch("[A-Z][A-Z0-9_]*", name.id):
+                        defined.append(f"{path.stem}.{name.id}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined
+    assert [name for name in defined if name.split(".")[1] not in read] == []
 
 
 class TestAdditivity:
